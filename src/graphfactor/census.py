@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
 )
-from .exact import IntMatrix, adjacency
+from .exact import adjacency
 from .factorization import Factorization, StoredWitness
 from .graphs import (
     Graph,
@@ -41,7 +41,10 @@ from .graphs import (
     is_connected,
     is_regular,
 )
-from .search import SearchConfig, dedup_pairs, factor_search
+from .search import SearchConfig, dedup_pairs, is_factorizable
+# Not called here since the census decides through is_factorizable; the
+# benchmark tracer (bench/tracer.py) still wraps census.factor_search.
+from .search import factor_search  # noqa: F401
 from .spectral import DEFAULT_TOL, lambda_max
 
 CENSUS_ORDER_CAP = 7
@@ -225,24 +228,20 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
     return result
 
 
+def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
+    """Unordered factor pairs of a witness list as graph6 of the canonical
+    representatives, sorted by canonical key."""
+    return tuple(
+        (encode_graph6(graph_from_key(n, hk)), encode_graph6(graph_from_key(n, kk)))
+        for hk, kk in sorted(dedup_pairs(witnesses))
+    )
+
+
 def _build_record(args: tuple) -> CensusRecord:
     n, key, cfg, tol = args
     g = graph_from_key(n, key)
-    report = screen(g)
-    witnesses: list[Factorization] = []
-    if report.overall == "ruled_out":
-        verdict = "no"
-    elif report.trivial:
-        # Edgeless classes are trivially factorizable (zero = zero * zero).
-        # Their full witness family is every disjoint-support pair, which
-        # explodes combinatorially; the canonical trivial witness stands in.
-        z = IntMatrix.zero(n)
-        witnesses = [Factorization.from_matrices(z, z, z)]
-        verdict = "yes"
-    else:
-        found, stats = factor_search(g, cfg)
-        witnesses = found
-        verdict = "yes" if found else ("no" if stats.exhausted else "unknown")
+    decision = is_factorizable(g, cfg)
+    witnesses = decision.witnesses
     violation_items = []
     iso_evidence: bool | None = None
     for f in witnesses:
@@ -253,11 +252,6 @@ def _build_record(args: tuple) -> CensusRecord:
             iso_evidence = obs.component_iso if iso_evidence is None else (
                 iso_evidence and obs.component_iso
             )
-    pair_keys = sorted(dedup_pairs(witnesses))
-    factor_pairs = tuple(
-        (encode_graph6(graph_from_key(n, hk)), encode_graph6(graph_from_key(n, kk)))
-        for hk, kk in pair_keys
-    )
     return CensusRecord(
         n=n,
         graph6=encode_graph6(g),
@@ -266,9 +260,9 @@ def _build_record(args: tuple) -> CensusRecord:
         connected=is_connected(g),
         bipartite=is_bipartite(g),
         regular=is_regular(g),
-        screen=report,
-        verdict=verdict,
-        factor_pairs=factor_pairs,
+        screen=decision.report,
+        verdict=decision.verdict,
+        factor_pairs=factor_pairs(n, witnesses),
         lambda_max=lambda_max(g, tol),
         violations=ViolationList(tuple(violation_items)),
         component_iso_evidence=iso_evidence,
@@ -509,13 +503,6 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
                 report.exploratory["component_isomorphism"]["instances"] += 1
                 bucket = "isomorphic" if obs.component_iso else "non_isomorphic"
                 report.exploratory["component_isomorphism"][bucket] += 1
-        expected_pairs = tuple(
-            (
-                encode_graph6(graph_from_key(rec.n, hk)),
-                encode_graph6(graph_from_key(rec.n, kk)),
-            )
-            for hk, kk in sorted(dedup_pairs(valid))
-        )
-        if expected_pairs != rec.factor_pairs:
+        if factor_pairs(rec.n, valid) != rec.factor_pairs:
             report.integrity.append(f"{where}: stored factor_pairs mismatch")
     return report

@@ -23,14 +23,8 @@ from .errors import (
 )
 from .exact import adjacency
 from .graphs import Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite, is_connected
-from .search import (
-    DEFAULT_NODE_LIMIT,
-    SearchConfig,
-    construct,
-    dedup_pairs,
-    factor_search,
-)
-from .spectral import DEFAULT_SEED, DEFAULT_TOL, eigen_sym, lambda_max, perron, spectrum_is_symmetric
+from .search import DEFAULT_NODE_LIMIT, SearchConfig, construct, is_factorizable
+from .spectral import DEFAULT_TOL, eigen_sym, lambda_max, perron, spectrum_is_symmetric
 
 _USAGE_ERRORS = (ParameterError, Graph6Error, UnsupportedSizeError, PreconditionError)
 
@@ -73,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(p_factor)
     p_factor.add_argument("--all", action="store_true", help="enumerate every witness")
     p_factor.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
-    p_factor.add_argument("--include-trivial", action="store_true")
     p_factor.add_argument("--json", action="store_true")
 
     p_check = sub.add_parser("check", help="screen against the necessary conditions")
@@ -98,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--order", type=int, required=True)
     p_census.add_argument("--out", required=True, help="catalog output path (JSON lines)")
     p_census.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_census.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_census.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p_census.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p_census.add_argument("--keep-going", action="store_true",
@@ -116,32 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factor(args) -> int:
     g = _load_graph(args)
-    report = screen(g)
     cfg = SearchConfig(
         mode="all" if args.all else "first",
         node_limit=args.node_limit,
-        include_trivial=args.include_trivial,
         order_cap=max(7, g.order),
     )
-    if report.overall == "ruled_out":
-        verdict = "no"
-        witnesses: list = []
-        stats = None
-    else:
-        witnesses, stats = factor_search(g, cfg)
-        verdict = "yes" if witnesses else ("no" if stats.exhausted else "unknown")
-    pairs = sorted(dedup_pairs(witnesses))
-    pair_g6 = [
-        [
-            encode_graph6(census_mod.graph_from_key(g.order, hk)),
-            encode_graph6(census_mod.graph_from_key(g.order, kk)),
-        ]
-        for hk, kk in pairs
-    ]
+    decision = is_factorizable(g, cfg)
+    report, stats, witnesses = decision.report, decision.stats, decision.witnesses
+    pair_g6 = census_mod.factor_pairs(g.order, witnesses)
     if args.json:
         payload = {
             "graph6": encode_graph6(g),
-            "verdict": verdict,
+            "verdict": decision.verdict,
             "screen": report.to_json(),
             "factor_pairs": [{"h_graph6": h, "k_graph6": k} for h, k in pair_g6],
             "witnesses": [f.to_json() for f in witnesses],
@@ -157,7 +135,7 @@ def _cmd_factor(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"graph: {encode_graph6(g)} (order {g.order}, {g.edge_count} edges)")
-    print(f"verdict: {verdict}")
+    print(f"verdict: {decision.verdict}")
     if report.overall == "ruled_out":
         for rule in report.rules:
             if rule.status == "ruled_out":

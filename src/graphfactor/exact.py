@@ -35,16 +35,9 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @classmethod
-    def zero(cls, n: int) -> "IntMatrix":
-        return cls(((0,) * n,) * n)
-
     @property
     def order(self) -> int:
         return len(self.entries)
-
-    def is_zero(self) -> bool:
-        return all(all(x == 0 for x in row) for row in self.entries)
 
     def is_symmetric(self) -> bool:
         n = self.order

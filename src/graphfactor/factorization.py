@@ -9,8 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError, PreconditionError
-from .exact import IntMatrix, as_adjacency, multiply
-from .graphs import Graph, encode_graph6
+from .exact import IntMatrix, adjacency, as_adjacency, multiply
+from .graphs import Graph, encode_graph6, is_edgeless
 
 
 def _bit_rows(m: IntMatrix) -> list[str]:
@@ -29,43 +29,55 @@ def _matrix_from_bit_rows(rows, what: str) -> IntMatrix:
 
 @dataclass(frozen=True)
 class Factorization:
-    """Verified witness: B*C equals A exactly and all three are adjacency
-    matrices.  trivial marks a zero factor."""
+    """Verified witness: the adjacency matrices A, B, C of g, h, k satisfy
+    B*C = A exactly, checked once by popcount when the triple is built."""
 
-    a: IntMatrix
-    b: IntMatrix
-    c: IntMatrix
     g: Graph
     h: Graph
     k: Graph
-    trivial: bool
+
+    def __post_init__(self) -> None:
+        n = self.g.order
+        if not (n == self.h.order == self.k.order):
+            raise ParameterError("factorization graphs must share one order")
+        rows_k = self.k.rows
+        for gi, hi in zip(self.g.rows, self.h.rows):
+            for j in range(n):
+                if (hi & rows_k[j]).bit_count() != (gi >> j & 1):
+                    raise PreconditionError("product identity fails: B*C != A")
 
     @classmethod
     def from_matrices(cls, a: IntMatrix, b: IntMatrix, c: IntMatrix) -> "Factorization":
         if not (a.order == b.order == c.order):
             raise ParameterError("factorization matrices must share one order")
-        if multiply(b, c) != a:
-            raise PreconditionError("product identity fails: B*C != A")
-        g = as_adjacency(a)
-        h = as_adjacency(b)
-        k = as_adjacency(c)
+        g, h, k = as_adjacency(a), as_adjacency(b), as_adjacency(c)
         if g is None or h is None or k is None:
             raise PreconditionError("factorization matrices must be adjacency matrices")
-        return cls(a, b, c, g, h, k, trivial=b.is_zero() or c.is_zero())
+        return cls(g, h, k)
 
     @classmethod
     def from_factors(cls, b: IntMatrix, c: IntMatrix) -> "Factorization":
         return cls.from_matrices(multiply(b, c), b, c)
 
+    @property
+    def a(self) -> IntMatrix:
+        return adjacency(self.g)
+
+    @property
+    def b(self) -> IntMatrix:
+        return adjacency(self.h)
+
+    @property
+    def c(self) -> IntMatrix:
+        return adjacency(self.k)
+
+    @property
+    def trivial(self) -> bool:
+        """A zero factor, which forces A = 0."""
+        return is_edgeless(self.h) or is_edgeless(self.k)
+
     def to_json(self) -> dict:
-        return {
-            "a": _bit_rows(self.a),
-            "b": _bit_rows(self.b),
-            "c": _bit_rows(self.c),
-            "h_graph6": encode_graph6(self.h),
-            "k_graph6": encode_graph6(self.k),
-            "trivial": self.trivial,
-        }
+        return StoredWitness.from_factorization(self).to_json()
 
 
 @dataclass(frozen=True)

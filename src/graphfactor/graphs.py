@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 from .errors import Graph6Error, ParameterError, UnsupportedSizeError
 
@@ -79,6 +80,11 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
+
+    @cached_property
+    def _canonical(self) -> tuple[str, tuple[int, ...]]:
+        """_canonical_order of this graph, computed at most once per object."""
+        return _canonical_order(self)
 
 
 @dataclass(frozen=True)
@@ -535,12 +541,12 @@ def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
 
 def canonical_key(g: Graph) -> str:
     """Labeling-invariant bit-string; equal keys decide isomorphism."""
-    return _canonical_order(g)[0]
+    return g._canonical[0]
 
 
 def canonical_relabeling(g: Graph) -> Permutation:
     """Permutation carrying g onto its canonical form."""
-    _, placement = _canonical_order(g)
+    _, placement = g._canonical
     images = [0] * g.order
     for new, old in enumerate(placement):
         images[old] = new

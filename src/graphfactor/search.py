@@ -6,10 +6,12 @@ Three routes:
   symmetric 0-1 zero-diagonal matrices (order <= 5) and keep exact products.
   This is the ground-truth oracle the pruned search is tested against.
 * factor_search - backtracking over the unknown upper-triangle entries of B
-  and C with forward checking (entry bounds, zero diagonal, degree products,
-  component-constant degrees).
+  and C with forward checking (entry bounds, zero diagonal, degree products).
 * construct     - the explicit witness families: the cycle product, the
   doubled graph, and the disconnected eigenvalue counterexample.
+
+is_factorizable is the one decision path from a graph to a verdict; the CLI
+and the census both go through it.
 """
 from __future__ import annotations
 
@@ -32,12 +34,13 @@ from .graphs import (
     cycle,
     degree_sequence,
     disjoint_union,
+    edgeless,
     is_bipartite,
     is_connected,
     matching,
 )
 
-PRUNE_RULES = ("P1", "P2", "P3", "P4")
+PRUNE_RULES = ("P1", "P2", "P3")
 
 DEFAULT_NODE_LIMIT = 100_000_000
 
@@ -46,7 +49,6 @@ DEFAULT_NODE_LIMIT = 100_000_000
 class SearchConfig:
     mode: str = "first"
     node_limit: int = DEFAULT_NODE_LIMIT
-    include_trivial: bool = False
     order_cap: int = 7
 
     def __post_init__(self) -> None:
@@ -69,9 +71,13 @@ class SearchStats:
 @dataclass(frozen=True)
 class FactorDecision:
     verdict: str  # "yes" | "no" | "unknown"
-    witness: Factorization | None
+    witnesses: tuple[Factorization, ...]
     report: ConditionReport
-    stats: SearchStats | None
+    stats: SearchStats | None  # None when no search ran
+
+    @property
+    def witness(self) -> Factorization | None:
+        return self.witnesses[0] if self.witnesses else None
 
 
 def fix_labeling(g: Graph) -> IntMatrix:
@@ -86,8 +92,8 @@ def factor_naive(g: Graph) -> list[Factorization]:
     n = g.order
     if n > 5:
         raise UnsupportedSizeError("naive enumeration is capped at order 5")
-    a = fix_labeling(g)
-    aij = [list(row) for row in a.entries]
+    cg = canonical_form(g)
+    aij = [list(row) for row in adjacency(cg).entries]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(pairs)
     candidates: list[tuple[int, ...]] = []
@@ -113,15 +119,8 @@ def factor_naive(g: Graph) -> list[Factorization]:
                 if not ok:
                     break
             if ok:
-                out.append(_factorization_from_rows(a, rb, rc))
+                out.append(Factorization(cg, Graph(n, rb), Graph(n, rc)))
     return out
-
-
-def _factorization_from_rows(a: IntMatrix, rows_b, rows_c) -> Factorization:
-    n = a.order
-    b = IntMatrix(tuple(tuple(rows_b[i] >> j & 1 for j in range(n)) for i in range(n)))
-    c = IntMatrix(tuple(tuple(rows_c[i] >> j & 1 for j in range(n)) for i in range(n)))
-    return Factorization.from_matrices(a, b, c)
 
 
 class _LimitReached(Exception):
@@ -136,13 +135,12 @@ class _Engine:
     """Backtracker over the upper triangles of B and C, interleaved in
     vertex-major order with high-degree vertices of A first."""
 
-    def __init__(self, a: IntMatrix, cfg: SearchConfig, disabled: frozenset):
-        self.a = a
+    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
+        self.g = g
         self.cfg = cfg
-        self.n = n = a.order
-        self.aij = [list(row) for row in a.entries]
-        self.a_zero = a.is_zero()
-        degs = [sum(row) for row in a.entries]
+        self.n = n = g.order
+        self.aij = [[row >> j & 1 for j in range(n)] for row in g.rows]
+        degs = [row.bit_count() for row in g.rows]
         order = sorted(range(n), key=lambda v: (-degs[v], v))
         self.vars: list[tuple[int, int, int]] = []
         for i in range(n):
@@ -158,7 +156,6 @@ class _Engine:
         self.p1 = "P1" not in disabled
         self.p2 = "P2" not in disabled
         self.p3 = "P3" not in disabled
-        self.p4 = "P4" not in disabled
         self.stats = SearchStats()
         self.witnesses: list[Factorization] = []
 
@@ -246,10 +243,6 @@ class _Engine:
                 if not self._degree_feasible(x):
                     prunes["P3"] += 1
                     return False
-        if self.p4:
-            if not self._component_degrees_ok(u, w):
-                prunes["P4"] += 1
-                return False
         return True
 
     def _degree_feasible(self, x: int) -> bool:
@@ -270,48 +263,6 @@ class _Engine:
                 return True
         return False
 
-    def _component_degrees_ok(self, u: int, w: int) -> bool:
-        """Once a B-component is fully decided, the C-degree ranges of its
-        vertices must still admit one common value."""
-        comm1b, possb = self.comm1b, self.possb
-        comm1c, possc = self.comm1c, self.possc
-        seen = 0
-        for x in (u, w):
-            bit_x = 1 << x
-            if seen & bit_x:
-                continue
-            comp = bit_x
-            frontier = bit_x
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    v = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    nxt |= comm1b[v]
-                frontier = nxt & ~comp
-                comp |= frontier
-            seen |= comp
-            decided = True
-            lo = 0
-            hi = self.n
-            m = comp
-            while m:
-                v = (m & -m).bit_length() - 1
-                m &= m - 1
-                if possb[v] != comm1b[v]:
-                    decided = False
-                    break
-                cmin = comm1c[v].bit_count()
-                cmax = possc[v].bit_count()
-                if cmin > lo:
-                    lo = cmin
-                if cmax < hi:
-                    hi = cmax
-            if decided and lo > hi:
-                return False
-        return True
-
     def _leaf(self) -> None:
         n = self.n
         rb = self.comm1b
@@ -323,10 +274,7 @@ class _Engine:
             for j in range(n):
                 if (rbi & rc[j]).bit_count() != ai[j]:
                     return
-        trivial = all(x == 0 for x in rb) or all(x == 0 for x in rc)
-        if trivial and not self.cfg.include_trivial and not self.a_zero:
-            return
-        self.witnesses.append(_factorization_from_rows(self.a, tuple(rb), tuple(rc)))
+        self.witnesses.append(Factorization(self.g, Graph(n, tuple(rb)), Graph(n, tuple(rc))))
         if self.cfg.mode == "first":
             raise _FoundEnough
 
@@ -346,8 +294,7 @@ def factor_search(
     unknown = set(disable_rules) - set(PRUNE_RULES)
     if unknown:
         raise ParameterError(f"unknown pruning rules: {sorted(unknown)}")
-    a = fix_labeling(g)
-    engine = _Engine(a, cfg, frozenset(disable_rules))
+    engine = _Engine(canonical_form(g), cfg, frozenset(disable_rules))
     return engine.run()
 
 
@@ -372,16 +319,22 @@ def dedup_pairs(witnesses) -> set[tuple[str, str]]:
 
 def is_factorizable(g: Graph, cfg: SearchConfig = SearchConfig()) -> FactorDecision:
     """Screen first; only survivors are searched.  A node-limited search
-    that finds nothing reports 'unknown', never 'no'."""
+    that finds nothing reports 'unknown', never 'no'.
+
+    Edgeless graphs are decided without a search: zero = zero * zero, and
+    the single zero witness stands in for their full family (every pair of
+    factors sharing no edge), which explodes combinatorially.
+    """
     report = screen(g)
     if report.overall == "ruled_out":
-        return FactorDecision("no", None, report, None)
+        return FactorDecision("no", (), report, None)
+    if report.trivial:
+        zero = edgeless(g.order)
+        return FactorDecision("yes", (Factorization(zero, zero, zero),), report, None)
     witnesses, stats = factor_search(g, cfg)
     if witnesses:
-        return FactorDecision("yes", witnesses[0], report, stats)
-    if stats.exhausted:
-        return FactorDecision("no", None, report, stats)
-    return FactorDecision("unknown", None, report, stats)
+        return FactorDecision("yes", tuple(witnesses), report, stats)
+    return FactorDecision("no" if stats.exhausted else "unknown", (), report, stats)
 
 
 # ---------------------------------------------------------------------------

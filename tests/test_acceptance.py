@@ -104,7 +104,7 @@ def test_criterion_02_c6_factorization_recovered():
 
 def test_criterion_03_oracle_equivalence_order_5():
     t0 = time.perf_counter()
-    cfg = SearchConfig(mode="all", include_trivial=True)
+    cfg = SearchConfig(mode="all")
     checked = 0
     ok = True
     for n in range(1, 6):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -256,3 +258,49 @@ def test_run_census_aborts_with_offending_record(monkeypatch):
 def test_record_json_roundtrip(order6_records):
     for rec in order6_records[:10]:
         assert CensusRecord.from_json(rec.to_json()) == rec
+
+
+# sha256 of write_catalog(run_census(n)); any change to a catalog byte is a
+# change to the catalog format or to a verdict, witness or assertion.
+CATALOG_SHA256 = {
+    1: "6d6c94b76c82c7c1e2c53c2266edac0a9eb472ed1c1d8b7c95d3d19f1c2d7527",
+    2: "3a348e31e602363f6dd4de5d7a34310647f37d707f02a6816bf543dc6b833db1",
+    3: "b45962f565395ceb726c76ecd15c3bc1c8a3a3f2c8dbe0e06f9aaf4bd06247c7",
+    4: "2f93a425889922e1605fa8ca52d33e5ec47ee1a75b3febb23c54f430113209e4",
+    5: "16a5e620f3092b5a63191d83fe0b4b7671b85ccf58fc21355584030d88cff1a3",
+    6: "72f654d4305624e816920db4e1da0e7d8095f680d1ba8c9389215be335b077bf",
+}
+
+
+def test_catalog_bytes_match_pinned_digests(order6_records, tmp_path):
+    for n, digest in CATALOG_SHA256.items():
+        path = tmp_path / f"n{n}.jsonl"
+        write_catalog(order6_records if n == 6 else run_census(n), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, n
+
+
+def test_verify_catalog_labels_each_record_graph_once(order6_records, monkeypatch):
+    from graphfactor import census as census_mod
+    from graphfactor import graphs as graphs_mod
+
+    decoded = []
+    labelled = Counter()
+    kept = []  # keeps every labelled graph alive, so no id() is reused
+    real_decode = census_mod.decode_graph6
+    real_order = graphs_mod._canonical_order
+
+    def decode(text):
+        g = real_decode(text)
+        decoded.append(g)
+        return g
+
+    def order(g):
+        kept.append(g)
+        labelled[id(g)] += 1
+        return real_order(g)
+
+    monkeypatch.setattr(census_mod, "decode_graph6", decode)
+    monkeypatch.setattr(graphs_mod, "_canonical_order", order)
+    assert verify_catalog(order6_records).total_violations == 0
+    assert len(decoded) == len(order6_records)
+    assert [labelled[id(g)] for g in decoded] == [1] * len(decoded)

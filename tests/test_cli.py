@@ -3,9 +3,10 @@ import json
 import pytest
 
 from graphfactor.cli import main
-from graphfactor.census import read_catalog, verify_catalog
+from graphfactor.census import enumerate_graphs, read_catalog, run_census, verify_catalog
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import cycle, edgeless, encode_edge_list, encode_graph6, path
+from graphfactor.search import SearchConfig, is_factorizable
 
 
 C6 = encode_graph6(cycle(6))
@@ -184,10 +185,24 @@ def test_identical_invocations_identical_output(capsys):
 
 def test_factor_include_trivial_on_edgeless(capsys):
     g6 = encode_graph6(edgeless(3))
-    code, out, _ = run_cli(
-        capsys, "factor", "--graph6", g6, "--all", "--include-trivial", "--json"
-    )
+    code, out, _ = run_cli(capsys, "factor", "--graph6", g6, "--all", "--json")
     assert code == 0
     payload = json.loads(out)
     assert payload["verdict"] == "yes"
     assert any(w["trivial"] for w in payload["witnesses"])
+
+
+def test_one_decision_path_for_library_cli_and_census(order6_records, capsys):
+    records = [r for n in range(1, 6) for r in run_census(n)]
+    records += [r for r in order6_records if r.graph6 == "E???"]
+    assert len(records) == 53
+    for rec in records:
+        g = next(x for x in enumerate_graphs(rec.n) if encode_graph6(x) == rec.graph6)
+        decision = is_factorizable(g, SearchConfig(mode="all"))
+        code, out, _ = run_cli(capsys, "factor", "--graph6", rec.graph6, "--all", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        stored = [w.to_json() for w in rec.witnesses]
+        assert decision.verdict == payload["verdict"] == rec.verdict, rec.graph6
+        assert [f.to_json() for f in decision.witnesses] == payload["witnesses"] == stored
+    assert len(records[-1].witnesses) == 1  # E???, so factor --all printed one witness

@@ -107,9 +107,7 @@ def test_screen_soundness_small_orders():
     for g in enumerate_graphs(6):
         if screen(g).overall != "ruled_out":
             continue
-        witnesses, stats = factor_search(
-            g, SearchConfig(mode="all", include_trivial=True)
-        )
+        witnesses, stats = factor_search(g, SearchConfig(mode="all"))
         assert stats.exhausted and witnesses == []
 
 

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import networkx as nx
@@ -359,3 +360,23 @@ def test_canonical_key_order_cap():
 def test_graph_from_key_roundtrip():
     for g in enumerate_graphs(5):
         assert graph_from_key(g.order, graph_bits(g)) == g
+
+
+def test_canonical_labelling_memoised_per_graph_and_pickled(monkeypatch):
+    import graphfactor.graphs as graphs_mod
+
+    real = graphs_mod._canonical_order
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(graphs_mod, "_canonical_order", counted)
+    g = permute(cycle(6), Permutation((3, 0, 4, 1, 5, 2)))
+    key = canonical_key(g)
+    assert graph_bits(canonical_form(g)) == key
+    assert len(calls) == 1
+    copy = pickle.loads(pickle.dumps(g))
+    assert copy == g and canonical_key(copy) == key
+    assert len(calls) == 1

@@ -19,6 +19,7 @@ from graphfactor.graphs import (
     cycle,
     disjoint_union,
     edgeless,
+    graph_bits,
     is_connected,
     matching,
     path,
@@ -129,9 +130,7 @@ def test_search_matches_naive_on_all_labeled_graphs_up_to_4():
                 n, [pairs[t] for t in range(len(pairs)) if mask >> t & 1]
             )
             naive = sorted(map(witness_key, factor_naive(g)))
-            found, stats = factor_search(
-                g, SearchConfig(mode="all", include_trivial=True)
-            )
+            found, stats = factor_search(g, SearchConfig(mode="all"))
             assert stats.exhausted
             assert sorted(map(witness_key, found)) == naive
 
@@ -179,7 +178,7 @@ def test_search_config_validation():
 def test_pruning_safety_200_random_graphs():
     rng = random.Random(1234)
     cases = [random_graph(rng, rng.randint(1, 5)) for _ in range(200)]
-    cfg = SearchConfig(mode="all", include_trivial=True)
+    cfg = SearchConfig(mode="all")
     for g in cases:
         baseline, base_stats = factor_search(g, cfg)
         base_keys = sorted(map(witness_key, baseline))
@@ -194,7 +193,7 @@ def test_every_witness_is_sound():
     rng = random.Random(99)
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
-        found, _ = factor_search(g, SearchConfig(mode="all", include_trivial=True))
+        found, _ = factor_search(g, SearchConfig(mode="all"))
         a = fix_labeling(g)
         for f in found:
             assert multiply(f.b, f.c) == a
@@ -304,3 +303,21 @@ def test_construct_dispatch():
         construct("unknown", n=3)
     with pytest.raises(ParameterError):
         construct("cycle_product")
+
+
+def test_is_factorizable_labels_the_graph_once(monkeypatch):
+    import graphfactor.graphs as graphs_mod
+
+    g = permute(cycle(6), Permutation((3, 0, 4, 1, 5, 2)))
+    assert graph_bits(g) != canonical_key(cycle(6))  # g is not canonical
+    real = graphs_mod._canonical_order
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(graphs_mod, "_canonical_order", counted)
+    decision = is_factorizable(g, SearchConfig(mode="all"))
+    assert decision.verdict == "yes" and decision.stats is not None
+    assert len(calls) == 1 and calls[0] is g
