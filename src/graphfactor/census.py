@@ -19,16 +19,17 @@ from .conditions import (
     check_assertions,
     exploratory_observations,
     screen,
-    validate_factorization,
+    validate_factorization,  # noqa: F401  unused here; bench/tracer.py wraps it
 )
 from .errors import (
     CatalogSchemaError,
+    Graph6Error,
     ParameterError,
     PreconditionError,
     TheoremViolationError,
+    UnsupportedSizeError,
 )
-from .exact import adjacency
-from .factorization import Factorization, StoredWitness
+from .factorization import StoredWitness
 from .graphs import (
     Graph,
     canonical_key,
@@ -181,7 +182,8 @@ def _burnside_class_count(n: int) -> int:
     total = 0
     for images in permutations(range(n)):
         total += 1 << _pair_cycles(images)
-    assert total % factorial(n) == 0
+    if total % factorial(n):
+        raise TheoremViolationError(f"orbit count at order {n} is not an integer")
     return total // factorial(n)
 
 
@@ -220,7 +222,7 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
         keys.update(nxt)
         level = list(nxt.values())
     if len(keys) != _burnside_class_count(n):
-        raise AssertionError(
+        raise TheoremViolationError(
             f"class ladder mismatch at order {n}: enumerated {len(keys)}"
         )
     result = tuple(keys[k] for k in sorted(keys))
@@ -237,37 +239,41 @@ def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _build_record(args: tuple) -> CensusRecord:
-    n, key, cfg, tol = args
-    g = graph_from_key(n, key)
-    decision = is_factorizable(g, cfg)
-    witnesses = decision.witnesses
-    violation_items = []
-    iso_evidence: bool | None = None
-    for f in witnesses:
-        vl = validate_factorization(f, tol)
-        violation_items.extend(vl.items)
-        obs = exploratory_observations(f, tol)
-        if obs.component_iso_applied and obs.component_iso is not None:
-            iso_evidence = obs.component_iso if iso_evidence is None else (
-                iso_evidence and obs.component_iso
-            )
-    return CensusRecord(
+def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses, tol: float):
+    """The record of class graph g, derived from g, its screening report and
+    its witnesses, plus each witness's assertion outcomes and observations.
+    The census writes the record; verify rebuilds it and diffs the two."""
+    n = g.order
+    checks = tuple(
+        (check_assertions(f, tol), exploratory_observations(f, tol)) for f in witnesses
+    )
+    isos = [obs.component_iso for _, obs in checks if obs.component_iso is not None]
+    record = CensusRecord(
         n=n,
-        graph6=encode_graph6(g),
-        canonical_key=key,
+        graph6=encode_graph6(graph_from_key(n, report.graph_key)),
+        canonical_key=report.graph_key,
         edge_count=g.edge_count,
         connected=is_connected(g),
         bipartite=is_bipartite(g),
         regular=is_regular(g),
-        screen=decision.report,
-        verdict=decision.verdict,
+        screen=report,
+        verdict=verdict,
         factor_pairs=factor_pairs(n, witnesses),
         lambda_max=lambda_max(g, tol),
-        violations=ViolationList(tuple(violation_items)),
-        component_iso_evidence=iso_evidence,
+        violations=ViolationList(tuple(
+            o.violation for outcomes, _ in checks for o in outcomes if o.violation is not None
+        )),
+        component_iso_evidence=all(isos) if isos else None,
         witnesses=tuple(StoredWitness.from_factorization(f) for f in witnesses),
     )
+    return record, checks
+
+
+def _build_record(args: tuple) -> CensusRecord:
+    n, key, cfg, tol = args
+    g = graph_from_key(n, key)
+    decision = is_factorizable(g, cfg)
+    return _describe(g, decision.verdict, decision.report, decision.witnesses, tol)[0]
 
 
 def run_census(
@@ -417,8 +423,9 @@ class TheoremReport:
 
 
 def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
-    """Recompute every assertion over every stored witness from scratch;
-    stored verdicts are only compared, never trusted."""
+    """Rebuild every record from its graph and valid witnesses as the census
+    does and report each field that differs; stored verdicts are only
+    checked against screening and witnesses, never trusted."""
     report = TheoremReport()
     report.assertions = {PRODUCT_ASSERTION: AssertionTally()}
     for aid in ASSERTION_IDS:
@@ -429,29 +436,21 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
         "unguarded_product_bound": {"instances": 0, "failures": 0},
         "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
     }
+    product = report.assertions[PRODUCT_ASSERTION]
+    classes: set[tuple[int, str]] = set()
     for rec in records:
         report.records_checked += 1
         where = f"record {rec.graph6!r}"
         try:
             g = decode_graph6(rec.graph6)
-        except Exception as exc:
-            report.integrity.append(f"{where}: graph6 does not decode: {exc}")
+            cls = (g.order, canonical_key(g))
+        except (Graph6Error, UnsupportedSizeError) as exc:
+            report.integrity.append(f"{where}: graph6 does not decode to a class: {exc}")
             continue
-        if graph_bits(g) != rec.canonical_key or canonical_key(g) != rec.canonical_key:
-            report.integrity.append(f"{where}: stored canonical_key mismatch")
-        if g.edge_count != rec.edge_count:
-            report.integrity.append(f"{where}: stored edge_count mismatch")
-        if is_connected(g) != rec.connected:
-            report.integrity.append(f"{where}: stored connected flag mismatch")
-        if is_bipartite(g) != rec.bipartite:
-            report.integrity.append(f"{where}: stored bipartite flag mismatch")
-        if is_regular(g) != rec.regular:
-            report.integrity.append(f"{where}: stored regular flag mismatch")
-        if abs(lambda_max(g, tol) - rec.lambda_max) > tol * max(1.0, abs(rec.lambda_max)):
-            report.integrity.append(f"{where}: stored lambda_max drifted")
+        if cls in classes:
+            report.integrity.append(f"{where}: class listed more than once")
+        classes.add(cls)
         fresh = screen(g)
-        if fresh.to_json() != rec.screen.to_json():
-            report.integrity.append(f"{where}: stored screening report mismatch")
         for rule in fresh.rules:
             tally = report.rules[rule.rule_id]
             tally.instances_checked += 1
@@ -465,32 +464,37 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
             report.integrity.append(f"{where}: verdict {rec.verdict} with stored witnesses")
         if fresh.overall == "ruled_out" and rec.verdict != "no":
             report.integrity.append(f"{where}: ruled_out class without verdict no")
-        adjacency_target = adjacency(g)
-        valid: list[Factorization] = []
+        valid = []
         for idx, w in enumerate(rec.witnesses):
             report.witnesses_checked += 1
-            product = report.assertions[PRODUCT_ASSERTION]
             product.instances_checked += 1
-            if w.a != adjacency_target:
-                product.violations += 1
-                report.integrity.append(
-                    f"{where}: witness {idx} targets a different matrix A"
-                )
-                continue
             try:
                 f = w.to_factorization()
             except (PreconditionError, ParameterError) as exc:
                 product.violations += 1
                 report.integrity.append(f"{where}: witness {idx}: {exc}")
                 continue
+            if f.g != g:
+                product.violations += 1
+                report.integrity.append(f"{where}: witness {idx} targets a different graph")
+                continue
             valid.append(f)
-            for outcome in check_assertions(f, tol):
+        rebuilt, checks = _describe(g, rec.verdict, fresh, valid, tol)
+        stored = rec.to_json()
+        for name, value in rebuilt.to_json().items():
+            if name == "lambda_max":
+                differs = abs(value - rec.lambda_max) > tol * max(1.0, abs(rec.lambda_max))
+            else:
+                differs = value != stored[name]
+            if differs:
+                report.integrity.append(f"{where}: stored {name} mismatch")
+        for outcomes, obs in checks:
+            for outcome in outcomes:
                 if outcome.applied:
                     tally = report.assertions[outcome.assertion_id]
                     tally.instances_checked += 1
                     if outcome.violation is not None:
                         tally.violations += 1
-            obs = exploratory_observations(f, tol)
             if obs.stronger_edge_bound_applied:
                 report.exploratory["stronger_edge_bound"]["instances"] += 1
                 if not obs.stronger_edge_bound_holds:
@@ -503,6 +507,4 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
                 report.exploratory["component_isomorphism"]["instances"] += 1
                 bucket = "isomorphic" if obs.component_iso else "non_isomorphic"
                 report.exploratory["component_isomorphism"][bucket] += 1
-        if factor_pairs(rec.n, valid) != rec.factor_pairs:
-            report.integrity.append(f"{where}: stored factor_pairs mismatch")
     return report

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .errors import ParameterError
 from .factorization import Factorization
 from .graphs import (
+    CANONICAL_ORDER_CAP,
     AcyclicClass,
     Graph,
     bipartition_of,
@@ -56,7 +57,7 @@ class RuleResult:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    graph_key: str
+    graph_key: str | None
     rules: tuple[RuleResult, ...]
     trivial: bool
 
@@ -187,10 +188,12 @@ def screen(g: Graph) -> ConditionReport:
     """Run every registered rule; surviving graphs stay inconclusive.
 
     Edgeless graphs survive and are flagged trivial: the zero matrix
-    factors as zero times zero.
+    factors as zero times zero.  The rules need no labelling, so above the
+    canonical cap the report carries no graph key.
     """
     rules = tuple(evaluate_rule(rid, g) for rid in RULE_IDS)
-    return ConditionReport(canonical_key(g), rules, trivial=is_edgeless(g))
+    key = canonical_key(g) if g.order <= CANONICAL_ORDER_CAP else None
+    return ConditionReport(key, rules, trivial=is_edgeless(g))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,16 @@ def test_enumerate_representatives_are_canonical():
         assert fix_labeling(g) == adjacency(g)
 
 
+def test_enumerate_class_count_mismatch_raises_package_error(monkeypatch):
+    from graphfactor import census as census_mod
+
+    monkeypatch.delitem(census_mod._CLASS_CACHE, 4, raising=False)
+    monkeypatch.setattr(census_mod, "_burnside_class_count", lambda n: 12)
+    with pytest.raises(TheoremViolationError, match="order 4"):
+        enumerate_graphs(4)
+    assert 4 not in census_mod._CLASS_CACHE
+
+
 def test_enumerate_range_errors():
     with pytest.raises(ParameterError):
         enumerate_graphs(0)
@@ -219,6 +229,68 @@ def test_verify_reports_corrupted_witness(order6_records, tmp_path):
     assert report.total_violations >= 1
 
 
+def _forge(rec, edit):
+    obj = rec.to_json()
+    edit(obj)
+    return CensusRecord.from_json(obj)
+
+
+FORGED_VIOLATION = {
+    "assertion_id": "V1", "expected": "x", "observed": "y", "paper_ref": "invented"
+}
+
+# (edit of the C6 record, the field verify must report)
+FORGERIES = {
+    "h_graph6": (lambda obj: obj["witnesses"][0].update(h_graph6="E???"), "witnesses"),
+    "k_graph6": (lambda obj: obj["witnesses"][0].update(k_graph6="E???"), "witnesses"),
+    "trivial": (lambda obj: obj["witnesses"][0].update(trivial=True), "witnesses"),
+    "violations": (lambda obj: obj["violations"]["items"].append(FORGED_VIOLATION), "violations"),
+    "component_iso_evidence": (
+        lambda obj: obj.update(component_iso_evidence=not obj["component_iso_evidence"]),
+        "component_iso_evidence",
+    ),
+    "n": (lambda obj: obj.update(n=5), "n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORGERIES))
+def test_verify_reports_forged_record(order6_records, name):
+    edit, field_name = FORGERIES[name]
+    c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
+    report = verify_catalog([_forge(c6, edit)])
+    assert report.integrity == [f"record 'EBj?': stored {field_name} mismatch"]
+    assert report.total_violations == 1
+
+
+def test_verify_reports_forged_order_without_witnesses(order6_records):
+    rec = next(r for r in order6_records if not r.witnesses)
+    report = verify_catalog([_forge(rec, lambda obj: obj.update(n=7))])
+    assert report.integrity == [f"record {rec.graph6!r}: stored n mismatch"]
+
+
+def test_verify_rejects_witness_of_another_graph(order6_records):
+    c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
+    other = next(r for r in order6_records if r.witnesses and r is not c6)
+
+    def swap(obj):
+        obj["witnesses"][0] = other.witnesses[0].to_json()
+
+    report = verify_catalog([_forge(c6, swap)])
+    assert report.assertions["W0"].violations == 1
+    assert "record 'EBj?': witness 0 targets a different graph" in report.integrity
+
+
+def test_verify_reports_duplicated_class(order6_records):
+    # Any record order verifies clean, so catalogs of several orders may be
+    # concatenated; a class listed twice does not.
+    records = list(reversed(order6_records))
+    assert verify_catalog(records).total_violations == 0
+    report = verify_catalog(records + [order6_records[40]])
+    assert report.integrity == [
+        f"record {order6_records[40].graph6!r}: class listed more than once"
+    ]
+
+
 def test_census_keep_going_surfaces_violations_instead_of_raising(order6_records):
     # A crafted record with a bad verdict shows up as integrity evidence.
     rec = order6_records[0]
@@ -239,12 +311,14 @@ def test_run_census_order_cap_respected():
 
 def test_run_census_aborts_with_offending_record(monkeypatch):
     from graphfactor import census as census_mod
-    from graphfactor.conditions import Violation, ViolationList
+    from graphfactor.conditions import AssertionOutcome, Violation
 
-    fake = ViolationList(
-        (Violation("V1", "forced", "forced", "injected for the abort test"),)
+    fake = (
+        AssertionOutcome(
+            "V1", True, Violation("V1", "forced", "forced", "injected for the abort test")
+        ),
     )
-    monkeypatch.setattr(census_mod, "validate_factorization", lambda f, tol: fake)
+    monkeypatch.setattr(census_mod, "check_assertions", lambda f, tol: fake)
     with pytest.raises(TheoremViolationError) as exc:
         run_census(3)
     # the offending record is printed in full, including its graph6 form

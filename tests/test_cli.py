@@ -5,7 +5,9 @@ import pytest
 from graphfactor.cli import main
 from graphfactor.census import enumerate_graphs, read_catalog, run_census, verify_catalog
 from graphfactor.factorization import StoredWitness
-from graphfactor.graphs import cycle, edgeless, encode_edge_list, encode_graph6, path
+from graphfactor.graphs import (
+    cycle, disjoint_union, edgeless, encode_edge_list, encode_graph6, path,
+)
 from graphfactor.search import SearchConfig, is_factorizable
 
 
@@ -148,6 +150,41 @@ def test_verify_exit_1_on_corruption(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--catalog", str(out_path))
     assert code == 1
     assert "total violations" in out
+
+
+def test_verify_exit_1_on_wrong_order(tmp_path, capsys):
+    out_path = tmp_path / "n3.jsonl"
+    assert run_cli(capsys, "census", "--order", "3", "--out", str(out_path))[0] == 0
+    lines = out_path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    assert obj["witnesses"]
+    obj["n"] = 2
+    lines[0] = json.dumps(obj)
+    out_path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(out_path))
+    assert code == 1
+    assert "stored n mismatch" in out
+
+
+def test_order_9_screened_without_labelling(capsys):
+    c9 = encode_graph6(cycle(9))
+    code, out, _ = run_cli(capsys, "check", "--graph6", c9, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["graph_key"] is None
+    r1 = payload["rules"][0]
+    assert (r1["rule_id"], r1["status"]) == ("R1", "ruled_out")
+    code, out, _ = run_cli(capsys, "factor", "--graph6", c9, "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "no"
+
+
+def test_order_9_survivor_hits_the_search_cap(capsys):
+    g6 = encode_graph6(disjoint_union(cycle(4), edgeless(5)))
+    assert run_cli(capsys, "check", "--graph6", g6)[0] == 0
+    code, _, err = run_cli(capsys, "factor", "--graph6", g6)
+    assert code == 2
+    assert "capped at order 8" in err
 
 
 def test_census_order_8_needs_flag(tmp_path, capsys):
