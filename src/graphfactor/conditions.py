@@ -77,11 +77,19 @@ class ConditionReport:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ConditionReport":
-        return cls(
+        if not isinstance(obj["trivial"], bool):
+            raise ParameterError("screen field 'trivial' must be a boolean")
+        report = cls(
             obj["graph_key"],
             tuple(RuleResult.from_json(r) for r in obj["rules"]),
-            bool(obj["trivial"]),
+            obj["trivial"],
         )
+        if obj["overall"] != report.overall:
+            raise ParameterError(
+                f"screen field 'overall' is {obj['overall']!r} but its rules give "
+                f"{report.overall!r}"
+            )
+        return report
 
 
 @dataclass(frozen=True)

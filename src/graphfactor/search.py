@@ -7,6 +7,9 @@ Three routes:
   This is the ground-truth oracle the pruned search is tested against.
 * factor_search - backtracking over the unknown upper-triangle entries of B
   and C with forward checking (entry bounds, zero diagonal, degree products).
+  A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
+  visits witnesses whose first edge in variable order lies in C, and all-mode
+  results add every mirror back, in the order the unbroken search found them.
 * construct     - the explicit witness families: the cycle product, the
   doubled graph, and the disconnected eigenvalue counterexample.
 
@@ -16,6 +19,7 @@ and the census both go through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .conditions import ConditionReport, screen, validate_factorization
 from .errors import (
@@ -27,6 +31,7 @@ from .errors import (
 from .exact import IntMatrix, adjacency
 from .factorization import Factorization
 from .graphs import (
+    CANONICAL_ORDER_CAP,
     Graph,
     canonical_form,
     canonical_key,
@@ -35,8 +40,10 @@ from .graphs import (
     degree_sequence,
     disjoint_union,
     edgeless,
+    graph_bits,
     is_bipartite,
     is_connected,
+    is_edgeless,
     matching,
 )
 
@@ -131,16 +138,47 @@ class _FoundEnough(Exception):
     pass
 
 
+# The set bits of every vertex mask a search can hold (canonical forms, and
+# so searches, stop at CANONICAL_ORDER_CAP vertices).
+_BITS = tuple(
+    tuple(k for k in range(CANONICAL_ORDER_CAP) if m >> k & 1)
+    for m in range(1 << CANONICAL_ORDER_CAP)
+)
+
+
+@cache
+def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
+    """Some B-degree in [bmin, bmax] times some C-degree in [cmin, cmax]
+    equals the A-degree d (the row sums of BC are the products).  Every
+    argument is at most CANONICAL_ORDER_CAP, so the cache stays small."""
+    if d == 0:
+        return bmin == 0 or cmin == 0
+    for p in range(max(bmin, 1), bmax + 1):
+        if d % p == 0 and cmin <= d // p <= cmax:
+            return True
+    return False
+
+
 class _Engine:
     """Backtracker over the upper triangles of B and C, interleaved in
-    vertex-major order with high-degree vertices of A first."""
+    vertex-major order with high-degree vertices of A first.
+
+    Mirror rule: A = BC is symmetric, so CB = A too and every witness (B, C)
+    has the mirror (C, B); the zero diagonal of BC means B and C share no
+    edge.  The engine never sets B_uw = 1 while every earlier variable is 0,
+    so it only visits witnesses whose first edge in variable order lies in C.
+    The mirror of any other witness comes earlier in depth-first order, so
+    the first witness is the one the unbroken search finds first; in all
+    mode the mirrors are added back and the list sorted into depth-first
+    order.
+    """
 
     def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
         self.g = g
         self.cfg = cfg
         self.n = n = g.order
-        self.aij = [[row >> j & 1 for j in range(n)] for row in g.rows]
-        degs = [row.bit_count() for row in g.rows]
+        self.arow = g.rows
+        self.deg = degs = [row.bit_count() for row in g.rows]
         order = sorted(range(n), key=lambda v: (-degs[v], v))
         self.vars: list[tuple[int, int, int]] = []
         for i in range(n):
@@ -153,36 +191,61 @@ class _Engine:
         self.possb = [full ^ (1 << i) for i in range(n)]
         self.comm1c = [0] * n
         self.possc = [full ^ (1 << i) for i in range(n)]
-        self.p1 = "P1" not in disabled
-        self.p2 = "P2" not in disabled
+        # Columns of row i that P1 (off the diagonal) and P2 (on it) check.
+        p1 = "P1" not in disabled
+        p2 = "P2" not in disabled
+        self.check = [
+            (full ^ (1 << i) if p1 else 0) | (1 << i if p2 else 0) for i in range(n)
+        ]
         self.p3 = "P3" not in disabled
+        self.nvars = len(self.vars)
+        # Per side: the committed and possible rows of the side a variable
+        # sets, then those of the other side.
+        self.sides = (
+            (self.comm1b, self.possb, self.comm1c, self.possc),
+            (self.comm1c, self.possc, self.comm1b, self.possb),
+        )
         self.stats = SearchStats()
         self.witnesses: list[Factorization] = []
 
     def run(self) -> tuple[list[Factorization], SearchStats]:
         try:
-            self._extend(0)
+            self._extend(0, True)
             self.stats.exhausted = True
         except _LimitReached:
             self.stats.exhausted = False
         except _FoundEnough:
             self.stats.exhausted = False
+        if self.cfg.mode == "all":
+            self._add_mirrors()
         self.stats.witnesses_found = len(self.witnesses)
         return self.witnesses, self.stats
 
-    def _extend(self, t: int) -> None:
-        if t == len(self.vars):
+    def _add_mirrors(self) -> None:
+        found = self.witnesses
+        mirrors = [Factorization(f.g, f.k, f.h) for f in found if f.h.rows != f.k.rows]
+
+        def dfs_position(f: Factorization) -> tuple[int, ...]:
+            rows = (f.h.rows, f.k.rows)
+            return tuple(rows[side][u] >> w & 1 for side, u, w in self.vars)
+
+        self.witnesses = sorted(found + mirrors, key=dfs_position)
+
+    def _extend(self, t: int, lead: bool) -> None:
+        """Assign variable t onwards; lead is true while every earlier
+        variable is 0."""
+        if t == self.nvars:
             self._leaf()
             return
         side, u, w = self.vars[t]
         bit_u = 1 << u
         bit_w = 1 << w
-        comm = self.comm1b if side == 0 else self.comm1c
-        poss = self.possb if side == 0 else self.possc
+        comm, poss = self.sides[side][:2]
         stats = self.stats
-        for val in (0, 1):
+        limit = self.cfg.node_limit
+        for val in (0,) if lead and side == 0 else (0, 1):
             stats.nodes_expanded += 1
-            if stats.nodes_expanded > self.cfg.node_limit:
+            if stats.nodes_expanded > limit:
                 raise _LimitReached
             save_cu, save_cw = comm[u], comm[w]
             save_pu, save_pw = poss[u], poss[w]
@@ -192,87 +255,72 @@ class _Engine:
             else:
                 poss[u] &= ~bit_w
                 poss[w] &= ~bit_u
-            if self._consistent(side, u, w):
-                self._extend(t + 1)
+            if self._consistent(side, u, w, val):
+                self._extend(t + 1, lead and not val)
             comm[u], comm[w] = save_cu, save_cw
             poss[u], poss[w] = save_pu, save_pw
 
-    def _consistent(self, side: int, u: int, w: int) -> bool:
-        n = self.n
-        aij = self.aij
-        comm1b, possb = self.comm1b, self.possb
-        comm1c, possc = self.comm1c, self.possc
-        prunes = self.stats.prunes_by_rule
-        check_p1, check_p2 = self.p1, self.p2
-        if check_p1 or check_p2:
-            if side == 0:
-                for i in (u, w):
-                    cb = comm1b[i]
-                    pb = possb[i]
-                    ai = aij[i]
-                    for j in range(n):
-                        target = ai[j]
-                        diag = i == j
-                        if diag and not check_p2:
-                            continue
-                        if not diag and not check_p1:
-                            continue
-                        if (cb & comm1c[j]).bit_count() > target or (
-                            pb & possc[j]
-                        ).bit_count() < target:
-                            prunes["P2" if diag else "P1"] += 1
-                            return False
+    def _consistent(self, side: int, u: int, w: int, val: int) -> bool:
+        """P1/P2 on the changed rows u and w of B (side 0) or columns of C
+        (side 1), a whole row at a time, then P3 on the degrees of u and w.
+
+        For row i of B, entry j of BC counts |b_i & c_j|.  C is symmetric,
+        so j is in comm1c[k] exactly when k is in c_j: OR-ing comm1c[k] over
+        k in b_i marks the columns where the committed count is >= 1 (one)
+        and >= 2 (two), and OR-ing possc[k] over k in possb[i] marks those
+        where the possible count is >= 1 (reach).  A is 0/1, so these masks
+        decide both bounds.  The lowest violating column names the rule, as
+        a scan over j would.  A column of C is the same with B and C swapped.
+
+        Setting a 1 only raises committed counts and setting a 0 only lowers
+        possible ones.  Every entry met both bounds at the parent node, so
+        only the bound that moved is checked.  The root is the one exception:
+        in K2 the edge is unreachable from the start, but the mirror rule
+        skips K2's only B value 1, so that state is never extended by a 1.
+        """
+        comm, poss, other_comm, other_poss = self.sides[side]
+        arow = self.arow
+        check = self.check
+        for i in (u, w):
+            if val:
+                one = two = 0
+                for k in _BITS[comm[i]]:
+                    ck = other_comm[k]
+                    two |= one & ck
+                    one |= ck
+                viol = (two | (one & ~arow[i])) & check[i]
             else:
-                for j in (u, w):
-                    cc = comm1c[j]
-                    pc = possc[j]
-                    for i in range(n):
-                        target = aij[i][j]
-                        diag = i == j
-                        if diag and not check_p2:
-                            continue
-                        if not diag and not check_p1:
-                            continue
-                        if (comm1b[i] & cc).bit_count() > target or (
-                            possb[i] & pc
-                        ).bit_count() < target:
-                            prunes["P2" if diag else "P1"] += 1
-                            return False
+                reach = 0
+                for k in _BITS[poss[i]]:
+                    reach |= other_poss[k]
+                viol = arow[i] & ~reach & check[i]
+            if viol:
+                self.stats.prunes_by_rule["P2" if viol & -viol == 1 << i else "P1"] += 1
+                return False
         if self.p3:
+            comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
+            deg = self.deg
             for x in (u, w):
-                if not self._degree_feasible(x):
-                    prunes["P3"] += 1
+                if not _degree_range_ok(
+                    comm1b[x].bit_count(),
+                    possb[x].bit_count(),
+                    comm1c[x].bit_count(),
+                    possc[x].bit_count(),
+                    deg[x],
+                ):
+                    self.stats.prunes_by_rule["P3"] += 1
                     return False
         return True
-
-    def _degree_feasible(self, x: int) -> bool:
-        return self._degree_range_ok(
-            self.comm1b[x].bit_count(),
-            self.possb[x].bit_count(),
-            self.comm1c[x].bit_count(),
-            self.possc[x].bit_count(),
-            sum(self.aij[x]),
-        )
-
-    @staticmethod
-    def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
-        if d == 0:
-            return bmin == 0 or cmin == 0
-        for p in range(max(bmin, 1), bmax + 1):
-            if d % p == 0 and cmin <= d // p <= cmax:
-                return True
-        return False
 
     def _leaf(self) -> None:
         n = self.n
         rb = self.comm1b
         rc = self.comm1c
-        aij = self.aij
         for i in range(n):
             rbi = rb[i]
-            ai = aij[i]
+            ai = self.arow[i]
             for j in range(n):
-                if (rbi & rc[j]).bit_count() != ai[j]:
+                if (rbi & rc[j]).bit_count() != ai >> j & 1:
                     return
         self.witnesses.append(Factorization(self.g, Graph(n, tuple(rb)), Graph(n, tuple(rc))))
         if self.cfg.mode == "first":
@@ -305,7 +353,8 @@ def dedup_pairs(witnesses) -> set[tuple[str, str]]:
     def key_of(graph: Graph) -> str:
         k = memo.get(graph.rows)
         if k is None:
-            k = canonical_key(graph)
+            # An edgeless graph is its own canonical form, at any order.
+            k = graph_bits(graph) if is_edgeless(graph) else canonical_key(graph)
             memo[graph.rows] = k
         return k
 

@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines and the
 order-6 verification log.
 """
+import hashlib
 import os
 import time
 from fractions import Fraction
@@ -278,6 +279,19 @@ def test_criterion_11_performance_envelope(tmp_path, order7_census):
         elapsed6 + elapsed7,
         f" [order 6: {elapsed6:.1f}s, order 7: {elapsed7:.1f}s]",
     )
+
+
+# Catalogs store every witness, so an unchanged order-7 catalog means the
+# symmetry-broken search finds the same witness set, in the same order, for
+# every order-7 class.
+ORDER_7_CATALOG_SHA256 = "cffd7b03db12b5713570e60b090dec507285d28c66dc3a1d232bd59067bfcc4e"
+
+
+def test_order_7_catalog_bytes_match_pinned_digest(tmp_path, order7_census):
+    records7, _ = order7_census
+    path = tmp_path / "n7.jsonl"
+    write_catalog(records7, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDER_7_CATALOG_SHA256
 
 
 def test_order_7_census_invariants(order7_census):

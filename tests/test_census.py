@@ -1,7 +1,8 @@
 import hashlib
 import json
-from collections import Counter
+from collections import Counter, defaultdict
 
+import networkx as nx
 import pytest
 
 from graphfactor.census import (
@@ -42,6 +43,29 @@ def test_enumerate_counts_match_ladder():
 def test_enumerate_counts_match_brute_force():
     for n in (3, 4, 5):
         assert len(enumerate_graphs(n)) == len(brute_class_reps(n))
+
+
+def test_enumerate_matches_networkx_atlas():
+    # Read & Wilson's atlas lists each graph of order <= 7 exactly once, and
+    # VF2 decides isomorphism without canonical_key.
+    def invariants(h):
+        return h.number_of_nodes(), h.number_of_edges(), tuple(sorted(d for _, d in h.degree()))
+
+    buckets = defaultdict(list)
+    for n in CLASS_LADDER:
+        for g in enumerate_graphs(n):
+            h = nx.from_graph6_bytes(encode_graph6(g).encode("ascii"))
+            buckets[invariants(h)].append(h)
+    atlas = [a for a in nx.graph_atlas_g() if a.number_of_nodes() > 0]
+    assert len(atlas) == sum(CLASS_LADDER.values()) == 1252
+    matched = set()
+    for a in atlas:
+        bucket = invariants(a)
+        hits = [i for i, h in enumerate(buckets[bucket]) if nx.is_isomorphic(a, h)]
+        assert len(hits) == 1, nx.to_graph6_bytes(a, header=False)
+        matched.add((bucket, hits[0]))
+    # No two atlas graphs share a class, so every class was matched.
+    assert len(matched) == len(atlas)
 
 
 def test_enumerate_ordered_by_canonical_key():

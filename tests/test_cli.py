@@ -187,6 +187,38 @@ def test_order_9_survivor_hits_the_search_cap(capsys):
     assert "capped at order 8" in err
 
 
+def test_factor_edgeless_order_9_lists_the_zero_pair(capsys):
+    g6 = encode_graph6(edgeless(9))
+    assert g6 == "H??????"
+    code, out, _ = run_cli(capsys, "factor", "--graph6", g6)
+    assert code == 0
+    assert "verdict: yes" in out
+    assert "witnesses: 1" in out
+    assert "factor pair: H?????? * H??????" in out
+    code, out, _ = run_cli(capsys, "factor", "--graph6", g6, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "yes"
+    assert len(payload["witnesses"]) == 1
+    assert payload["factor_pairs"] == [{"h_graph6": g6, "k_graph6": g6}]
+
+
+@pytest.mark.parametrize(
+    "field_name, forged", [("overall", "pass"), ("trivial", "yes")]
+)
+def test_verify_rejects_forged_screen_field(tmp_path, capsys, field_name, forged):
+    out_path = tmp_path / "n6.jsonl"
+    assert run_cli(capsys, "census", "--order", "6", "--out", str(out_path))[0] == 0
+    lines = out_path.read_text().splitlines()
+    obj = json.loads(lines[0])
+    obj["screen"][field_name] = forged
+    lines[0] = json.dumps(obj)
+    out_path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "verify", "--catalog", str(out_path))
+    assert code == 1
+    assert "line 1" in err and f"'{field_name}'" in err
+
+
 def test_census_order_8_needs_flag(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "census", "--order", "8", "--out", str(tmp_path / "x.jsonl")

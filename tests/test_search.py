@@ -3,7 +3,7 @@ import random
 import pytest
 
 from graphfactor.census import enumerate_graphs
-from graphfactor.conditions import validate_factorization
+from graphfactor.conditions import screen, validate_factorization
 from graphfactor.errors import (
     ParameterError,
     PreconditionError,
@@ -199,6 +199,61 @@ def test_every_witness_is_sound():
             assert multiply(f.b, f.c) == a
             assert commute(f.b, f.c)
             assert commute(f.a, f.b) and commute(f.a, f.c)
+
+
+def searched_classes(orders):
+    """The classes of the given orders that is_factorizable searches."""
+    out = []
+    for n in orders:
+        for g in enumerate_graphs(n):
+            report = screen(g)
+            if report.overall != "ruled_out" and not report.trivial:
+                out.append(g)
+    return out
+
+
+def test_mirror_rule_keeps_witness_sets_and_first_witness():
+    # BC = A = CB, so the all-mode list is closed under swapping the two
+    # factors even though the search only visits one of each mirror pair,
+    # and the first-mode witness is the first of the full list.
+    all_cfg, first_cfg = SearchConfig(mode="all"), SearchConfig(mode="first")
+    classes = searched_classes(range(1, 7))
+    assert len(classes) == 94
+    for g in classes:
+        found, stats = factor_search(g, all_cfg)
+        assert stats.exhausted and stats.witnesses_found == len(found)
+        keys = [(f.h.rows, f.k.rows) for f in found]
+        assert sorted(keys) == sorted((k, h) for h, k in keys), g.rows
+        first, _ = factor_search(g, first_cfg)
+        assert [(f.h.rows, f.k.rows) for f in first] == keys[:1], g.rows
+
+
+# Search counters summed over the order-6 classes that reach search, in all
+# mode.  Each disabled rule moves its prunes to the others, so the rows pin
+# which rule every prune is attributed to.
+ORDER_6_COUNTERS = {
+    frozenset(): (7_978, 2_849, 506, 562),
+    frozenset({"P1"}): (1_375_912, 0, 121_466, 536_877),
+    frozenset({"P2"}): (14_660, 6_260, 0, 998),
+    frozenset({"P3"}): (17_448, 7_081, 1_517, 0),
+}
+
+
+@pytest.mark.parametrize(
+    "disabled", list(ORDER_6_COUNTERS), ids=lambda d: "+".join(sorted(d)) or "none"
+)
+def test_order_6_search_counters_are_pinned(disabled):
+    cfg = SearchConfig(mode="all")
+    nodes, witnesses = 0, 0
+    prunes = dict.fromkeys(PRUNE_RULES, 0)
+    for g in searched_classes([6]):
+        _, stats = factor_search(g, cfg, disable_rules=disabled)
+        nodes += stats.nodes_expanded
+        witnesses += stats.witnesses_found
+        for rule in PRUNE_RULES:
+            prunes[rule] += stats.prunes_by_rule[rule]
+    assert (nodes, prunes["P1"], prunes["P2"], prunes["P3"]) == ORDER_6_COUNTERS[disabled]
+    assert witnesses == 58
 
 
 # ---------------------------------------------------------------------------
