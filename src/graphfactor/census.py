@@ -34,9 +34,8 @@ from .graphs import (
     Graph,
     canonical_key,
     decode_graph6,
-    edgeless,
     encode_graph6,
-    graph_bits,
+    graph_from_canonical_key,
     graph_from_key,
     is_bipartite,
     is_connected,
@@ -189,7 +188,8 @@ def _burnside_class_count(n: int) -> int:
 
 def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
     """All isomorphism classes at order n as canonical representatives,
-    ordered by canonical key.  The class count is recounted via the orbit
+    ordered by canonical key; each carries its canonical labelling, so it is
+    not labelled again.  The class count is recounted via the orbit
     formula before the result is accepted."""
     cap = LARGE_ORDER_CAP if allow_large else CENSUS_ORDER_CAP
     if not 1 <= n <= cap:
@@ -198,8 +198,9 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
     if cached is not None:
         return cached
     keys: dict[str, Graph] = {}
-    base = edgeless(n)
-    keys[graph_bits(base)] = base
+    edgeless_key = "0" * (n * (n - 1) // 2)
+    base = graph_from_canonical_key(n, edgeless_key)
+    keys[edgeless_key] = base
     level = [base]
     memo: dict[tuple[int, ...], str] = {}
     while level:
@@ -218,7 +219,7 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
                         key = canonical_key(Graph(n, mask))
                         memo[mask] = key
                     if key not in keys and key not in nxt:
-                        nxt[key] = graph_from_key(n, key)
+                        nxt[key] = graph_from_canonical_key(n, key)
         keys.update(nxt)
         level = list(nxt.values())
     if len(keys) != _burnside_class_count(n):
@@ -270,8 +271,7 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses, tol: f
 
 
 def _build_record(args: tuple) -> CensusRecord:
-    n, key, cfg, tol = args
-    g = graph_from_key(n, key)
+    g, cfg, tol = args
     decision = is_factorizable(g, cfg)
     return _describe(g, decision.verdict, decision.report, decision.witnesses, tol)[0]
 
@@ -296,7 +296,7 @@ def run_census(
     if n > cfg.order_cap:
         raise ParameterError(f"order {n} exceeds the search order cap {cfg.order_cap}")
     classes = enumerate_graphs(n, allow_large=allow_large)
-    args = [(n, graph_bits(g), cfg, tol) for g in classes]
+    args = [(g, cfg, tol) for g in classes]
     records: list[CensusRecord] = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -330,8 +330,12 @@ def write_catalog(records, path) -> None:
 
 def read_catalog(path) -> list[CensusRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CatalogSchemaError(f"line {lineno}: not UTF-8: {exc}") from None
             if not line.strip():
                 continue
             try:

@@ -251,6 +251,11 @@ def _cmd_census(args) -> int:
             "--order 8 enumerates 12346 classes and can run very long; "
             "pass --allow-order-8 to confirm"
         )
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    if not os.path.isdir(out_dir):
+        raise ParameterError(f"--out: no such directory: {out_dir!r}")
+    if os.path.isdir(args.out):
+        raise ParameterError(f"--out: is a directory: {args.out!r}")
     if args.order == 8:
         print("warning: order 8 census is expensive (12346 classes)", file=sys.stderr)
     cfg = SearchConfig(
@@ -274,7 +279,10 @@ def _cmd_census(args) -> int:
     except TheoremViolationError as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    census_mod.write_catalog(records, args.out)
+    try:
+        census_mod.write_catalog(records, args.out)
+    except OSError as exc:
+        raise ParameterError(f"--out: {exc}") from None
     verdicts = {"yes": 0, "no": 0, "unknown": 0}
     for rec in records:
         verdicts[rec.verdict] += 1
@@ -290,7 +298,10 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = census_mod.read_catalog(args.catalog)
+    try:
+        records = census_mod.read_catalog(args.catalog)
+    except OSError as exc:
+        raise ParameterError(f"--catalog: {exc}") from None
     report = census_mod.verify_catalog(records, args.tol)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))

@@ -500,43 +500,68 @@ def permute(g: Graph, p: Permutation) -> Graph:
 # ---------------------------------------------------------------------------
 
 def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
-    """Minimal column-major upper-triangle bit-string and one placement
+    """Minimal column-major upper-triangle bit-string and the least placement
     sequence realizing it (placement[k] = original vertex labeled k).
 
     Level k appends the k-bit adjacency column of the next placed vertex,
     so lexicographic minimization proceeds block by block: the frontier
-    keeps every partial placement that still realizes the minimal prefix.
+    keeps, in increasing lexicographic order, partial placements that still
+    realize the minimal prefix, and the placement returned is the least
+    one realizing the key.
+
+    Two exact shortcuts keep the frontier small:
+
+    - the minimal block of a partial placement, and every free vertex
+      attaining it, come from one mask step per placed vertex p: keep the
+      candidates not adjacent to p if there are any (bit 0), else all of
+      them (bit 1);
+    - twins u < w (equal neighbourhoods apart from each other) are swapped
+      by an automorphism of g that fixes every other vertex, so placing w
+      while u is free gives the same strings as placing u, from a
+      lexicographically larger placement; only the lowest free vertex of
+      each twin class is placed.  The kept frontier together with the twin
+      transpositions generates Aut(g); the kept frontier alone does not.
     """
     n = g.order
     if n > CANONICAL_ORDER_CAP:
         raise UnsupportedSizeError(f"canonical forms are capped at order {CANONICAL_ORDER_CAP}")
-    if n == 1:
-        return "", (0,)
     rows = g.rows
-    frontier: list[tuple[int, ...]] = [(v,) for v in range(n)]
+    later = [0] * n  # later[u]: mask of u's twins above u
+    for u in range(n):
+        for w in range(u + 1, n):
+            if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
+                later[u] |= 1 << w
+    # (placed vertices, mask of free vertices); level 0 places the first vertex.
+    frontier: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
     blocks: list[str] = []
-    for k in range(1, n):
+    for k in range(n):
         best = -1
-        extended: list[tuple[int, ...]] = []
-        for placed in frontier:
-            used = 0
+        extended: list[tuple[tuple[int, ...], int]] = []
+        for placed, free in frontier:
+            cand = free
+            block = 0
             for p in placed:
-                used |= 1 << p
-            for u in range(n):
-                if used >> u & 1:
-                    continue
-                block = 0
-                row = rows[u]
-                for p in placed:
-                    block = block << 1 | (row >> p & 1)
-                if best < 0 or block < best:
-                    best = block
-                    extended = [placed + (u,)]
-                elif block == best:
-                    extended.append(placed + (u,))
+                z = cand & ~rows[p]
+                if z:
+                    cand = z
+                    block <<= 1
+                else:
+                    block = block << 1 | 1
+            if best < 0 or block < best:
+                best = block
+                extended = []
+            elif block > best:
+                continue
+            m = cand
+            while m:
+                low = m & -m
+                u = low.bit_length() - 1
+                m &= ~(later[u] | low)
+                extended.append((placed + (u,), free & ~low))
         frontier = extended
-        blocks.append(format(best, f"0{k}b"))
-    return "".join(blocks), frontier[0]
+        if k:
+            blocks.append(format(best, f"0{k}b"))
+    return "".join(blocks), frontier[0][0]
 
 
 def canonical_key(g: Graph) -> str:
@@ -574,3 +599,13 @@ def graph_from_key(n: int, key: str) -> Graph:
         elif ch != "0":
             raise ParameterError(f"key contains non-bit character {ch!r}")
     return Graph(n, tuple(rows))
+
+
+def graph_from_canonical_key(n: int, key: str) -> Graph:
+    """graph_from_key for a key that is already canonical, such as one
+    canonical_key just returned.  The identity placement realizes the key
+    and is the least placement, so it is the graph's canonical labelling
+    and is stored as such instead of being recomputed."""
+    g = graph_from_key(n, key)
+    g.__dict__["_canonical"] = (key, tuple(range(n)))
+    return g

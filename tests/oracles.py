@@ -66,6 +66,41 @@ def brute_class_reps(n: int) -> dict[tuple[int, ...], Graph]:
     return reps
 
 
+def lexmin_order_reference(g: Graph) -> tuple[str, tuple[int, ...]]:
+    """Minimal column-major upper-triangle bit-string and the least placement
+    realizing it, by a plain frontier scan: every partial placement that
+    still realizes the minimal prefix is kept, and every free vertex's
+    block is built bit by bit.  The reference for graphs._canonical_order."""
+    n = g.order
+    if n == 1:
+        return "", (0,)
+    rows = g.rows
+    frontier: list[tuple[int, ...]] = [(v,) for v in range(n)]
+    blocks: list[str] = []
+    for k in range(1, n):
+        best = -1
+        extended: list[tuple[int, ...]] = []
+        for placed in frontier:
+            used = 0
+            for p in placed:
+                used |= 1 << p
+            for u in range(n):
+                if used >> u & 1:
+                    continue
+                block = 0
+                row = rows[u]
+                for p in placed:
+                    block = block << 1 | (row >> p & 1)
+                if best < 0 or block < best:
+                    best = block
+                    extended = [placed + (u,)]
+                elif block == best:
+                    extended.append(placed + (u,))
+        frontier = extended
+        blocks.append(format(best, f"0{k}b"))
+    return "".join(blocks), frontier[0]
+
+
 def bfs_connected(g: Graph) -> bool:
     seen = {0}
     stack = [0]

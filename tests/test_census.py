@@ -16,6 +16,8 @@ from graphfactor.census import (
 from graphfactor.errors import CatalogSchemaError, ParameterError, TheoremViolationError
 from graphfactor.graphs import (
     AcyclicClass,
+    Graph,
+    _canonical_order,
     canonical_key,
     classify_acyclic,
     complete,
@@ -72,12 +74,37 @@ def test_enumerate_ordered_by_canonical_key():
     for n in (4, 5):
         keys = [graph_bits(g) for g in enumerate_graphs(n)]
         assert keys == sorted(keys)
-        assert all(canonical_key(g) == graph_bits(g) for g in enumerate_graphs(n))
+        # A fresh Graph, so the key is computed rather than read from the
+        # labelling the enumeration stored on its representatives.
+        assert all(
+            _canonical_order(Graph(g.order, g.rows)) == (graph_bits(g), tuple(range(n)))
+            for g in enumerate_graphs(n)
+        )
 
 
 def test_enumerate_representatives_are_canonical():
     for g in enumerate_graphs(5):
-        assert fix_labeling(g) == adjacency(g)
+        assert fix_labeling(Graph(g.order, g.rows)) == adjacency(g)
+
+
+def test_run_census_labels_no_class_graph(monkeypatch):
+    from graphfactor import graphs as graphs_mod
+
+    classes = enumerate_graphs(5)
+    real_order = graphs_mod._canonical_order
+    labelled = []
+
+    def order(g):
+        labelled.append(g)
+        return real_order(g)
+
+    monkeypatch.setattr(graphs_mod, "_canonical_order", order)
+    records = run_census(5)
+    witnesses = [w.to_factorization() for rec in records for w in rec.witnesses]
+    factors = {f.h.rows for f in witnesses} | {f.k.rows for f in witnesses}
+    assert labelled, "the witness factors are labelled"
+    assert all(g.rows in factors for g in labelled)
+    assert not {id(g) for g in classes} & {id(g) for g in labelled}
 
 
 def test_enumerate_class_count_mismatch_raises_package_error(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 
 from graphfactor.cli import main
 from graphfactor.census import enumerate_graphs, read_catalog, run_census, verify_catalog
+from graphfactor.errors import CatalogSchemaError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
     cycle, disjoint_union, edgeless, encode_edge_list, encode_graph6, path,
@@ -217,6 +218,50 @@ def test_verify_rejects_forged_screen_field(tmp_path, capsys, field_name, forged
     code, _, err = run_cli(capsys, "verify", "--catalog", str(out_path))
     assert code == 1
     assert "line 1" in err and f"'{field_name}'" in err
+
+
+def test_verify_missing_catalog_is_a_usage_error(tmp_path, capsys):
+    code, _, err = run_cli(capsys, "verify", "--catalog", str(tmp_path / "missing.jsonl"))
+    assert code == 2
+    assert err.startswith("error: --catalog: ")
+
+
+def test_verify_non_utf8_catalog_is_a_schema_error(tmp_path, capsys):
+    out_path = tmp_path / "n3.jsonl"
+    assert run_cli(capsys, "census", "--order", "3", "--out", str(out_path))[0] == 0
+    lines = out_path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b'"graph6"', b'"gr\xffph6"')
+    out_path.write_bytes(b"".join(lines))
+    with pytest.raises(CatalogSchemaError, match="line 2"):
+        read_catalog(out_path)
+    code, _, err = run_cli(capsys, "verify", "--catalog", str(out_path))
+    assert code == 1
+    assert "line 2" in err
+
+
+@pytest.mark.parametrize("out", ["missing/x.jsonl", "."])
+def test_census_unwritable_out_exits_before_enumerating(tmp_path, capsys, monkeypatch, out):
+    from graphfactor import census as census_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("enumerated before checking --out")
+
+    monkeypatch.setattr(census_mod, "run_census", never)
+    code, _, err = run_cli(capsys, "census", "--order", "3", "--out", str(tmp_path / out))
+    assert code == 2
+    assert err.startswith("error: --out: ")
+
+
+def test_census_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    from graphfactor import census as census_mod
+
+    def full(records, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(census_mod, "write_catalog", full)
+    code, _, err = run_cli(capsys, "census", "--order", "3", "--out", str(tmp_path / "x.jsonl"))
+    assert code == 2
+    assert "error: --out: " in err and "No space left" in err
 
 
 def test_census_order_8_needs_flag(tmp_path, capsys):

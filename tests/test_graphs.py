@@ -13,6 +13,7 @@ from graphfactor.graphs import (
     Bipartition,
     Graph,
     Permutation,
+    _canonical_order,
     bipartition_of,
     canonical_form,
     canonical_key,
@@ -39,7 +40,7 @@ from graphfactor.graphs import (
     star,
     tree_from_pruefer,
 )
-from oracles import all_labeled_graphs, brute_class_reps, g6_encode
+from oracles import all_labeled_graphs, brute_class_reps, g6_encode, lexmin_order_reference
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
@@ -350,6 +351,34 @@ def test_canonical_form_realizes_key():
         cf = canonical_form(g)
         assert graph_bits(cf) == canonical_key(g)
         assert canonical_form(cf) == cf
+
+
+def test_canonical_order_matches_lexmin_reference():
+    # Same key and same placement as the plain frontier scan, on graphs rich
+    # in twins (small orders, sparse and dense samples, the named families)
+    # and on every order-7 class.
+    graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
+    for g in enumerate_graphs(6):
+        for u in range(6):
+            for v in range(u + 1, 6):
+                if not g.has_edge(u, v):
+                    rows = list(g.rows)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    graphs.append(Graph(6, tuple(rows)))
+    graphs.extend(Graph(7, g.rows) for g in enumerate_graphs(7))
+    rng = random.Random(8)
+    for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(40):
+            edges = [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < p]
+            graphs.append(Graph.from_edges(8, edges))
+    graphs += [
+        edgeless(8), complete(8), cycle(8), matching(4), complete_bipartite(4, 4),
+        star(8),
+        Graph(8, tuple(0xFF & ~(3 << (v & ~1)) for v in range(8))),  # K2,2,2,2
+    ]
+    for g in graphs:
+        assert _canonical_order(g) == lexmin_order_reference(g), g
 
 
 def test_canonical_key_order_cap():
