@@ -32,6 +32,7 @@ from .errors import (
 from .factorization import StoredWitness
 from .graphs import (
     Graph,
+    _pair_order,
     canonical_key,
     decode_graph6,
     encode_graph6,
@@ -50,7 +51,7 @@ from .spectral import DEFAULT_TOL, lambda_max
 CENSUS_ORDER_CAP = 7
 LARGE_ORDER_CAP = 8
 
-# Known class counts per order, re-derived at runtime by Burnside recount.
+# Class representatives per order, as enumerate_graphs returned them.
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 PRODUCT_ASSERTION = "W0"
@@ -148,85 +149,81 @@ class CensusRecord:
         )
 
 
-def _pair_cycles(images: tuple[int, ...]) -> int:
-    n = len(images)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    index = {p: t for t, p in enumerate(pairs)}
-    seen = [False] * len(pairs)
-    cycles = 0
-    for t, (i, j) in enumerate(pairs):
-        if seen[t]:
-            continue
-        cycles += 1
-        a, b = i, j
-        while True:
-            a2, b2 = images[a], images[b]
-            if a2 > b2:
-                a2, b2 = b2, a2
-            t2 = index[(a2, b2)]
-            if seen[t2]:
-                break
-            seen[t2] = True
-            a, b = a2, b2
-    return cycles
-
-
 def _burnside_class_count(n: int) -> int:
-    """Number of isomorphism classes of order-n graphs, via the orbit-count
-    over the pair action of the symmetric group.  Independent of the
-    augmentation enumeration it double-checks."""
-    from itertools import permutations
-    from math import factorial
+    """Number of isomorphism classes of order-n graphs, via the orbit count
+    over the pair action of the symmetric group, summed by cycle type: a
+    permutation of cycle type lambda has n!/z_lambda conjugates and fixes
+    2^c(lambda) graphs, where c(lambda) = sum floor(l_i/2) + sum_{i<j}
+    gcd(l_i, l_j) counts its cycles on vertex pairs.  Independent of the
+    orderly generation it double-checks."""
+    from math import factorial, gcd
 
     total = 0
-    for images in permutations(range(n)):
-        total += 1 << _pair_cycles(images)
+    for parts in _partitions(n, n):
+        z = 1
+        for size in set(parts):
+            m = parts.count(size)
+            z *= size**m * factorial(m)
+        cycles = sum(size // 2 for size in parts) + sum(
+            gcd(a, b) for i, a in enumerate(parts) for b in parts[i + 1:]
+        )
+        total += (factorial(n) // z) << cycles
     if total % factorial(n):
         raise TheoremViolationError(f"orbit count at order {n} is not an integer")
     return total // factorial(n)
 
 
+def _partitions(n: int, largest: int):
+    """Integer partitions of n into parts of at most largest, non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
 def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
     """All isomorphism classes at order n as canonical representatives,
-    ordered by canonical key; each carries its canonical labelling, so it is
-    not labelled again.  The class count is recounted via the orbit
-    formula before the result is accepted."""
+    ordered by canonical key, by orderly generation on the catalog key
+    (Read, "Every one of a kind", 1978), top-down from K_n.
+
+    The children of a canonical key s are s with one 1 after its last 0
+    cleared; a child is kept iff it is canonical.  Setting the last 0 of a
+    canonical key to 1 gives a canonical key, so every class is reached
+    exactly once, from that unique parent, and nothing is deduplicated.  A
+    kept child realizes its key with the identity placement, so its
+    memoised labelling is already its canonical one and it is not labelled
+    again.  The class count is rechecked by the cycle-type orbit count
+    before the result is accepted."""
     cap = LARGE_ORDER_CAP if allow_large else CENSUS_ORDER_CAP
     if not 1 <= n <= cap:
         raise ParameterError(f"order must lie in 1..{cap}")
     cached = _CLASS_CACHE.get(n)
     if cached is not None:
         return cached
-    keys: dict[str, Graph] = {}
-    edgeless_key = "0" * (n * (n - 1) // 2)
-    base = graph_from_canonical_key(n, edgeless_key)
-    keys[edgeless_key] = base
-    level = [base]
-    memo: dict[tuple[int, ...], str] = {}
-    while level:
-        nxt: dict[str, Graph] = {}
-        for g in level:
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if g.has_edge(u, v):
-                        continue
-                    rows = list(g.rows)
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    mask = tuple(rows)
-                    key = memo.get(mask)
-                    if key is None:
-                        key = canonical_key(Graph(n, mask))
-                        memo[mask] = key
-                    if key not in keys and key not in nxt:
-                        nxt[key] = graph_from_canonical_key(n, key)
-        keys.update(nxt)
-        level = list(nxt.values())
-    if len(keys) != _burnside_class_count(n):
+    pairs = _pair_order(n)
+    top_key = "1" * len(pairs)
+    found = [(top_key, graph_from_canonical_key(n, top_key))]
+    stack = list(found)
+    while stack:
+        key, parent = stack.pop()
+        for t in range(key.rfind("0") + 1, len(pairs)):
+            i, j = pairs[t]
+            rows = list(parent.rows)
+            rows[i] &= ~(1 << j)
+            rows[j] &= ~(1 << i)
+            child = Graph(n, tuple(rows))
+            child_key = key[:t] + "0" + key[t + 1:]
+            if canonical_key(child) == child_key:
+                found.append((child_key, child))
+                stack.append((child_key, child))
+    if len(found) != _burnside_class_count(n):
         raise TheoremViolationError(
-            f"class ladder mismatch at order {n}: enumerated {len(keys)}"
+            f"class count mismatch at order {n}: generated {len(found)}"
         )
-    result = tuple(keys[k] for k in sorted(keys))
+    found.sort(key=lambda pair: pair[0])
+    result = tuple(g for _, g in found)
     _CLASS_CACHE[n] = result
     return result
 

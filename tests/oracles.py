@@ -3,13 +3,16 @@
 Nothing here imports from graphfactor's modules under test beyond the
 plain Graph container; expected values are recomputed from first
 principles (permutation orbits, cofactor determinants, exact bisection).
+The one exception is the edge ladder, a reference for the order in which
+classes are generated, not for the labelling (which has its own
+reference below), so it keys its classes with the package's canonical_key.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations
 
-from graphfactor.graphs import Graph
+from graphfactor.graphs import Graph, canonical_key, graph_from_canonical_key
 
 
 def g6_encode(n: int, edges) -> str:
@@ -99,6 +102,39 @@ def lexmin_order_reference(g: Graph) -> tuple[str, tuple[int, ...]]:
         frontier = extended
         blocks.append(format(best, f"0{k}b"))
     return "".join(blocks), frontier[0]
+
+
+def ladder_class_keys(n: int) -> list[str]:
+    """Canonical keys of every class at order n, sorted, by the edge ladder:
+    level by level from the edgeless graph, add each missing edge to each
+    class of the level and keep the children whose key is new.  The
+    reference for census.enumerate_graphs."""
+    keys: dict[str, Graph] = {}
+    edgeless_key = "0" * (n * (n - 1) // 2)
+    base = graph_from_canonical_key(n, edgeless_key)
+    keys[edgeless_key] = base
+    level = [base]
+    memo: dict[tuple[int, ...], str] = {}
+    while level:
+        nxt: dict[str, Graph] = {}
+        for g in level:
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if g.has_edge(u, v):
+                        continue
+                    rows = list(g.rows)
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    mask = tuple(rows)
+                    key = memo.get(mask)
+                    if key is None:
+                        key = canonical_key(Graph(n, mask))
+                        memo[mask] = key
+                    if key not in keys and key not in nxt:
+                        nxt[key] = graph_from_canonical_key(n, key)
+        keys.update(nxt)
+        level = list(nxt.values())
+    return sorted(keys)
 
 
 def bfs_connected(g: Graph) -> bool:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter, defaultdict
+from math import factorial
 
 import networkx as nx
 import pytest
@@ -31,7 +32,7 @@ from graphfactor.graphs import (
 )
 from graphfactor.search import SearchConfig, fix_labeling
 from graphfactor.exact import adjacency
-from oracles import brute_class_reps
+from oracles import brute_class_reps, ladder_class_keys
 
 
 CLASS_LADDER = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -68,6 +69,68 @@ def test_enumerate_matches_networkx_atlas():
         matched.add((bucket, hits[0]))
     # No two atlas graphs share a class, so every class was matched.
     assert len(matched) == len(atlas)
+
+
+def test_burnside_count_matches_oeis_a000088():
+    from graphfactor import census as census_mod
+
+    counts = [census_mod._burnside_class_count(n) for n in range(1, 11)]
+    assert counts == [1, 2, 4, 11, 34, 156, 1044, 12346, 274668, 12005168]
+
+
+def test_enumerate_matches_ladder_reference():
+    for n in CLASS_LADDER:
+        assert [graph_bits(g) for g in enumerate_graphs(n)] == ladder_class_keys(n)
+
+
+def test_enumerate_order_8_keys_pinned():
+    # The edge ladder's order-8 key list; the ladder itself takes about 25 s.
+    from graphfactor import census as census_mod
+
+    try:
+        keys = "\n".join(graph_bits(g) for g in enumerate_graphs(8, allow_large=True))
+    finally:
+        census_mod._CLASS_CACHE.pop(8, None)
+    assert hashlib.sha256(keys.encode("ascii")).hexdigest() == (
+        "c9940658f3c7c698cf9a0ab68574c957fb092f57c1e967cece875644bb56424d"
+    )
+
+
+def test_enumerate_labelled_count_identity():
+    # Each class of order n stands for n!/|Aut(G)| labelled graphs, and together
+    # they are all 2^(n(n-1)/2) of them.  |Aut(G)| comes from VF2, not from
+    # the canonical labelling, so a class made twice or missed shows here
+    # even when the class count is right.
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for n in CLASS_LADDER:
+        labelled = 0
+        for g in enumerate_graphs(n):
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges())
+            automorphisms = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+            assert factorial(n) % automorphisms == 0
+            labelled += factorial(n) // automorphisms
+        assert labelled == 2 ** (n * (n - 1) // 2), n
+
+
+def test_enumerate_order_7_canonical_key_calls_pinned(monkeypatch):
+    # One labelling per tested child of orderly generation; the edge ladder
+    # made 9,157.
+    from graphfactor import census as census_mod
+
+    real_key = census_mod.canonical_key
+    calls = []
+
+    def key(g):
+        calls.append(g)
+        return real_key(g)
+
+    monkeypatch.delitem(census_mod._CLASS_CACHE, 7, raising=False)
+    monkeypatch.setattr(census_mod, "canonical_key", key)
+    assert len(enumerate_graphs(7)) == 1044
+    assert len(calls) == 2377
 
 
 def test_enumerate_ordered_by_canonical_key():
