@@ -7,7 +7,6 @@ runs produce byte-identical catalogs.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .conditions import (
@@ -31,6 +30,7 @@ from .errors import (
 )
 from .factorization import StoredWitness
 from .graphs import (
+    CANONICAL_ORDER_CAP,
     Graph,
     _pair_order,
     canonical_key,
@@ -296,6 +296,9 @@ def run_census(
     args = [(g, cfg, tol) for g in classes]
     records: list[CensusRecord] = []
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which serial runs never use.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             iterator = pool.map(_build_record, args, chunksize=8)
             records = _collect(iterator, len(args), keep_going, progress)
@@ -444,14 +447,22 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
         where = f"record {rec.graph6!r}"
         try:
             g = decode_graph6(rec.graph6)
-            cls = (g.order, canonical_key(g))
         except (Graph6Error, UnsupportedSizeError) as exc:
             report.integrity.append(f"{where}: graph6 does not decode to a class: {exc}")
             continue
+        # The class is the fresh report's key, which the rebuilt record
+        # stores too, so each record's graph is labelled once.
+        fresh = screen(g)
+        if fresh.graph_key is None:
+            report.integrity.append(
+                f"{where}: graph6 does not decode to a class: "
+                f"canonical forms are capped at order {CANONICAL_ORDER_CAP}"
+            )
+            continue
+        cls = (g.order, fresh.graph_key)
         if cls in classes:
             report.integrity.append(f"{where}: class listed more than once")
         classes.add(cls)
-        fresh = screen(g)
         for rule in fresh.rules:
             tally = report.rules[rule.rule_id]
             tally.instances_checked += 1

@@ -8,6 +8,7 @@ means an implementation bug, since each assertion is a proved statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import ParameterError
 from .factorization import Factorization
@@ -55,11 +56,38 @@ class RuleResult:
         return cls(obj["rule_id"], obj["status"], obj["paper_ref"], obj["detail"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport:
-    graph_key: str | None
+    """The rules' results for one graph, plus its canonical key (None above
+    the canonical cap).  key_source is the key itself or, from screen(),
+    the graph, which is labelled only when graph_key is first read: a graph
+    that a rule rules out is never labelled unless its key is asked for.
+    Equality, hashing and pickling go by graph_key."""
+
+    key_source: str | Graph | None
     rules: tuple[RuleResult, ...]
     trivial: bool
+
+    @cached_property
+    def graph_key(self) -> str | None:
+        source = self.key_source
+        if not isinstance(source, Graph):
+            return source
+        return canonical_key(source) if source.order <= CANONICAL_ORDER_CAP else None
+
+    def _fields(self) -> tuple:
+        return (self.graph_key, self.rules, self.trivial)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConditionReport):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return (ConditionReport, self._fields())
 
     @property
     def overall(self) -> str:
@@ -196,12 +224,12 @@ def screen(g: Graph) -> ConditionReport:
     """Run every registered rule; surviving graphs stay inconclusive.
 
     Edgeless graphs survive and are flagged trivial: the zero matrix
-    factors as zero times zero.  The rules need no labelling, so above the
-    canonical cap the report carries no graph key.
+    factors as zero times zero.  The rules need no labelling, so the report
+    labels g only when its graph key is read; above the canonical cap the
+    key is None.
     """
     rules = tuple(evaluate_rule(rid, g) for rid in RULE_IDS)
-    key = canonical_key(g) if g.order <= CANONICAL_ORDER_CAP else None
-    return ConditionReport(key, rules, trivial=is_edgeless(g))
+    return ConditionReport(g, rules, trivial=is_edgeless(g))
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +565,17 @@ _CHECKS = {
 }
 
 
+@lru_cache(maxsize=1)
+def _context(f: Factorization, tol: float) -> _Context:
+    """The shared facts of one witness.  check_assertions and
+    exploratory_observations run back to back on each witness, so one slot
+    builds each witness's context once."""
+    return _Context(f, tol)
+
+
 def check_assertions(f: Factorization, tol: float = DEFAULT_TOL) -> tuple[AssertionOutcome, ...]:
     """Every registered assertion, with applied/violation status."""
-    ctx = _Context(f, tol)
+    ctx = _context(f, tol)
     return tuple(_CHECKS[aid](ctx) for aid in ASSERTION_IDS)
 
 
@@ -552,7 +588,7 @@ def validate_factorization(f: Factorization, tol: float = DEFAULT_TOL) -> Violat
 
 
 def exploratory_observations(f: Factorization, tol: float = DEFAULT_TOL) -> ExploratoryObservations:
-    ctx = _Context(f, tol)
+    ctx = _context(f, tol)
     no_isolated = not (has_isolated_vertex(f.h) or has_isolated_vertex(f.k))
     stronger_applied = no_isolated
     stronger_holds = (not stronger_applied) or ctx.e_g >= max(ctx.e_h, ctx.e_k)

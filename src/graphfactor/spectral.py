@@ -1,15 +1,20 @@
 """Floating-point spectra of symmetric integer matrices.
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
-eigenvalues that regular and bipartite graphs produce); the Perron pair
-comes from power iteration.  The module also hosts the largest-eigenvalue
-product check used to audit factorizations.
+eigenvalues that regular and bipartite graphs produce).  The kernel works on
+one flat row-major list, driven by a rotation plan built once per order,
+and runs every float operation of the nested-list sweep in the same order,
+so its values and rotations are bit-identical to that sweep's.  lambda_max
+runs it once per labelled graph and tolerance.  The Perron pair comes from
+power iteration.  The module also hosts the largest-eigenvalue product
+check used to audit factorizations.
 """
 from __future__ import annotations
 
 import math
 import random
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 from .errors import ParameterError, PreconditionError
 from .exact import IntMatrix, adjacency, commute
@@ -45,70 +50,84 @@ class ProductCheck:
     holds: bool
 
 
-def _off_norm(a: list[list[float]]) -> float:
-    n = len(a)
-    s = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += a[i][j] * a[i][j]
-    return math.sqrt(2.0 * s)
+@cache
+def _rotation_plan(n: int):
+    """Flat row-major positions for the cyclic Jacobi sweep at order n.
+
+    Returns the strict upper triangle in row order (the off-diagonal norm
+    sums it in that order) and, for each pivot (p, q) in sweep order, the
+    positions of a[p][q], a[p][p] and a[q][q], the (g, h) entry pairs that
+    the rotation updates in the upper triangle (i < p, then p < i < q, then
+    q < i), and the (g, h) pairs of columns p and q of the rotation matrix.
+    """
+    upper = tuple(i * n + j for i in range(n) for j in range(i + 1, n))
+    rotations = []
+    for p in range(n - 1):
+        for q in range(p + 1, n):
+            pairs = (
+                tuple((i * n + p, i * n + q) for i in range(p))
+                + tuple((p * n + i, i * n + q) for i in range(p + 1, q))
+                + tuple((p * n + i, q * n + i) for i in range(q + 1, n))
+            )
+            columns = tuple((i * n + p, i * n + q) for i in range(n))
+            rotations.append((p * n + q, p * n + p, q * n + q, pairs, columns))
+    return upper, tuple(rotations)
 
 
 def _jacobi(mat, tol: float, want_vectors: bool):
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass drops
-    below tol.  Returns (diagonal values, rotation matrix or None)."""
+    below tol.  Returns (diagonal values, rotation matrix or None).
+
+    The matrix is one flat row-major list and only its upper triangle is
+    kept current; _rotation_plan gives every position a sweep touches."""
     n = len(mat)
-    a = [[float(x) for x in row] for row in mat]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
+    a = [float(x) for row in mat for x in row]
+    v = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)] if want_vectors else None
     if n == 1:
-        return [a[0][0]], v
+        return a, [v] if want_vectors else None
+    upper, rotations = _rotation_plan(n)
     skip = tol / (4.0 * n * n)
     for _ in range(_MAX_SWEEPS):
-        if _off_norm(a) < tol:
+        mass = 0.0
+        for k in upper:
+            x = a[k]
+            mass += x * x
+        if math.sqrt(2.0 * mass) < tol:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if abs(apq) <= skip:
-                    continue
-                diff = a[q][q] - a[p][p]
-                if abs(apq) < 1e-300 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                tau = s / (1.0 + c)
-                a[p][q] = 0.0
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                for i in range(p):
-                    g_ = a[i][p]
-                    h_ = a[i][q]
-                    a[i][p] = g_ - s * (h_ + tau * g_)
-                    a[i][q] = h_ + s * (g_ - tau * h_)
-                for i in range(p + 1, q):
-                    g_ = a[p][i]
-                    h_ = a[i][q]
-                    a[p][i] = g_ - s * (h_ + tau * g_)
-                    a[i][q] = h_ + s * (g_ - tau * h_)
-                for i in range(q + 1, n):
-                    g_ = a[p][i]
-                    h_ = a[q][i]
-                    a[p][i] = g_ - s * (h_ + tau * g_)
-                    a[q][i] = h_ + s * (g_ - tau * h_)
-                if v is not None:
-                    for i in range(n):
-                        g_ = v[i][p]
-                        h_ = v[i][q]
-                        v[i][p] = g_ - s * (h_ + tau * g_)
-                        v[i][q] = h_ + s * (g_ - tau * h_)
+        for pq, pp, qq, pairs, columns in rotations:
+            apq = a[pq]
+            if abs(apq) <= skip:
+                continue
+            diff = a[qq] - a[pp]
+            if abs(apq) < 1e-300 * abs(diff):
+                t = apq / diff
+            else:
+                theta = diff / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            a[pq] = 0.0
+            a[pp] -= t * apq
+            a[qq] += t * apq
+            for gi, hi in pairs:
+                g_ = a[gi]
+                h_ = a[hi]
+                a[gi] = g_ - s * (h_ + tau * g_)
+                a[hi] = h_ + s * (g_ - tau * h_)
+            if v is not None:
+                for gi, hi in columns:
+                    g_ = v[gi]
+                    h_ = v[hi]
+                    v[gi] = g_ - s * (h_ + tau * g_)
+                    v[hi] = h_ + s * (g_ - tau * h_)
     else:
         raise ArithmeticError("Jacobi iteration did not converge")
-    return [a[i][i] for i in range(n)], v
+    if v is not None:
+        v = [v[i * n:(i + 1) * n] for i in range(n)]
+    return a[::n + 1], v
 
 
 def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
@@ -125,7 +144,17 @@ def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
 
 
 def lambda_max(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    return eigen_sym(adjacency(g), tol).values[0]
+    """Largest adjacency eigenvalue, computed once per labelled graph and
+    tolerance."""
+    return _lambda_max(g.order, g.rows, tol)
+
+
+@lru_cache(maxsize=1 << 15)
+def _lambda_max(order: int, rows: tuple[int, ...], tol: float) -> float:
+    """The memo behind lambda_max.  It is keyed on the plain (order, rows,
+    tol), so it keeps no Graph, and no memoised labelling, alive; 2**15
+    entries hold every labelled graph of the order-8 census (12,691)."""
+    return eigen_sym(adjacency(Graph(order, rows)), tol).values[0]
 
 
 def spectrum_is_symmetric(s: Spectrum) -> bool:

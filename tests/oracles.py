@@ -9,6 +9,7 @@ reference below), so it keys its classes with the package's canonical_key.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -135,6 +136,74 @@ def ladder_class_keys(n: int) -> list[str]:
         keys.update(nxt)
         level = list(nxt.values())
     return sorted(keys)
+
+
+def _off_norm(a: list[list[float]]) -> float:
+    n = len(a)
+    s = 0.0
+    for i in range(n):
+        for j in range(i + 1, n):
+            s += a[i][j] * a[i][j]
+    return math.sqrt(2.0 * s)
+
+
+def jacobi_reference(mat, tol: float, want_vectors: bool):
+    """Cyclic Jacobi sweeps on nested row lists, one float operation at a
+    time, until the off-diagonal Frobenius mass drops below tol.  Returns
+    (diagonal values, rotation matrix or None).  The reference for
+    spectral._jacobi, which must reproduce every bit of both."""
+    n = len(mat)
+    a = [[float(x) for x in row] for row in mat]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None
+    if n == 1:
+        return [a[0][0]], v
+    skip = tol / (4.0 * n * n)
+    for _ in range(100):
+        if _off_norm(a) < tol:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) <= skip:
+                    continue
+                diff = a[q][q] - a[p][p]
+                if abs(apq) < 1e-300 * abs(diff):
+                    t = apq / diff
+                else:
+                    theta = diff / (2.0 * apq)
+                    t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                    if theta < 0.0:
+                        t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                tau = s / (1.0 + c)
+                a[p][q] = 0.0
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                for i in range(p):
+                    g_ = a[i][p]
+                    h_ = a[i][q]
+                    a[i][p] = g_ - s * (h_ + tau * g_)
+                    a[i][q] = h_ + s * (g_ - tau * h_)
+                for i in range(p + 1, q):
+                    g_ = a[p][i]
+                    h_ = a[i][q]
+                    a[p][i] = g_ - s * (h_ + tau * g_)
+                    a[i][q] = h_ + s * (g_ - tau * h_)
+                for i in range(q + 1, n):
+                    g_ = a[p][i]
+                    h_ = a[q][i]
+                    a[p][i] = g_ - s * (h_ + tau * g_)
+                    a[q][i] = h_ + s * (g_ - tau * h_)
+                if v is not None:
+                    for i in range(n):
+                        g_ = v[i][p]
+                        h_ = v[i][q]
+                        v[i][p] = g_ - s * (h_ + tau * g_)
+                        v[i][q] = h_ + s * (g_ - tau * h_)
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
+    return [a[i][i] for i in range(n)], v
 
 
 def bfs_connected(g: Graph) -> bool:

@@ -170,6 +170,24 @@ def test_run_census_labels_no_class_graph(monkeypatch):
     assert not {id(g) for g in classes} & {id(g) for g in labelled}
 
 
+def test_census_builds_one_assertion_context_per_witness(monkeypatch):
+    from graphfactor import conditions
+
+    built = []
+
+    class Counted(conditions._Context):
+        def __init__(self, f, tol):
+            built.append(f)
+            super().__init__(f, tol)
+
+    monkeypatch.setattr(conditions, "_Context", Counted)
+    conditions._context.cache_clear()
+    records = run_census(6)
+    witnesses = sum(len(rec.witnesses) for rec in records)
+    assert witnesses > 0
+    assert len(built) == witnesses
+
+
 def test_enumerate_class_count_mismatch_raises_package_error(monkeypatch):
     from graphfactor import census as census_mod
 
@@ -402,6 +420,20 @@ def test_verify_reports_duplicated_class(order6_records):
     report = verify_catalog(records + [order6_records[40]])
     assert report.integrity == [
         f"record {order6_records[40].graph6!r}: class listed more than once"
+    ]
+
+
+def test_verify_reports_a_record_above_the_canonical_cap(order6_records):
+    rec = order6_records[0]
+    big = encode_graph6(cycle(9))
+    forged = CensusRecord(
+        **{**{f: getattr(rec, f) for f in rec.__dataclass_fields__}, "graph6": big}
+    )
+    report = verify_catalog([forged, rec])
+    assert report.records_checked == 2
+    assert report.integrity == [
+        f"record {big!r}: graph6 does not decode to a class: "
+        "canonical forms are capped at order 8"
     ]
 
 

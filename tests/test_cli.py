@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import graphfactor
 
 from graphfactor.cli import main
 from graphfactor.census import enumerate_graphs, read_catalog, run_census, verify_catalog
@@ -320,3 +325,18 @@ def test_one_decision_path_for_library_cli_and_census(order6_records, capsys):
         assert decision.verdict == payload["verdict"] == rec.verdict, rec.graph6
         assert [f.to_json() for f in decision.witnesses] == payload["witnesses"] == stored
     assert len(records[-1].witnesses) == 1  # E???, so factor --all printed one witness
+
+
+def test_import_cli_loads_no_process_pool():
+    # Only census --jobs > 1 needs multiprocessing; it is imported there.
+    probe = (
+        "import sys, graphfactor.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphfactor.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

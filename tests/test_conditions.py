@@ -1,7 +1,10 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+from graphfactor import graphs
 from graphfactor.census import enumerate_graphs
 from graphfactor.conditions import (
     ASSERTION_IDS,
@@ -17,6 +20,8 @@ from graphfactor.errors import ParameterError, PreconditionError
 from graphfactor.exact import IntMatrix
 from graphfactor.factorization import Factorization
 from graphfactor.graphs import (
+    Graph,
+    canonical_key,
     complete,
     cycle,
     degree_sequence,
@@ -25,7 +30,7 @@ from graphfactor.graphs import (
     star,
     tree_from_pruefer,
 )
-from graphfactor.search import SearchConfig, factor_naive, factor_search
+from graphfactor.search import SearchConfig, factor_naive, factor_search, is_factorizable
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -114,6 +119,39 @@ def test_screen_soundness_small_orders():
 def test_condition_report_json_roundtrip():
     report = screen(cycle(6))
     assert ConditionReport.from_json(report.to_json()) == report
+
+
+def test_deciding_a_ruled_out_graph_labels_nothing(monkeypatch):
+    labelled = []
+    original = graphs._canonical_order
+
+    def counted(g):
+        labelled.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "_canonical_order", counted)
+    g = path(4)  # three edges: R1 rules it out
+    decision = is_factorizable(g)
+    assert decision.verdict == "no"
+    assert decision.report.overall == "ruled_out"
+    assert labelled == []
+    # Read later, the key is the one an eager screen stored.
+    assert decision.report.graph_key == canonical_key(Graph(g.order, g.rows))
+
+
+def test_condition_report_key_is_lazy_but_compares_as_stored():
+    g = cycle(5)
+    eager = ConditionReport(canonical_key(Graph(g.order, g.rows)), screen(g).rules, False)
+    assert screen(Graph(g.order, g.rows)) == eager
+    assert hash(screen(Graph(g.order, g.rows))) == hash(eager)
+    assert pickle.loads(pickle.dumps(screen(Graph(g.order, g.rows)))) == eager
+    # A pickled report carries the key string, not the graph.
+    assert pickle.loads(pickle.dumps(screen(g))).key_source == eager.graph_key
+    lazy = screen(Graph(g.order, g.rows))
+    assert ConditionReport.from_json(lazy.to_json()) == lazy
+    assert lazy.to_json() == eager.to_json()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lazy.rules = ()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import math
+import random
 
 import pytest
 
-from graphfactor.census import enumerate_graphs
+from graphfactor import census, conditions, spectral
+from graphfactor.census import enumerate_graphs, run_census
 from graphfactor.errors import ParameterError, PreconditionError
 from graphfactor.exact import IntMatrix, adjacency, multiply
 from graphfactor.graphs import (
@@ -15,6 +17,8 @@ from graphfactor.graphs import (
     path,
 )
 from graphfactor.spectral import (
+    DEFAULT_TOL,
+    _jacobi,
     common_eigenbasis,
     eigen_sym,
     lambda_max,
@@ -22,7 +26,7 @@ from graphfactor.spectral import (
     perron,
     spectrum_is_symmetric,
 )
-from oracles import exact_eigenvalues
+from oracles import exact_eigenvalues, jacobi_reference
 from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
 
 
@@ -173,3 +177,61 @@ def test_lambda_max_spectrum_bound():
             values = eigen_sym(adjacency(g)).values
             assert all(abs(v) <= n - 1 + 1e-9 for v in values)
             assert lambda_max(g) == values[0]
+
+
+def _float_bits(values, vectors):
+    """Diagonal and rotation matrix as float.hex strings: equal iff every bit
+    (sign of zero included) is equal."""
+    rotation = None if vectors is None else [[x.hex() for x in row] for row in vectors]
+    return [x.hex() for x in values], rotation
+
+
+def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            entries = adjacency(g).entries
+            for want_vectors in (False, True):
+                got = _jacobi(entries, DEFAULT_TOL, want_vectors)
+                want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
+                assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
+
+
+def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
+    # The common_eigenbasis path: float entries, exact zeros, rotations kept,
+    # and its tighter tolerance.
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        m = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() >= 0.35:
+                    m[i][j] = m[j][i] = rng.uniform(-2.0, 2.0)
+        got = _jacobi(m, DEFAULT_TOL * 1e-3, True)
+        want = jacobi_reference(m, DEFAULT_TOL * 1e-3, True)
+        assert _float_bits(*got) == _float_bits(*want), m
+
+
+def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
+    spectral._lambda_max.cache_clear()
+    runs = []
+    kernel = spectral._jacobi
+
+    def counted(mat, tol, want_vectors):
+        runs.append(tuple(tuple(row) for row in mat))
+        return kernel(mat, tol, want_vectors)
+
+    monkeypatch.setattr(spectral, "_jacobi", counted)
+    asked = []
+    for module in (census, conditions, spectral):
+        original = module.lambda_max
+
+        def recorded(g, tol=DEFAULT_TOL, original=original):
+            asked.append((g.order, g.rows))
+            return original(g, tol)
+
+        monkeypatch.setattr(module, "lambda_max", recorded)
+    run_census(6)
+    # V13 and S1 ask again for the record's graph and for repeated factors.
+    assert len(asked) > len(set(asked))
+    assert len(runs) == len(set(runs)) == len(set(asked))
