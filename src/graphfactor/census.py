@@ -42,14 +42,11 @@ from .graphs import (
     is_connected,
     is_regular,
 )
-from .search import SearchConfig, dedup_pairs, is_factorizable
+from .search import DEFAULT_NODE_LIMIT, SearchConfig, dedup_pairs, is_factorizable
 # Not called here since the census decides through is_factorizable; the
 # benchmark tracer (bench/tracer.py) still wraps census.factor_search.
 from .search import factor_search  # noqa: F401
 from .spectral import DEFAULT_TOL, lambda_max
-
-CENSUS_ORDER_CAP = 7
-LARGE_ORDER_CAP = 8
 
 # Class representatives per order, as enumerate_graphs returned them.
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -183,10 +180,11 @@ def _partitions(n: int, largest: int):
             yield (first,) + rest
 
 
-def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
-    """All isomorphism classes at order n as canonical representatives,
-    ordered by canonical key, by orderly generation on the catalog key
-    (Read, "Every one of a kind", 1978), top-down from K_n.
+def enumerate_graphs(n: int) -> tuple[Graph, ...]:
+    """All isomorphism classes at order n, 1 <= n <= CANONICAL_ORDER_CAP,
+    as canonical representatives ordered by canonical key, by orderly
+    generation on the catalog key (Read, "Every one of a kind", 1978),
+    top-down from K_n.
 
     The children of a canonical key s are s with one 1 after its last 0
     cleared; a child is kept iff it is canonical.  Setting the last 0 of a
@@ -196,9 +194,8 @@ def enumerate_graphs(n: int, allow_large: bool = False) -> tuple[Graph, ...]:
     memoised labelling is already its canonical one and it is not labelled
     again.  The class count is rechecked by the cycle-type orbit count
     before the result is accepted."""
-    cap = LARGE_ORDER_CAP if allow_large else CENSUS_ORDER_CAP
-    if not 1 <= n <= cap:
-        raise ParameterError(f"order must lie in 1..{cap}")
+    if not 1 <= n <= CANONICAL_ORDER_CAP:
+        raise ParameterError(f"order must lie in 1..{CANONICAL_ORDER_CAP}")
     cached = _CLASS_CACHE.get(n)
     if cached is not None:
         return cached
@@ -275,24 +272,22 @@ def _build_record(args: tuple) -> CensusRecord:
 
 def run_census(
     n: int,
-    cfg: SearchConfig | None = None,
     *,
+    node_limit: int = DEFAULT_NODE_LIMIT,
     tol: float = DEFAULT_TOL,
     jobs: int = 1,
     keep_going: bool = False,
-    allow_large: bool = False,
     progress=None,
 ) -> list[CensusRecord]:
-    """One record per isomorphism class at order n, in canonical-key order.
+    """One record per isomorphism class at order n (1..CANONICAL_ORDER_CAP),
+    in canonical-key order; a class whose all-witness search spends
+    node_limit nodes unfinished is "unknown".
 
     A nonempty ViolationList aborts the run (it indicates an implementation
     bug) unless keep_going is set.
     """
-    if cfg is None:
-        cfg = SearchConfig(mode="all", order_cap=max(CENSUS_ORDER_CAP, n))
-    if n > cfg.order_cap:
-        raise ParameterError(f"order {n} exceeds the search order cap {cfg.order_cap}")
-    classes = enumerate_graphs(n, allow_large=allow_large)
+    cfg = SearchConfig(mode="all", node_limit=node_limit)
+    classes = enumerate_graphs(n)
     args = [(g, cfg, tol) for g in classes]
     records: list[CensusRecord] = []
     if jobs > 1:
@@ -495,7 +490,8 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
         stored = rec.to_json()
         for name, value in rebuilt.to_json().items():
             if name == "lambda_max":
-                differs = abs(value - rec.lambda_max) > tol * max(1.0, abs(rec.lambda_max))
+                # Scaled by the rebuilt value and negated, so NaN and inf differ.
+                differs = not abs(value - rec.lambda_max) <= tol * max(1.0, abs(value))
             else:
                 differs = value != stored[name]
             if differs:

@@ -22,7 +22,10 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .exact import adjacency
-from .graphs import Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite, is_connected
+from .graphs import (
+    GRAPH6_ORDER_CAP, Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite,
+    is_connected,
+)
 from .search import DEFAULT_NODE_LIMIT, SearchConfig, construct, is_factorizable
 from .spectral import DEFAULT_TOL, eigen_sym, lambda_max, perron, spectrum_is_symmetric
 
@@ -43,9 +46,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
                 return decode_edge_list(fh.read())
-        except OSError as exc:
-            raise ParameterError(f"--edges: {exc}") from None
-        except GraphFactorError as exc:
+        except (OSError, GraphFactorError) as exc:
             raise ParameterError(f"--edges: {exc}") from None
     raise ParameterError("provide a graph via --graph6 or --edges")
 
@@ -108,11 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_factor(args) -> int:
     g = _load_graph(args)
-    cfg = SearchConfig(
-        mode="all" if args.all else "first",
-        node_limit=args.node_limit,
-        order_cap=max(7, g.order),
-    )
+    cfg = SearchConfig(mode="all" if args.all else "first", node_limit=args.node_limit)
     decision = is_factorizable(g, cfg)
     report, stats, witnesses = decision.report, decision.stats, decision.witnesses
     pair_g6 = census_mod.factor_pairs(g.order, witnesses)
@@ -198,18 +195,26 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    if args.kind == "cycle":
-        if args.n is None:
-            raise ParameterError("--kind cycle needs --n")
-        f = construct("cycle_product", n=args.n)
-    elif args.kind == "counterexample":
-        if args.n is None:
-            raise ParameterError("--kind counterexample needs --n")
-        f = construct("disconnected_counterexample", n=args.n)
-    else:
+    # Refuse a product that graph6 cannot print before building anything.
+    if args.kind == "double":
         if args.graph6 is None and args.edges is None:
             raise ParameterError("--kind double needs --graph6 or --edges")
-        f = construct("doubled_graph", graph=_load_graph(args))
+        g = _load_graph(args)
+        order, what = 2 * g.order, "--kind double"
+    elif args.n is None:
+        raise ParameterError(f"--kind {args.kind} needs --n")
+    else:
+        order, what = (2 if args.kind == "cycle" else 4) * args.n, f"--n {args.n}"
+    if order > GRAPH6_ORDER_CAP:
+        raise ParameterError(
+            f"{what}: product order {order} exceeds the graph6 cap {GRAPH6_ORDER_CAP}"
+        )
+    if args.kind == "cycle":
+        f = construct("cycle_product", n=args.n)
+    elif args.kind == "counterexample":
+        f = construct("disconnected_counterexample", n=args.n)
+    else:
+        f = construct("doubled_graph", graph=g)
     violations = validate_factorization(f)
     lam_g = lambda_max(f.g)
     lam_h = lambda_max(f.h)
@@ -244,8 +249,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_census(args) -> int:
-    if args.order > census_mod.LARGE_ORDER_CAP:
-        raise ParameterError(f"--order: maximum supported order is {census_mod.LARGE_ORDER_CAP}")
     if args.order == 8 and not args.allow_order_8:
         raise ParameterError(
             "--order 8 enumerates 12346 classes and takes about 18 s with --jobs 2 "
@@ -256,11 +259,6 @@ def _cmd_census(args) -> int:
         raise ParameterError(f"--out: no such directory: {out_dir!r}")
     if os.path.isdir(args.out):
         raise ParameterError(f"--out: is a directory: {args.out!r}")
-    if args.order == 8:
-        print("warning: order 8 census is expensive (12346 classes)", file=sys.stderr)
-    cfg = SearchConfig(
-        mode="all", node_limit=args.node_limit, order_cap=max(7, args.order)
-    )
 
     def progress(done: int, total: int) -> None:
         if done % 200 == 0 or done == total:
@@ -269,11 +267,10 @@ def _cmd_census(args) -> int:
     try:
         records = census_mod.run_census(
             args.order,
-            cfg,
+            node_limit=args.node_limit,
             tol=args.tol,
             jobs=max(1, args.jobs),
             keep_going=args.keep_going,
-            allow_large=args.order == 8,
             progress=progress,
         )
     except TheoremViolationError as exc:

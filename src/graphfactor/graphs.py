@@ -217,7 +217,8 @@ def decode_edge_list(text: str) -> Graph:
 
     A line holding a single integer declares the order (needed for
     trailing isolated vertices); otherwise the order is max id + 1.
-    Blank lines and '#' comments are skipped.
+    Blank lines and '#' comments are skipped.  Orders above
+    GRAPH6_ORDER_CAP, which every command prints graph6 in, are refused.
     """
     order = 0
     edges: list[tuple[int, int]] = []
@@ -244,6 +245,10 @@ def decode_edge_list(text: str) -> Graph:
             order = max(order, u + 1, v + 1)
         else:
             raise ParameterError(f"line {lineno}: expected 'u v', got {line!r}")
+        if order > GRAPH6_ORDER_CAP:
+            raise ParameterError(
+                f"line {lineno}: order {order} exceeds the graph6 cap {GRAPH6_ORDER_CAP}"
+            )
     if order == 0:
         raise ParameterError("edge list declares no vertices")
     return Graph.from_edges(order, edges)

@@ -56,7 +56,7 @@ DEFAULT_NODE_LIMIT = 100_000_000
 class SearchConfig:
     mode: str = "first"
     node_limit: int = DEFAULT_NODE_LIMIT
-    order_cap: int = 7
+    order_cap: int = CANONICAL_ORDER_CAP
 
     def __post_init__(self) -> None:
         if self.mode not in ("first", "all"):
@@ -337,7 +337,7 @@ def factor_search(
     A = BC on the canonical labeling of g."""
     if g.order > cfg.order_cap:
         raise UnsupportedSizeError(
-            f"order {g.order} exceeds the configured cap {cfg.order_cap}"
+            f"search is capped at order {cfg.order_cap}; got order {g.order}"
         )
     unknown = set(disable_rules) - set(PRUNE_RULES)
     if unknown:

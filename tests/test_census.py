@@ -30,7 +30,7 @@ from graphfactor.graphs import (
     has_isolated_vertex,
     matching,
 )
-from graphfactor.search import SearchConfig, fix_labeling
+from graphfactor.search import fix_labeling
 from graphfactor.exact import adjacency
 from oracles import brute_class_reps, ladder_class_keys
 
@@ -88,7 +88,7 @@ def test_enumerate_order_8_keys_pinned():
     from graphfactor import census as census_mod
 
     try:
-        keys = "\n".join(graph_bits(g) for g in enumerate_graphs(8, allow_large=True))
+        keys = "\n".join(graph_bits(g) for g in enumerate_graphs(8))
     finally:
         census_mod._CLASS_CACHE.pop(8, None)
     assert hashlib.sha256(keys.encode("ascii")).hexdigest() == (
@@ -202,7 +202,7 @@ def test_enumerate_range_errors():
     with pytest.raises(ParameterError):
         enumerate_graphs(0)
     with pytest.raises(ParameterError):
-        enumerate_graphs(8)
+        enumerate_graphs(9)
 
 
 def test_census_order_3_single_trivial_class():
@@ -382,6 +382,13 @@ FORGERIES = {
         "component_iso_evidence",
     ),
     "n": (lambda obj: obj.update(n=5), "n"),
+    # JSON catalogs may hold NaN and +-Infinity; ordered comparisons pass them.
+    **{
+        f"lambda_max={text}": (
+            lambda obj, text=text: obj.update(lambda_max=json.loads(text)), "lambda_max"
+        )
+        for text in ("NaN", "Infinity", "-Infinity", "99.0")
+    },
 }
 
 
@@ -452,7 +459,14 @@ def test_census_keep_going_surfaces_violations_instead_of_raising(order6_records
 
 def test_run_census_order_cap_respected():
     with pytest.raises(ParameterError):
-        run_census(6, SearchConfig(mode="all", order_cap=5))
+        run_census(9)
+
+
+def test_run_census_node_limit_leaves_searched_classes_unknown():
+    records = run_census(6, node_limit=1)
+    searched = [r for r in records if r.screen.overall != "ruled_out" and not r.screen.trivial]
+    assert searched
+    assert all(r.verdict == "unknown" and not r.witnesses for r in searched)
 
 
 def test_run_census_aborts_with_offending_record(monkeypatch):

@@ -193,6 +193,34 @@ def test_order_9_survivor_hits_the_search_cap(capsys):
     assert "capped at order 8" in err
 
 
+def test_library_default_and_cli_agree_at_order_8(capsys):
+    g = disjoint_union(cycle(4), cycle(4))
+    assert is_factorizable(g).verdict == "yes"
+    code, out, _ = run_cli(capsys, "factor", "--graph6", encode_graph6(g), "--json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == "yes"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--kind", "cycle", "--n", "101"), "--n 101"),
+        (("--kind", "counterexample", "--n", "16"), "--n 16"),
+        (("--kind", "double", "--graph6", encode_graph6(cycle(32))), "--kind double"),
+    ],
+)
+def test_construct_refuses_a_product_above_the_graph6_cap(capsys, monkeypatch, argv, flag):
+    from graphfactor import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("built a product graph6 cannot print")
+
+    monkeypatch.setattr(cli, "construct", never)
+    code, _, err = run_cli(capsys, "construct", *argv)
+    assert code == 2
+    assert err.startswith(f"error: {flag}: product order ")
+
+
 def test_factor_edgeless_order_9_lists_the_zero_pair(capsys):
     g6 = encode_graph6(edgeless(9))
     assert g6 == "H??????"

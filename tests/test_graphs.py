@@ -180,6 +180,11 @@ def test_edge_list_errors():
         decode_edge_list("")
     with pytest.raises(ParameterError):
         decode_edge_list("1 2 3\n")
+    # Every command prints graph6, which stops at order 62.
+    assert decode_edge_list("0 61\n").order == 62
+    for text in ("0 62\n", "63\n", "0 1\n0 1000000000\n"):
+        with pytest.raises(ParameterError, match=r"line \d: order \d+ exceeds the graph6 cap 62"):
+            decode_edge_list(text)
 
 
 # ---------------------------------------------------------------------------

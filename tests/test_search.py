@@ -158,7 +158,7 @@ def test_search_node_limit_partial():
 
 def test_search_order_cap():
     with pytest.raises(UnsupportedSizeError):
-        factor_search(edgeless(8), SearchConfig())
+        factor_search(edgeless(8), SearchConfig(order_cap=7))
     ws, stats = factor_search(edgeless(8), SearchConfig(order_cap=8, node_limit=10))
     assert not stats.exhausted
 
