@@ -7,6 +7,7 @@ runs produce byte-identical catalogs.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 from .conditions import (
@@ -281,7 +282,9 @@ def run_census(
 ) -> list[CensusRecord]:
     """One record per isomorphism class at order n (1..CANONICAL_ORDER_CAP),
     in canonical-key order; a class whose all-witness search spends
-    node_limit nodes unfinished is "unknown".
+    node_limit nodes unfinished is "unknown".  The classes are described by
+    min(jobs, cores, classes) worker processes, in this process if that
+    is 1.
 
     A nonempty ViolationList aborts the run (it indicates an implementation
     bug) unless keep_going is set.
@@ -289,12 +292,14 @@ def run_census(
     cfg = SearchConfig(mode="all", node_limit=node_limit)
     classes = enumerate_graphs(n)
     args = [(g, cfg, tol) for g in classes]
-    records: list[CensusRecord] = []
-    if jobs > 1:
+    # The pool forks all its workers at the first submit, so never ask for
+    # more than there are cores or classes.
+    workers = min(jobs, os.cpu_count() or 1, len(args))
+    if workers > 1:
         # Imported here: it loads multiprocessing, which serial runs never use.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             iterator = pool.map(_build_record, args, chunksize=8)
             records = _collect(iterator, len(args), keep_going, progress)
     else:

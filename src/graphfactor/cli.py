@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -57,6 +58,17 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     src.add_argument("--edges", help="path to an edge-list file (one 'u v' per line)")
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive, finite float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphfactor",
@@ -76,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", help="spectrum, largest eigenvalue, Perron data")
     _add_graph_input(p_spec)
-    p_spec.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_spec.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_spec.add_argument("--json", action="store_true")
 
     p_con = sub.add_parser("construct", help="build an explicit witness family member")
@@ -92,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--order", type=int, required=True)
     p_census.add_argument("--out", required=True, help="catalog output path (JSON lines)")
     p_census.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_census.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_census.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_census.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p_census.add_argument("--keep-going", action="store_true",
                           help="report violations instead of aborting")
@@ -101,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="re-verify a stored catalog from scratch")
     p_verify.add_argument("--catalog", required=True)
-    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_verify.add_argument("--json", action="store_true")
 
     return parser

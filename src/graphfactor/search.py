@@ -6,7 +6,8 @@ Three routes:
   symmetric 0-1 zero-diagonal matrices (order <= 5) and keep exact products.
   This is the ground-truth oracle the pruned search is tested against.
 * factor_search - backtracking over the unknown upper-triangle entries of B
-  and C with forward checking (entry bounds, zero diagonal, degree products).
+  and C with forward checking (entry bounds, zero diagonal, degree products)
+  on only the entries each value can move.
   A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
   visits witnesses whose first edge in variable order lies in C, and all-mode
   results add every mirror back, in the order the unbroken search found them.
@@ -149,8 +150,9 @@ _BITS = tuple(
 @cache
 def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
     """Some B-degree in [bmin, bmax] times some C-degree in [cmin, cmax]
-    equals the A-degree d (the row sums of BC are the products).  Every
-    argument is at most CANONICAL_ORDER_CAP, so the cache stays small."""
+    equals the A-degree d (the row sums of BC are the products).  The test
+    is symmetric in B and C.  Every argument is at most
+    CANONICAL_ORDER_CAP, so the cache stays small."""
     if d == 0:
         return bmin == 0 or cmin == 0
     for p in range(max(bmin, 1), bmax + 1):
@@ -171,6 +173,13 @@ class _Engine:
     the first witness is the one the unbroken search finds first; in all
     mode the mirrors are added back and the list sorted into depth-first
     order.
+
+    Bounds: entry (i, j) of BC counts |b_i & c_j|.  P1 asks that the count
+    of committed 1s stay at most a_ij and that the count of still-possible
+    1s reach a_ij off the diagonal; P2 asks the same of the zero diagonal.
+    check[i] holds the columns of row i the enabled rules test (the P2
+    diagonal bit, the P1 off-diagonal bits).  A column of C is a row of B
+    with the sides swapped, since CB = A counts the same entries.
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
@@ -191,7 +200,6 @@ class _Engine:
         self.possb = [full ^ (1 << i) for i in range(n)]
         self.comm1c = [0] * n
         self.possc = [full ^ (1 << i) for i in range(n)]
-        # Columns of row i that P1 (off the diagonal) and P2 (on it) check.
         p1 = "P1" not in disabled
         p2 = "P2" not in disabled
         self.check = [
@@ -210,7 +218,15 @@ class _Engine:
 
     def run(self) -> tuple[list[Factorization], SearchStats]:
         try:
-            self._extend(0, True)
+            if self.n == 2 and self.arow[0] & self.check[0]:
+                # K2 under P1: its edge has no middle vertex, so the root
+                # already breaks P1, which _extend (testing only what a
+                # value moves) would not see.  The mirror rule leaves the
+                # root one value, B_01 = 0, and P1 prunes that node.
+                self.stats.nodes_expanded = 1
+                self.stats.prunes_by_rule["P1"] += 1
+            else:
+                self._extend(0, True)
             self.stats.exhausted = True
         except _LimitReached:
             self.stats.exhausted = False
@@ -233,84 +249,121 @@ class _Engine:
 
     def _extend(self, t: int, lead: bool) -> None:
         """Assign variable t onwards; lead is true while every earlier
-        variable is 0."""
+        variable is 0.
+
+        Forward checking tests only the columns whose bound the new value
+        moves (Haralick & Elliott, 1980).  Every state this is called on
+        meets every checked bound: the root does (run handles K2, where it
+        does not), and a child is extended only once the columns its value
+        moved pass.  So the test below gives the verdict of a whole-row
+        test, and the same lowest violating column, which names the rule.
+
+        For the variable (u, w) on one side, with ocomm and oposs the rows
+        of the other side (symmetric, so j is in ocomm[w] exactly when w is
+        in ocomm[j]), row u moves as follows.
+        * Value 1 raises the committed count by one on the columns of
+          ocomm[w] only.  Such a column is violated if A lacks it (the
+          diagonal included: P2) or if row u already reached it, that is
+          if the old comm[u] meets ocomm[j].
+        * Value 0 lowers the possible count on the columns of oposs[w]
+          only.  Such a column of A is violated (P1) if the new poss[u] no
+          longer meets oposs[j].
+        Row w is the same with u and w swapped, and is tested after row u.
+        P3 then tests the degrees of u and w.
+        """
         if t == self.nvars:
             self._leaf()
             return
         side, u, w = self.vars[t]
-        bit_u = 1 << u
-        bit_w = 1 << w
-        comm, poss = self.sides[side][:2]
+        comm, poss, ocomm, oposs = self.sides[side]
+        cu, cw, pu, pw = comm[u], comm[w], poss[u], poss[w]
+        au, aw = self.arow[u], self.arow[w]
+        chu, chw = self.check[u], self.check[w]
+        bit_u, bit_w = 1 << u, 1 << w
+        deg_u, deg_w = self.deg[u], self.deg[w]
+        p3 = self.p3
         stats = self.stats
+        prunes = stats.prunes_by_rule
         limit = self.cfg.node_limit
-        for val in (0,) if lead and side == 0 else (0, 1):
-            stats.nodes_expanded += 1
-            if stats.nodes_expanded > limit:
-                raise _LimitReached
-            save_cu, save_cw = comm[u], comm[w]
-            save_pu, save_pw = poss[u], poss[w]
-            if val:
-                comm[u] |= bit_w
-                comm[w] |= bit_u
-            else:
-                poss[u] &= ~bit_w
-                poss[w] &= ~bit_u
-            if self._consistent(side, u, w, val):
-                self._extend(t + 1, lead and not val)
-            comm[u], comm[w] = save_cu, save_cw
-            poss[u], poss[w] = save_pu, save_pw
 
-    def _consistent(self, side: int, u: int, w: int, val: int) -> bool:
-        """P1/P2 on the changed rows u and w of B (side 0) or columns of C
-        (side 1), a whole row at a time, then P3 on the degrees of u and w.
+        # Value 0.
+        stats.nodes_expanded += 1
+        if stats.nodes_expanded > limit:
+            raise _LimitReached
+        npu = pu & ~bit_w
+        npw = pw & ~bit_u
+        ok = True
+        for j in _BITS[oposs[w] & au & chu]:
+            if not npu & oposs[j]:
+                ok = False
+                break
+        if ok:
+            for j in _BITS[oposs[u] & aw & chw]:
+                if not npw & oposs[j]:
+                    ok = False
+                    break
+        if not ok:
+            prunes["P1"] += 1
+        elif p3 and not (
+            _degree_range_ok(
+                cu.bit_count(), npu.bit_count(),
+                ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
+            )
+            and _degree_range_ok(
+                cw.bit_count(), npw.bit_count(),
+                ocomm[w].bit_count(), oposs[w].bit_count(), deg_w,
+            )
+        ):
+            prunes["P3"] += 1
+        else:
+            poss[u], poss[w] = npu, npw
+            self._extend(t + 1, lead)
+            poss[u], poss[w] = pu, pw
 
-        For row i of B, entry j of BC counts |b_i & c_j|.  C is symmetric,
-        so j is in comm1c[k] exactly when k is in c_j: OR-ing comm1c[k] over
-        k in b_i marks the columns where the committed count is >= 1 (one)
-        and >= 2 (two), and OR-ing possc[k] over k in possb[i] marks those
-        where the possible count is >= 1 (reach).  A is 0/1, so these masks
-        decide both bounds.  The lowest violating column names the rule, as
-        a scan over j would.  A column of C is the same with B and C swapped.
-
-        Setting a 1 only raises committed counts and setting a 0 only lowers
-        possible ones.  Every entry met both bounds at the parent node, so
-        only the bound that moved is checked.  The root is the one exception:
-        in K2 the edge is unreachable from the start, but the mirror rule
-        skips K2's only B value 1, so that state is never extended by a 1.
-        """
-        comm, poss, other_comm, other_poss = self.sides[side]
-        arow = self.arow
-        check = self.check
-        for i in (u, w):
-            if val:
-                one = two = 0
-                for k in _BITS[comm[i]]:
-                    ck = other_comm[k]
-                    two |= one & ck
-                    one |= ck
-                viol = (two | (one & ~arow[i])) & check[i]
-            else:
-                reach = 0
-                for k in _BITS[poss[i]]:
-                    reach |= other_poss[k]
-                viol = arow[i] & ~reach & check[i]
+        # Value 1, which the mirror rule skips on B while every earlier
+        # variable is 0.
+        if lead and side == 0:
+            return
+        stats.nodes_expanded += 1
+        if stats.nodes_expanded > limit:
+            raise _LimitReached
+        rule = None
+        rising = ocomm[w] & chu
+        viol = rising & ~au
+        for j in _BITS[rising & au]:
+            if cu & ocomm[j]:
+                viol |= 1 << j
+                break
+        if viol:
+            rule = "P2" if viol & -viol == bit_u else "P1"
+        else:
+            rising = ocomm[u] & chw
+            viol = rising & ~aw
+            for j in _BITS[rising & aw]:
+                if cw & ocomm[j]:
+                    viol |= 1 << j
+                    break
             if viol:
-                self.stats.prunes_by_rule["P2" if viol & -viol == 1 << i else "P1"] += 1
-                return False
-        if self.p3:
-            comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
-            deg = self.deg
-            for x in (u, w):
-                if not _degree_range_ok(
-                    comm1b[x].bit_count(),
-                    possb[x].bit_count(),
-                    comm1c[x].bit_count(),
-                    possc[x].bit_count(),
-                    deg[x],
-                ):
-                    self.stats.prunes_by_rule["P3"] += 1
-                    return False
-        return True
+                rule = "P2" if viol & -viol == bit_w else "P1"
+        ncu = cu | bit_w
+        ncw = cw | bit_u
+        if rule:
+            prunes[rule] += 1
+        elif p3 and not (
+            _degree_range_ok(
+                ncu.bit_count(), pu.bit_count(),
+                ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
+            )
+            and _degree_range_ok(
+                ncw.bit_count(), pw.bit_count(),
+                ocomm[w].bit_count(), oposs[w].bit_count(), deg_w,
+            )
+        ):
+            prunes["P3"] += 1
+        else:
+            comm[u], comm[w] = ncu, ncw
+            self._extend(t + 1, False)
+            comm[u], comm[w] = cu, cw
 
     def _leaf(self) -> None:
         n = self.n

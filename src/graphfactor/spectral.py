@@ -132,8 +132,8 @@ def _jacobi(mat, tol: float, want_vectors: bool):
 
 def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
     """Full spectrum of a symmetric integer matrix, sorted descending."""
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
     if not m.is_symmetric():
         raise PreconditionError("eigen_sym requires a symmetric matrix")
     values, _ = _jacobi(m.entries, tol, want_vectors=False)
@@ -170,8 +170,8 @@ def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     all-ones vector.  The iteration runs on A + I so bipartite spectra
     (where -lambda_max ties lambda_max in magnitude) cannot oscillate.
     """
-    if tol <= 0:
-        raise ParameterError("tolerance must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
     if not is_connected(g):
         raise PreconditionError("perron requires a connected graph")
     n = g.order

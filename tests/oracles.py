@@ -6,6 +6,8 @@ principles (permutation orbits, cofactor determinants, exact bisection).
 The one exception is the edge ladder, a reference for the order in which
 classes are generated, not for the labelling (which has its own
 reference below), so it keys its classes with the package's canonical_key.
+The search reference is the engine's old whole-row consistency test; it
+shares the search module's config, counters, bit table and degree test.
 """
 from __future__ import annotations
 
@@ -13,7 +15,16 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
-from graphfactor.graphs import Graph, canonical_key, graph_from_canonical_key
+from graphfactor.factorization import Factorization
+from graphfactor.graphs import Graph, canonical_form, canonical_key, graph_from_canonical_key
+from graphfactor.search import (
+    SearchConfig,
+    SearchStats,
+    _BITS,
+    _degree_range_ok,
+    _FoundEnough,
+    _LimitReached,
+)
 
 
 def g6_encode(n: int, edges) -> str:
@@ -387,3 +398,182 @@ def exact_eigenvalues(entries) -> list[float]:
         out.extend([v] * mult)
     assert len(out) == n, f"expected {n} roots, found {len(out)}"
     return sorted(out, reverse=True)
+
+
+# The search engine as it was before its consistency test went incremental:
+# every node re-ORs the whole of each changed row.  The reference for
+# search._Engine, which must give the same witnesses in the same order and
+# the same counters.
+class _WholeRowEngine:
+    """Backtracker over the upper triangles of B and C, interleaved in
+    vertex-major order with high-degree vertices of A first.
+
+    Mirror rule: A = BC is symmetric, so CB = A too and every witness (B, C)
+    has the mirror (C, B); the zero diagonal of BC means B and C share no
+    edge.  The engine never sets B_uw = 1 while every earlier variable is 0,
+    so it only visits witnesses whose first edge in variable order lies in C.
+    The mirror of any other witness comes earlier in depth-first order, so
+    the first witness is the one the unbroken search finds first; in all
+    mode the mirrors are added back and the list sorted into depth-first
+    order.
+    """
+
+    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
+        self.g = g
+        self.cfg = cfg
+        self.n = n = g.order
+        self.arow = g.rows
+        self.deg = degs = [row.bit_count() for row in g.rows]
+        order = sorted(range(n), key=lambda v: (-degs[v], v))
+        self.vars: list[tuple[int, int, int]] = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                u, w = order[i], order[j]
+                self.vars.append((0, u, w))
+                self.vars.append((1, u, w))
+        full = (1 << n) - 1
+        self.comm1b = [0] * n
+        self.possb = [full ^ (1 << i) for i in range(n)]
+        self.comm1c = [0] * n
+        self.possc = [full ^ (1 << i) for i in range(n)]
+        # Columns of row i that P1 (off the diagonal) and P2 (on it) check.
+        p1 = "P1" not in disabled
+        p2 = "P2" not in disabled
+        self.check = [
+            (full ^ (1 << i) if p1 else 0) | (1 << i if p2 else 0) for i in range(n)
+        ]
+        self.p3 = "P3" not in disabled
+        self.nvars = len(self.vars)
+        # Per side: the committed and possible rows of the side a variable
+        # sets, then those of the other side.
+        self.sides = (
+            (self.comm1b, self.possb, self.comm1c, self.possc),
+            (self.comm1c, self.possc, self.comm1b, self.possb),
+        )
+        self.stats = SearchStats()
+        self.witnesses: list[Factorization] = []
+
+    def run(self) -> tuple[list[Factorization], SearchStats]:
+        try:
+            self._extend(0, True)
+            self.stats.exhausted = True
+        except _LimitReached:
+            self.stats.exhausted = False
+        except _FoundEnough:
+            self.stats.exhausted = False
+        if self.cfg.mode == "all":
+            self._add_mirrors()
+        self.stats.witnesses_found = len(self.witnesses)
+        return self.witnesses, self.stats
+
+    def _add_mirrors(self) -> None:
+        found = self.witnesses
+        mirrors = [Factorization(f.g, f.k, f.h) for f in found if f.h.rows != f.k.rows]
+
+        def dfs_position(f: Factorization) -> tuple[int, ...]:
+            rows = (f.h.rows, f.k.rows)
+            return tuple(rows[side][u] >> w & 1 for side, u, w in self.vars)
+
+        self.witnesses = sorted(found + mirrors, key=dfs_position)
+
+    def _extend(self, t: int, lead: bool) -> None:
+        """Assign variable t onwards; lead is true while every earlier
+        variable is 0."""
+        if t == self.nvars:
+            self._leaf()
+            return
+        side, u, w = self.vars[t]
+        bit_u = 1 << u
+        bit_w = 1 << w
+        comm, poss = self.sides[side][:2]
+        stats = self.stats
+        limit = self.cfg.node_limit
+        for val in (0,) if lead and side == 0 else (0, 1):
+            stats.nodes_expanded += 1
+            if stats.nodes_expanded > limit:
+                raise _LimitReached
+            save_cu, save_cw = comm[u], comm[w]
+            save_pu, save_pw = poss[u], poss[w]
+            if val:
+                comm[u] |= bit_w
+                comm[w] |= bit_u
+            else:
+                poss[u] &= ~bit_w
+                poss[w] &= ~bit_u
+            if self._consistent(side, u, w, val):
+                self._extend(t + 1, lead and not val)
+            comm[u], comm[w] = save_cu, save_cw
+            poss[u], poss[w] = save_pu, save_pw
+
+    def _consistent(self, side: int, u: int, w: int, val: int) -> bool:
+        """P1/P2 on the changed rows u and w of B (side 0) or columns of C
+        (side 1), a whole row at a time, then P3 on the degrees of u and w.
+
+        For row i of B, entry j of BC counts |b_i & c_j|.  C is symmetric,
+        so j is in comm1c[k] exactly when k is in c_j: OR-ing comm1c[k] over
+        k in b_i marks the columns where the committed count is >= 1 (one)
+        and >= 2 (two), and OR-ing possc[k] over k in possb[i] marks those
+        where the possible count is >= 1 (reach).  A is 0/1, so these masks
+        decide both bounds.  The lowest violating column names the rule, as
+        a scan over j would.  A column of C is the same with B and C swapped.
+
+        Setting a 1 only raises committed counts and setting a 0 only lowers
+        possible ones.  Every entry met both bounds at the parent node, so
+        only the bound that moved is checked.  The root is the one exception:
+        in K2 the edge is unreachable from the start, but the mirror rule
+        skips K2's only B value 1, so that state is never extended by a 1.
+        """
+        comm, poss, other_comm, other_poss = self.sides[side]
+        arow = self.arow
+        check = self.check
+        for i in (u, w):
+            if val:
+                one = two = 0
+                for k in _BITS[comm[i]]:
+                    ck = other_comm[k]
+                    two |= one & ck
+                    one |= ck
+                viol = (two | (one & ~arow[i])) & check[i]
+            else:
+                reach = 0
+                for k in _BITS[poss[i]]:
+                    reach |= other_poss[k]
+                viol = arow[i] & ~reach & check[i]
+            if viol:
+                self.stats.prunes_by_rule["P2" if viol & -viol == 1 << i else "P1"] += 1
+                return False
+        if self.p3:
+            comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
+            deg = self.deg
+            for x in (u, w):
+                if not _degree_range_ok(
+                    comm1b[x].bit_count(),
+                    possb[x].bit_count(),
+                    comm1c[x].bit_count(),
+                    possc[x].bit_count(),
+                    deg[x],
+                ):
+                    self.stats.prunes_by_rule["P3"] += 1
+                    return False
+        return True
+
+    def _leaf(self) -> None:
+        n = self.n
+        rb = self.comm1b
+        rc = self.comm1c
+        for i in range(n):
+            rbi = rb[i]
+            ai = self.arow[i]
+            for j in range(n):
+                if (rbi & rc[j]).bit_count() != ai >> j & 1:
+                    return
+        self.witnesses.append(Factorization(self.g, Graph(n, tuple(rb)), Graph(n, tuple(rc))))
+        if self.cfg.mode == "first":
+            raise _FoundEnough
+
+
+def search_reference(
+    g: Graph, cfg: SearchConfig = SearchConfig(), *, disable_rules: frozenset = frozenset()
+):
+    """search.factor_search on the whole-row engine: (witnesses, stats)."""
+    return _WholeRowEngine(canonical_form(g), cfg, frozenset(disable_rules)).run()

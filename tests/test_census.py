@@ -327,6 +327,49 @@ def test_census_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+class SerialPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, starts no
+    process and maps in this one."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        SerialPool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize(
+    "n, jobs, cores, workers",
+    [
+        (5, 5000, 2, 2),  # capped at the cores
+        (3, 5000, 64, 4),  # capped at the 4 classes of order 3
+        (5, 3, 64, 3),  # as asked
+        (5, 5000, 1, None),  # one core: serial, no pool
+        (5, 5000, None, None),  # unknown core count counts as one
+        (1, 5000, 64, None),  # one class
+    ],
+)
+def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
+    import concurrent.futures
+
+    from graphfactor import census as census_mod
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
+    SerialPool.sizes = []
+    records = run_census(n, jobs=jobs)
+    assert SerialPool.sizes == ([] if workers is None else [workers])
+    assert [r.to_json() for r in records] == [r.to_json() for r in run_census(n)]
+
+
 def test_verify_full_order_6_clean(order6_records):
     report = verify_catalog(order6_records)
     assert report.total_violations == 0

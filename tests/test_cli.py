@@ -312,6 +312,26 @@ def test_census_order_9_rejected(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["spectral", "census", "verify"])
+def test_bad_tolerance_is_a_usage_error(tmp_path, capsys, command, tol):
+    out = tmp_path / "x.jsonl"
+    argv = {
+        "spectral": ["spectral", "--graph6", "Ch"],
+        "census": ["census", "--order", "4", "--out", str(out), "--jobs", "1"],
+        "verify": ["verify", "--catalog", str(out)],
+    }[command]
+    if command == "verify":
+        out.write_text("")
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "argument --tol: must be positive and finite" in err
+    assert "Traceback" not in err
+    assert out.exists() == (command == "verify")
+
+
 def test_usage_error_bad_graph6(capsys):
     code, _, err = run_cli(capsys, "factor", "--graph6", "~~~~")
     assert code == 2

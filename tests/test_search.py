@@ -17,6 +17,7 @@ from graphfactor.graphs import (
     classify_acyclic,
     complete,
     cycle,
+    decode_graph6,
     disjoint_union,
     edgeless,
     graph_bits,
@@ -40,6 +41,7 @@ from graphfactor.search import (
     is_factorizable,
 )
 from graphfactor.spectral import lambda_max
+from oracles import all_labeled_graphs, search_reference
 from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
 
 
@@ -254,6 +256,97 @@ def test_order_6_search_counters_are_pinned(disabled):
             prunes[rule] += stats.prunes_by_rule[rule]
     assert (nodes, prunes["P1"], prunes["P2"], prunes["P3"]) == ORDER_6_COUNTERS[disabled]
     assert witnesses == 58
+
+
+# All-mode counters over the 485 order-7 classes that reach search.
+ORDER_7_COUNTERS = (121_101, 42_147, 8_200, 9_747)
+
+
+def test_order_7_search_counters_are_pinned():
+    cfg = SearchConfig(mode="all")
+    nodes, witnesses = 0, 0
+    prunes = dict.fromkeys(PRUNE_RULES, 0)
+    classes = searched_classes([7])
+    assert len(classes) == 485
+    for g in classes:
+        _, stats = factor_search(g, cfg)
+        nodes += stats.nodes_expanded
+        witnesses += stats.witnesses_found
+        for rule in PRUNE_RULES:
+            prunes[rule] += stats.prunes_by_rule[rule]
+    assert (nodes, prunes["P1"], prunes["P2"], prunes["P3"]) == ORDER_7_COUNTERS
+    assert witnesses == 132
+
+
+# ---------------------------------------------------------------------------
+# the incremental consistency test against the whole-row reference engine
+# ---------------------------------------------------------------------------
+
+def search_trace(result):
+    """Witness rows in order, nodes, prunes per rule and exhaustion."""
+    found, stats = result
+    return (
+        [(f.h.rows, f.k.rows) for f in found],
+        stats.nodes_expanded,
+        dict(stats.prunes_by_rule),
+        stats.exhausted,
+        stats.witnesses_found,
+    )
+
+
+def assert_matches_reference(g, cfg, disabled=frozenset()):
+    got = search_trace(factor_search(g, cfg, disable_rules=disabled))
+    want = search_trace(search_reference(g, cfg, disable_rules=disabled))
+    assert got == want, (g.order, g.rows, cfg, sorted(disabled))
+
+
+ONE_RULE_OFF = [frozenset()] + [frozenset({rule}) for rule in PRUNE_RULES]
+
+
+def test_incremental_search_matches_reference_on_orders_1_and_2():
+    # K2 is the one root that breaks a bound: its edge has no middle vertex.
+    for n in (1, 2):
+        for g in all_labeled_graphs(n):
+            for mode in ("all", "first"):
+                for disabled in ONE_RULE_OFF:
+                    assert_matches_reference(g, SearchConfig(mode=mode), disabled)
+
+
+def test_incremental_search_matches_reference_on_orders_3_to_7():
+    for g in searched_classes(range(3, 8)):
+        for mode in ("all", "first"):
+            assert_matches_reference(g, SearchConfig(mode=mode))
+
+
+@pytest.mark.parametrize("rule", PRUNE_RULES)
+def test_incremental_search_matches_reference_with_a_rule_disabled(rule):
+    cfg = SearchConfig(mode="all")
+    for g in searched_classes([6]):
+        assert_matches_reference(g, cfg, frozenset({rule}))
+
+
+def test_incremental_search_matches_reference_on_random_order_8():
+    rng = random.Random(2024)
+    for p in (0.3, 0.5, 0.7):
+        for _ in range(100):
+            g = Graph.from_edges(
+                8, [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < p]
+            )
+            report = screen(g)
+            if report.overall == "ruled_out" or report.trivial:
+                # Unscreened sparse graphs can take the search very long.
+                continue
+            for mode in ("all", "first"):
+                assert_matches_reference(g, SearchConfig(mode=mode))
+
+
+def test_incremental_search_trips_the_node_limit_where_the_reference_does():
+    # F^~~w is the order-7 class with the most search nodes (a "no"), and
+    # F@Kxw the "yes" class with the most (36 witnesses).
+    for g in (cycle(6), decode_graph6("F^~~w"), decode_graph6("F@Kxw")):
+        for limit in (1, 5, 37, 500):
+            for mode in ("all", "first"):
+                assert_matches_reference(g, SearchConfig(mode=mode, node_limit=limit))
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,14 @@ def test_perron_path3():
         assert abs(a - b) <= 1e-8
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan, math.inf, -math.inf])
+def test_non_finite_or_non_positive_tolerance_rejected(tol):
+    with pytest.raises(ParameterError):
+        eigen_sym(adjacency(path(4)), tol=tol)
+    with pytest.raises(ParameterError):
+        perron(path(4), tol=tol)
+
+
 def test_perron_rejects_disconnected():
     with pytest.raises(PreconditionError):
         perron(disjoint_union(complete(3), complete(3)))
