@@ -47,7 +47,7 @@ from .search import DEFAULT_NODE_LIMIT, SearchConfig, dedup_pairs, is_factorizab
 # Not called here since the census decides through is_factorizable; the
 # benchmark tracer (bench/tracer.py) still wraps census.factor_search.
 from .search import factor_search  # noqa: F401
-from .spectral import DEFAULT_TOL, lambda_max
+from .spectral import DEFAULT_TOL, check_tolerance, lambda_max
 
 # Class representatives per order, as enumerate_graphs returned them.
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -289,6 +289,7 @@ def run_census(
     A nonempty ViolationList aborts the run (it indicates an implementation
     bug) unless keep_going is set.
     """
+    check_tolerance(tol)
     cfg = SearchConfig(mode="all", node_limit=node_limit)
     classes = enumerate_graphs(n)
     args = [(g, cfg, tol) for g in classes]
@@ -430,6 +431,7 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
     """Rebuild every record from its graph and valid witnesses as the census
     does and report each field that differs; stored verdicts are only
     checked against screening and witnesses, never trusted."""
+    check_tolerance(tol)
     report = TheoremReport()
     report.assertions = {PRODUCT_ASSERTION: AssertionTally()}
     for aid in ASSERTION_IDS:

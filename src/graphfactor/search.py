@@ -5,9 +5,12 @@ Three routes:
 * factor_naive  - transcription of the definition: enumerate every pair of
   symmetric 0-1 zero-diagonal matrices (order <= 5) and keep exact products.
   This is the ground-truth oracle the pruned search is tested against.
-* factor_search - backtracking over the unknown upper-triangle entries of B
-  and C with forward checking (entry bounds, zero diagonal, degree products)
-  on only the entries each value can move.
+* factor_search - a root filter first: each vertex's possible
+  (deg_H, deg_K) pairs, propagated to a fixpoint, refute most graphs before
+  they are labelled; the rest get backtracking over the unknown
+  upper-triangle entries of B and C, from the rows the pairs leave, with
+  forward checking (entry bounds, zero diagonal, degree products) on only
+  the entries each value can move.
   A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
   visits witnesses whose first edge in variable order lies in C, and all-mode
   results add every mirror back, in the order the unbroken search found them.
@@ -36,6 +39,7 @@ from .graphs import (
     Graph,
     canonical_form,
     canonical_key,
+    canonical_relabeling,
     components,
     cycle,
     degree_sequence,
@@ -161,6 +165,105 @@ def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool
     return False
 
 
+def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
+    """The (b, c) = (deg_H, deg_K) pairs each vertex of g can take in a
+    witness (H, K), or None when some vertex has none left.
+
+    A = BC = CB with 0/1 entries and zero diagonals gives (README):
+    * V1: b_i * c_i = d_i;
+    * V2: t ~_H i implies c_t = c_i, and t ~_K i implies b_t = b_i;
+    * every edge ij of g has a middle vertex t, not i or j, with
+      i ~_H t ~_K j, so (b_t, c_t) = (b_j, c_i);
+    * N_H(i) and N_K(i) are disjoint, and by V2 lie among the other
+      vertices that can take K-degree c_i and H-degree b_i respectively.
+    Starting from the V1 pairs, a pair (b, c) of vertex i is dropped when
+    fewer than b other vertices can take K-degree c, fewer than c can take
+    H-degree b, or fewer than b + c either; or when a neighbour j has no
+    H-degree b' that some vertex other than i and j takes as (b', c).
+    The drops repeat until none applies (arc consistency, Mackworth 1977);
+    each keeps every witness's pairs, so None proves there is no witness.
+    """
+    n = g.order
+    rows = g.rows
+    full = (1 << n) - 1
+    doms = []
+    for row in rows:
+        d = row.bit_count()
+        if d:
+            doms.append([(b, d // b) for b in range(1, n) if d % b == 0 and d // b < n])
+        else:
+            doms.append([(0, c) for c in range(n)] + [(b, 0) for b in range(1, n)])
+    changed = True
+    while changed:
+        changed = False
+        # Vertex masks of who can take H-degree b, K-degree c, and the pair
+        # (b, c) at index b * n + c; bvals[i] has bit b set when vertex i
+        # can take H-degree b.
+        withb = [0] * n
+        withc = [0] * n
+        withpair = [0] * (n * n)
+        bvals = [0] * n
+        for i, dom in enumerate(doms):
+            bit = 1 << i
+            for b, c in dom:
+                withb[b] |= bit
+                withc[c] |= bit
+                withpair[b * n + c] |= bit
+                bvals[i] |= 1 << b
+        # middle[bvals[j] * n + c]: who can take (b', c) for a b' of j.
+        middle: dict[int, int] = {}
+        for i, dom in enumerate(doms):
+            others = full ^ (1 << i)
+            kept = []
+            for pair in dom:
+                b, c = pair
+                hs = withc[c] & others
+                ks = withb[b] & others
+                if hs.bit_count() < b or ks.bit_count() < c or (hs | ks).bit_count() < b + c:
+                    continue
+                for j in _BITS[rows[i]]:
+                    key = bvals[j] * n + c
+                    mid = middle.get(key)
+                    if mid is None:
+                        mid = 0
+                        for bj in _BITS[bvals[j]]:
+                            mid |= withpair[bj * n + c]
+                        middle[key] = mid
+                    if not mid & others & ~(1 << j):
+                        break
+                else:
+                    kept.append(pair)
+            if len(kept) < len(dom):
+                if not kept:
+                    return None
+                doms[i] = kept
+                changed = True
+    return doms
+
+
+def _root_rows(pairs: list[list[tuple[int, int]]]) -> tuple[list[int], list[int]]:
+    """The possible rows of B and C the degree pairs leave: by V2, B_uw = 1
+    needs a K-degree both u and w can take, and C_uw = 1 an H-degree."""
+    n = len(pairs)
+    bvals = [0] * n
+    cvals = [0] * n
+    for i, dom in enumerate(pairs):
+        for b, c in dom:
+            bvals[i] |= 1 << b
+            cvals[i] |= 1 << c
+    possb = [0] * n
+    possc = [0] * n
+    for u in range(n):
+        for w in range(u + 1, n):
+            if cvals[u] & cvals[w]:
+                possb[u] |= 1 << w
+                possb[w] |= 1 << u
+            if bvals[u] & bvals[w]:
+                possc[u] |= 1 << w
+                possc[w] |= 1 << u
+    return possb, possc
+
+
 class _Engine:
     """Backtracker over the upper triangles of B and C, interleaved in
     vertex-major order with high-degree vertices of A first.
@@ -180,9 +283,15 @@ class _Engine:
     check[i] holds the columns of row i the enabled rules test (the P2
     diagonal bit, the P1 off-diagonal bits).  A column of C is a row of B
     with the sides swapped, since CB = A counts the same entries.
+
+    Root: with pairs (the _degree_pairs of g) the possible rows start as
+    _root_rows leaves them, otherwise full.  The pairs are a fixpoint, so
+    the masked root meets every bound: each edge ij of A keeps a middle
+    vertex in possb[i] & possc[j] (P1), and each vertex keeps a pair (b, c)
+    with b and c at most its possible degrees (P3).
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
+    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset, pairs=None):
         self.g = g
         self.cfg = cfg
         self.n = n = g.order
@@ -197,9 +306,12 @@ class _Engine:
                 self.vars.append((1, u, w))
         full = (1 << n) - 1
         self.comm1b = [0] * n
-        self.possb = [full ^ (1 << i) for i in range(n)]
         self.comm1c = [0] * n
-        self.possc = [full ^ (1 << i) for i in range(n)]
+        if pairs is None:
+            self.possb = [full ^ (1 << i) for i in range(n)]
+            self.possc = [full ^ (1 << i) for i in range(n)]
+        else:
+            self.possb, self.possc = _root_rows(pairs)
         p1 = "P1" not in disabled
         p2 = "P2" not in disabled
         self.check = [
@@ -219,7 +331,8 @@ class _Engine:
     def run(self) -> tuple[list[Factorization], SearchStats]:
         try:
             if self.n == 2 and self.arow[0] & self.check[0]:
-                # K2 under P1: its edge has no middle vertex, so the root
+                # K2 under P1 with P3 off (the root filter refutes K2
+                # otherwise): its edge has no middle vertex, so the root
                 # already breaks P1, which _extend (testing only what a
                 # value moves) would not see.  The mirror rule leaves the
                 # root one value, B_01 = 0, and P1 prunes that node.
@@ -253,9 +366,9 @@ class _Engine:
 
         Forward checking tests only the columns whose bound the new value
         moves (Haralick & Elliott, 1980).  Every state this is called on
-        meets every checked bound: the root does (run handles K2, where it
-        does not), and a child is extended only once the columns its value
-        moved pass.  So the test below gives the verdict of a whole-row
+        meets every checked bound: the root does (see the class docstring;
+        run handles K2, where it does not), and a child is extended only
+        once the columns its value moved pass.  So the test below gives the verdict of a whole-row
         test, and the same lowest violating column, which names the rule.
 
         For the variable (u, w) on one side, with ocomm and oposs the rows
@@ -321,8 +434,8 @@ class _Engine:
             poss[u], poss[w] = pu, pw
 
         # Value 1, which the mirror rule skips on B while every earlier
-        # variable is 0.
-        if lead and side == 0:
+        # variable is 0, and the root rows skip when they exclude it.
+        if lead and side == 0 or not pu >> w & 1:
             return
         stats.nodes_expanded += 1
         if stats.nodes_expanded > limit:
@@ -387,7 +500,12 @@ def factor_search(
     disable_rules: frozenset = frozenset(),
 ) -> tuple[list[Factorization], SearchStats]:
     """Pruned backtracking search for all (or the first) witnesses of
-    A = BC on the canonical labeling of g."""
+    A = BC on the canonical labeling of g.
+
+    With P3 on, _degree_pairs runs first, on g as given: a graph it refutes
+    is never labelled and costs one node and one P3 prune; the pairs of any
+    other graph are carried to its canonical labeling and narrow the root.
+    With P3 off the search starts from full rows, as before the filter."""
     if g.order > cfg.order_cap:
         raise UnsupportedSizeError(
             f"search is capped at order {cfg.order_cap}; got order {g.order}"
@@ -395,8 +513,24 @@ def factor_search(
     unknown = set(disable_rules) - set(PRUNE_RULES)
     if unknown:
         raise ParameterError(f"unknown pruning rules: {sorted(unknown)}")
-    engine = _Engine(canonical_form(g), cfg, frozenset(disable_rules))
-    return engine.run()
+    disabled = frozenset(disable_rules)
+    if "P3" in disabled:
+        return _Engine(canonical_form(g), cfg, disabled).run()
+    pairs = _degree_pairs(g)
+    if pairs is None:
+        return [], _refuted_stats()
+    cg = canonical_form(g)
+    images = canonical_relabeling(g).images
+    placed = sorted(range(g.order), key=images.__getitem__)
+    return _Engine(cg, cfg, disabled, [pairs[v] for v in placed]).run()
+
+
+def _refuted_stats() -> SearchStats:
+    """The counters of a search _degree_pairs refutes at the root: one
+    node, pruned by P3 (the pairs are degree-product reasoning)."""
+    stats = SearchStats(nodes_expanded=1, exhausted=True)
+    stats.prunes_by_rule["P3"] = 1
+    return stats
 
 
 def dedup_pairs(witnesses) -> set[tuple[str, str]]:

@@ -130,10 +130,15 @@ def _jacobi(mat, tol: float, want_vectors: bool):
     return a[::n + 1], v
 
 
-def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
-    """Full spectrum of a symmetric integer matrix, sorted descending."""
+def check_tolerance(tol: float) -> None:
+    """Raise ParameterError unless tol is positive and finite."""
     if not (tol > 0 and math.isfinite(tol)):
         raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
+
+
+def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Full spectrum of a symmetric integer matrix, sorted descending."""
+    check_tolerance(tol)
     if not m.is_symmetric():
         raise PreconditionError("eigen_sym requires a symmetric matrix")
     values, _ = _jacobi(m.entries, tol, want_vectors=False)
@@ -170,8 +175,7 @@ def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
     all-ones vector.  The iteration runs on A + I so bipartite spectra
     (where -lambda_max ties lambda_max in magnitude) cannot oscillate.
     """
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
+    check_tolerance(tol)
     if not is_connected(g):
         raise PreconditionError("perron requires a connected graph")
     n = g.order

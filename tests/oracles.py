@@ -7,7 +7,8 @@ The one exception is the edge ladder, a reference for the order in which
 classes are generated, not for the labelling (which has its own
 reference below), so it keys its classes with the package's canonical_key.
 The search reference is the engine's old whole-row consistency test; it
-shares the search module's config, counters, bit table and degree test.
+shares the search module's config, counters, bit table, degree test and
+root filter (which it can also run without).
 """
 from __future__ import annotations
 
@@ -21,9 +22,12 @@ from graphfactor.search import (
     SearchConfig,
     SearchStats,
     _BITS,
+    _degree_pairs,
     _degree_range_ok,
     _FoundEnough,
     _LimitReached,
+    _refuted_stats,
+    _root_rows,
 )
 
 
@@ -418,7 +422,7 @@ class _WholeRowEngine:
     order.
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset):
+    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset, pairs=None):
         self.g = g
         self.cfg = cfg
         self.n = n = g.order
@@ -433,9 +437,12 @@ class _WholeRowEngine:
                 self.vars.append((1, u, w))
         full = (1 << n) - 1
         self.comm1b = [0] * n
-        self.possb = [full ^ (1 << i) for i in range(n)]
         self.comm1c = [0] * n
-        self.possc = [full ^ (1 << i) for i in range(n)]
+        if pairs is None:
+            self.possb = [full ^ (1 << i) for i in range(n)]
+            self.possc = [full ^ (1 << i) for i in range(n)]
+        else:
+            self.possb, self.possc = _root_rows(pairs)
         # Columns of row i that P1 (off the diagonal) and P2 (on it) check.
         p1 = "P1" not in disabled
         p2 = "P2" not in disabled
@@ -488,7 +495,8 @@ class _WholeRowEngine:
         comm, poss = self.sides[side][:2]
         stats = self.stats
         limit = self.cfg.node_limit
-        for val in (0,) if lead and side == 0 else (0, 1):
+        skip_one = lead and side == 0 or not poss[u] >> w & 1
+        for val in (0,) if skip_one else (0, 1):
             stats.nodes_expanded += 1
             if stats.nodes_expanded > limit:
                 raise _LimitReached
@@ -572,8 +580,57 @@ class _WholeRowEngine:
             raise _FoundEnough
 
 
+def bound_violations(arow, comm1b, possb, comm1c, possc) -> set[str]:
+    """The rules a search state breaks: the whole-row test of
+    _WholeRowEngine._consistent on every row of B and of C, for committed
+    and possible counts alike, then the degree test on every vertex."""
+    n = len(arow)
+    out = set()
+    for comm, poss, other_comm, other_poss in (
+        (comm1b, possb, comm1c, possc),
+        (comm1c, possc, comm1b, possb),
+    ):
+        for i in range(n):
+            one = two = reach = 0
+            for k in _BITS[comm[i]]:
+                two |= one & other_comm[k]
+                one |= other_comm[k]
+            for k in _BITS[poss[i]]:
+                reach |= other_poss[k]
+            viol = two | (one & ~arow[i]) | (arow[i] & ~reach)
+            if viol & ~(1 << i):
+                out.add("P1")
+            if viol >> i & 1:
+                out.add("P2")
+    for x in range(n):
+        if not _degree_range_ok(
+            comm1b[x].bit_count(),
+            possb[x].bit_count(),
+            comm1c[x].bit_count(),
+            possc[x].bit_count(),
+            arow[x].bit_count(),
+        ):
+            out.add("P3")
+    return out
+
+
 def search_reference(
-    g: Graph, cfg: SearchConfig = SearchConfig(), *, disable_rules: frozenset = frozenset()
+    g: Graph,
+    cfg: SearchConfig = SearchConfig(),
+    *,
+    disable_rules: frozenset = frozenset(),
+    root_filter: bool = True,
 ):
-    """search.factor_search on the whole-row engine: (witnesses, stats)."""
-    return _WholeRowEngine(canonical_form(g), cfg, frozenset(disable_rules)).run()
+    """search.factor_search on the whole-row engine: (witnesses, stats).
+    With P3 on and root_filter set, the search starts from the rows the
+    degree pairs of the canonical form leave, and a graph with no pairs
+    costs one node and one P3 prune, as in search.factor_search; without
+    root_filter it starts from full rows."""
+    disabled = frozenset(disable_rules)
+    cg = canonical_form(g)
+    pairs = None
+    if root_filter and "P3" not in disabled:
+        pairs = _degree_pairs(cg)
+        if pairs is None:
+            return [], _refuted_stats()
+    return _WholeRowEngine(cg, cfg, disabled, pairs).run()

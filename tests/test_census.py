@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 from collections import Counter, defaultdict
 from math import factorial
 
@@ -23,6 +24,7 @@ from graphfactor.graphs import (
     classify_acyclic,
     complete,
     cycle,
+    decode_graph6,
     disjoint_union,
     edgeless,
     encode_graph6,
@@ -30,7 +32,7 @@ from graphfactor.graphs import (
     has_isolated_vertex,
     matching,
 )
-from graphfactor.search import fix_labeling
+from graphfactor.search import _degree_pairs, fix_labeling
 from graphfactor.exact import adjacency
 from oracles import brute_class_reps, ladder_class_keys
 
@@ -506,10 +508,42 @@ def test_run_census_order_cap_respected():
 
 
 def test_run_census_node_limit_leaves_searched_classes_unknown():
+    # A class the degree pairs refute at the root is "no" after one node;
+    # the others run out of nodes.
     records = run_census(6, node_limit=1)
     searched = [r for r in records if r.screen.overall != "ruled_out" and not r.screen.trivial]
-    assert searched
-    assert all(r.verdict == "unknown" and not r.witnesses for r in searched)
+    refuted = [_degree_pairs(decode_graph6(r.graph6)) is None for r in searched]
+    assert 0 < sum(refuted) < len(searched)
+    for rec, no in zip(searched, refuted):
+        assert rec.verdict == ("no" if no else "unknown") and not rec.witnesses, rec.graph6
+
+
+BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_run_census_checks_the_tolerance_before_enumerating(monkeypatch, tol):
+    from graphfactor import census as census_mod
+
+    calls = []
+    monkeypatch.setattr(census_mod, "enumerate_graphs", lambda n: calls.append(n) or [])
+    with pytest.raises(ParameterError):
+        run_census(5, tol=tol)
+    assert calls == []
+
+
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
+def test_verify_catalog_checks_the_tolerance_before_any_record(
+    order6_records, monkeypatch, tol
+):
+    from graphfactor import census as census_mod
+
+    calls = []
+    monkeypatch.setattr(census_mod, "screen", lambda g: calls.append(g))
+    for records in ([], order6_records[:3]):
+        with pytest.raises(ParameterError):
+            verify_catalog(records, tol=tol)
+    assert calls == []
 
 
 def test_run_census_aborts_with_offending_record(monkeypatch):

@@ -13,6 +13,7 @@ from graphfactor.exact import IntMatrix, adjacency, commute, multiply
 from graphfactor.graphs import (
     AcyclicClass,
     Graph,
+    canonical_form,
     canonical_key,
     classify_acyclic,
     complete,
@@ -30,6 +31,9 @@ from graphfactor.graphs import (
 from graphfactor.search import (
     PRUNE_RULES,
     SearchConfig,
+    _degree_pairs,
+    _Engine,
+    _root_rows,
     construct,
     cycle_product,
     dedup_pairs,
@@ -41,7 +45,7 @@ from graphfactor.search import (
     is_factorizable,
 )
 from graphfactor.spectral import lambda_max
-from oracles import all_labeled_graphs, search_reference
+from oracles import all_labeled_graphs, bound_violations, search_reference
 from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
 
 
@@ -234,9 +238,9 @@ def test_mirror_rule_keeps_witness_sets_and_first_witness():
 # mode.  Each disabled rule moves its prunes to the others, so the rows pin
 # which rule every prune is attributed to.
 ORDER_6_COUNTERS = {
-    frozenset(): (7_978, 2_849, 506, 562),
-    frozenset({"P1"}): (1_375_912, 0, 121_466, 536_877),
-    frozenset({"P2"}): (14_660, 6_260, 0, 998),
+    frozenset(): (2_840, 972, 191, 213),
+    frozenset({"P1"}): (497_304, 0, 47_966, 186_143),
+    frozenset({"P2"}): (5_708, 2_354, 0, 422),
     frozenset({"P3"}): (17_448, 7_081, 1_517, 0),
 }
 
@@ -258,8 +262,9 @@ def test_order_6_search_counters_are_pinned(disabled):
     assert witnesses == 58
 
 
-# All-mode counters over the 485 order-7 classes that reach search.
-ORDER_7_COUNTERS = (121_101, 42_147, 8_200, 9_747)
+# All-mode counters over the 485 order-7 classes that reach search (434 of
+# them refuted at the root, one node and one P3 prune each).
+ORDER_7_COUNTERS = (19_590, 6_997, 1_307, 1_482)
 
 
 def test_order_7_search_counters_are_pinned():
@@ -325,28 +330,133 @@ def test_incremental_search_matches_reference_with_a_rule_disabled(rule):
         assert_matches_reference(g, cfg, frozenset({rule}))
 
 
-def test_incremental_search_matches_reference_on_random_order_8():
+def seeded_order_8_graphs():
+    """100 seeded G(8, p) graphs for each p of 0.3, 0.5 and 0.7."""
     rng = random.Random(2024)
-    for p in (0.3, 0.5, 0.7):
-        for _ in range(100):
-            g = Graph.from_edges(
-                8, [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < p]
-            )
-            report = screen(g)
-            if report.overall == "ruled_out" or report.trivial:
-                # Unscreened sparse graphs can take the search very long.
-                continue
-            for mode in ("all", "first"):
-                assert_matches_reference(g, SearchConfig(mode=mode))
+    return [
+        Graph.from_edges(
+            8, [(i, j) for i in range(8) for j in range(i + 1, 8) if rng.random() < p]
+        )
+        for p in (0.3, 0.5, 0.7)
+        for _ in range(100)
+    ]
+
+
+def test_incremental_search_matches_reference_on_random_order_8():
+    for g in seeded_order_8_graphs():
+        report = screen(g)
+        if report.overall == "ruled_out" or report.trivial:
+            # Unscreened sparse graphs can take the search very long.
+            continue
+        for mode in ("all", "first"):
+            assert_matches_reference(g, SearchConfig(mode=mode))
 
 
 def test_incremental_search_trips_the_node_limit_where_the_reference_does():
-    # F^~~w is the order-7 class with the most search nodes (a "no"), and
+    # FF~~w is the order-7 class with the most search nodes (a "no"), and
     # F@Kxw the "yes" class with the most (36 witnesses).
-    for g in (cycle(6), decode_graph6("F^~~w"), decode_graph6("F@Kxw")):
+    for g in (cycle(6), decode_graph6("FF~~w"), decode_graph6("F@Kxw")):
         for limit in (1, 5, 37, 500):
             for mode in ("all", "first"):
                 assert_matches_reference(g, SearchConfig(mode=mode, node_limit=limit))
+
+
+def test_search_finds_the_witnesses_of_the_unfiltered_reference():
+    # The reference above starts from the same filtered root; without the
+    # filter it checks that the filter loses no witness and none moves.
+    for g in searched_classes(range(3, 8)):
+        for mode in ("all", "first"):
+            cfg = SearchConfig(mode=mode)
+            got, _ = factor_search(g, cfg)
+            want, _ = search_reference(g, cfg, root_filter=False)
+            assert [(f.h.rows, f.k.rows) for f in got] == [
+                (f.h.rows, f.k.rows) for f in want
+            ], (g.rows, mode)
+
+
+# ---------------------------------------------------------------------------
+# the degree-pair root filter
+# ---------------------------------------------------------------------------
+
+def assert_filter_keeps_witnesses(g, witnesses):
+    """g is the canonical form the witnesses factor.  If the filter refutes
+    g there are none; otherwise each vertex keeps its (deg_H, deg_K) and
+    every H and K edge lies in the root rows."""
+    pairs = _degree_pairs(g)
+    if pairs is None:
+        assert witnesses == [], g.rows
+        return
+    possb, possc = _root_rows(pairs)
+    for f in witnesses:
+        assert f.g.rows == g.rows
+        for i in range(g.order):
+            assert (f.h.rows[i].bit_count(), f.k.rows[i].bit_count()) in pairs[i], (g.rows, i)
+            assert not f.h.rows[i] & ~possb[i] and not f.k.rows[i] & ~possc[i], (g.rows, i)
+
+
+def test_root_rows_pair_vertices_by_the_other_sides_degree():
+    # By V2, H-neighbours share a K-degree and K-neighbours an H-degree.
+    possb, possc = _root_rows([[(1, 2)], [(2, 2), (4, 1)], [(1, 1)], [(4, 1)]])
+    assert possb == [0b0010, 0b1101, 0b1010, 0b0110]
+    assert possc == [0b0100, 0b1000, 0b0001, 0b0010]
+
+
+def test_degree_pairs_keep_every_naive_witness():
+    for n in range(1, 5):
+        for g in all_labeled_graphs(n):
+            assert_filter_keeps_witnesses(canonical_form(g), factor_naive(g))
+    for g in enumerate_graphs(5):
+        assert_filter_keeps_witnesses(canonical_form(g), factor_naive(g))
+
+
+def test_degree_pairs_keep_every_witness_of_orders_6_and_7():
+    refuted = 0
+    for g in searched_classes([6, 7]):
+        witnesses, stats = search_reference(g, SearchConfig(mode="all"), root_filter=False)
+        assert stats.exhausted
+        assert_filter_keeps_witnesses(canonical_form(g), witnesses)
+        refuted += _degree_pairs(g) is None
+    assert refuted == 59 + 434
+
+
+def test_degree_pairs_do_not_depend_on_the_labelling():
+    p = Permutation((3, 0, 4, 1, 5, 2, 6))
+    for g in searched_classes([7]):
+        pairs = _degree_pairs(g)
+        moved = _degree_pairs(permute(g, p))
+        if pairs is None:
+            assert moved is None
+        else:
+            assert [sorted(moved[p(v)]) for v in range(7)] == [sorted(d) for d in pairs]
+
+
+def test_masked_root_meets_every_bound():
+    # So the engine's incremental test, which assumes every bound holds at
+    # the parent, is exact from the root on.
+    graphs = [canonical_form(g) for g in searched_classes(range(3, 8)) + seeded_order_8_graphs()]
+    kept = 0
+    for g in graphs:
+        pairs = _degree_pairs(g)
+        if pairs is None:
+            continue
+        kept += 1
+        engine = _Engine(g, SearchConfig(), frozenset(), pairs)
+        state = (g.rows, engine.comm1b, engine.possb, engine.comm1c, engine.possc)
+        assert bound_violations(*state) == set(), g.rows
+    assert kept == 75 + 25  # of 579 classes and 300 random graphs
+
+
+def test_refuted_graph_costs_one_node_and_is_never_labelled(monkeypatch):
+    import graphfactor.graphs as graphs_mod
+
+    g = permute(decode_graph6("F^~~w"), Permutation((3, 0, 4, 1, 5, 2, 6)))
+    assert _degree_pairs(g) is None
+    monkeypatch.setattr(graphs_mod, "_canonical_order", lambda graph: pytest.fail("labelled"))
+    for mode in ("all", "first"):
+        found, stats = factor_search(g, SearchConfig(mode=mode))
+        assert found == [] and stats.exhausted
+        assert stats.nodes_expanded == 1
+        assert stats.prunes_by_rule == {"P1": 0, "P2": 0, "P3": 1}
 
 
 # ---------------------------------------------------------------------------
