@@ -13,6 +13,7 @@ from .census import (
     read_catalog,
     run_census,
     verify_catalog,
+    verify_lines,
     write_catalog,
 )
 from .conditions import (

@@ -291,21 +291,32 @@ def run_census(
     """
     check_tolerance(tol)
     cfg = SearchConfig(mode="all", node_limit=node_limit)
-    classes = enumerate_graphs(n)
-    args = [(g, cfg, tol) for g in classes]
-    # The pool forks all its workers at the first submit, so never ask for
-    # more than there are cores or classes.
-    workers = min(jobs, os.cpu_count() or 1, len(args))
-    if workers > 1:
-        # Imported here: it loads multiprocessing, which serial runs never use.
-        from concurrent.futures import ProcessPoolExecutor
+    args = [(g, cfg, tol) for g in enumerate_graphs(n)]
+    return _pool_map(
+        _build_record, args, jobs,
+        lambda records: _collect(records, len(args), keep_going, progress),
+        chunksize=8,
+    )
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            iterator = pool.map(_build_record, args, chunksize=8)
-            records = _collect(iterator, len(args), keep_going, progress)
-    else:
-        records = _collect(map(_build_record, args), len(args), keep_going, progress)
-    return records
+
+def _pool_map(fn, items: list, jobs: int, consume, chunksize: int = 1, per_worker: int = 1):
+    """consume(fn over items, in order), with fn run by min(jobs, cores,
+    items // per_worker) worker processes, or by the builtin map in this
+    process when that is 1.  The pool forks its workers at the first
+    submit, so it never asks for more than there are cores or items."""
+    workers = min(jobs, os.cpu_count() or 1, len(items) // per_worker)
+    if workers <= 1:
+        return consume(map(fn, items))
+    # Imported here: it loads multiprocessing, which serial runs never use.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        try:
+            return consume(pool.map(fn, items, chunksize=chunksize))
+        except BaseException:
+            # Items not yet started would only delay the error.
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def _collect(iterator, total: int, keep_going: bool, progress) -> list[CensusRecord]:
@@ -330,23 +341,29 @@ def write_catalog(records, path) -> None:
 
 
 def read_catalog(path) -> list[CensusRecord]:
-    records = []
     with open(path, "rb") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise CatalogSchemaError(f"line {lineno}: not UTF-8: {exc}") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CatalogSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
-            try:
-                records.append(CensusRecord.from_json(obj))
-            except (ParameterError, KeyError, TypeError) as exc:
-                raise CatalogSchemaError(f"line {lineno}: {exc}") from None
+        return _parse_lines(fh, 1)
+
+
+def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
+    """The records of raw catalog lines, the first of them line
+    first_lineno of the catalog; blank lines are skipped."""
+    records = []
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CatalogSchemaError(f"line {lineno}: not UTF-8: {exc}") from None
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise CatalogSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
+        try:
+            records.append(CensusRecord.from_json(obj))
+        except (ParameterError, KeyError, TypeError) as exc:
+            raise CatalogSchemaError(f"line {lineno}: {exc}") from None
     return records
 
 
@@ -360,14 +377,67 @@ class AssertionTally:
     violations: int = 0
 
 
+def _assertion_tallies() -> dict[str, AssertionTally]:
+    return {aid: AssertionTally() for aid in (PRODUCT_ASSERTION, *ASSERTION_IDS)}
+
+
+def _rule_tallies() -> dict[str, AssertionTally]:
+    return {rid: AssertionTally() for rid in RULE_IDS}
+
+
+def _exploratory_counts() -> dict[str, dict[str, int]]:
+    return {
+        "stronger_edge_bound": {"instances": 0, "failures": 0},
+        "unguarded_product_bound": {"instances": 0, "failures": 0},
+        "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
+    }
+
+
 @dataclass
 class TheoremReport:
-    records_checked: int = 0
+    """The tallies of a verified catalog, or of a run of its records.
+
+    checked holds one (where, class, messages) entry per record in catalog
+    order: the class is None when the record's graph6 does not decode to
+    one.  Reports of consecutive runs of records add up with absorb."""
+
     witnesses_checked: int = 0
-    assertions: dict[str, AssertionTally] = field(default_factory=dict)
-    rules: dict[str, AssertionTally] = field(default_factory=dict)
-    exploratory: dict[str, dict[str, int]] = field(default_factory=dict)
-    integrity: list[str] = field(default_factory=list)
+    assertions: dict[str, AssertionTally] = field(default_factory=_assertion_tallies)
+    rules: dict[str, AssertionTally] = field(default_factory=_rule_tallies)
+    exploratory: dict[str, dict[str, int]] = field(default_factory=_exploratory_counts)
+    checked: list[tuple[str, tuple[int, str] | None, list[str]]] = field(
+        default_factory=list
+    )
+
+    @property
+    def records_checked(self) -> int:
+        return len(self.checked)
+
+    @property
+    def integrity(self) -> list[str]:
+        """Every record's integrity messages in catalog order; a record whose
+        class an earlier record already has is flagged first."""
+        seen: set[tuple[int, str]] = set()
+        messages = []
+        for where, cls, own in self.checked:
+            if cls in seen:
+                messages.append(f"{where}: class listed more than once")
+            if cls is not None:
+                seen.add(cls)
+            messages.extend(own)
+        return messages
+
+    def absorb(self, later: "TheoremReport") -> None:
+        """Add the report of the records that follow this report's."""
+        self.witnesses_checked += later.witnesses_checked
+        for mine, theirs in ((self.assertions, later.assertions), (self.rules, later.rules)):
+            for key, tally in theirs.items():
+                mine[key].instances_checked += tally.instances_checked
+                mine[key].violations += tally.violations
+        for name, counts in later.exploratory.items():
+            for key, value in counts.items():
+                self.exploratory[name][key] += value
+        self.checked.extend(later.checked)
 
     @property
     def total_violations(self) -> int:
@@ -390,7 +460,7 @@ class TheoremReport:
                 for rid, t in self.rules.items()
             },
             "exploratory": self.exploratory,
-            "integrity": list(self.integrity),
+            "integrity": self.integrity,
             "total_violations": self.total_violations,
         }
 
@@ -418,13 +488,23 @@ class TheoremReport:
         for name, stats in self.exploratory.items():
             pretty = ", ".join(f"{k}={v}" for k, v in stats.items())
             lines.append(f"  {name}: {pretty}")
-        if self.integrity:
+        integrity = self.integrity
+        if integrity:
             lines.append("")
             lines.append("integrity problems:")
-            lines.extend(f"  {msg}" for msg in self.integrity)
+            lines.extend(f"  {msg}" for msg in integrity)
         lines.append("")
         lines.append(f"total violations: {self.total_violations}")
         return "\n".join(lines)
+
+
+# Catalog lines per verify work item, and work items per verify worker.
+# On a 2-vCPU host with Python 3.11, starting a pool costs about 30 ms in a
+# fresh interpreter (the imports and the forks) and verifying one record
+# about 0.3 ms, so two workers break even at about 220 lines: a catalog of
+# order 6 or less (at most 156 lines) is verified faster in one process.
+VERIFY_CHUNK_LINES = 32
+VERIFY_CHUNKS_PER_WORKER = 4
 
 
 def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
@@ -433,93 +513,115 @@ def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
     checked against screening and witnesses, never trusted."""
     check_tolerance(tol)
     report = TheoremReport()
-    report.assertions = {PRODUCT_ASSERTION: AssertionTally()}
-    for aid in ASSERTION_IDS:
-        report.assertions[aid] = AssertionTally()
-    report.rules = {rid: AssertionTally() for rid in RULE_IDS}
-    report.exploratory = {
-        "stronger_edge_bound": {"instances": 0, "failures": 0},
-        "unguarded_product_bound": {"instances": 0, "failures": 0},
-        "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
-    }
-    product = report.assertions[PRODUCT_ASSERTION]
-    classes: set[tuple[int, str]] = set()
     for rec in records:
-        report.records_checked += 1
-        where = f"record {rec.graph6!r}"
-        try:
-            g = decode_graph6(rec.graph6)
-        except (Graph6Error, UnsupportedSizeError) as exc:
-            report.integrity.append(f"{where}: graph6 does not decode to a class: {exc}")
-            continue
-        # The class is the fresh report's key, which the rebuilt record
-        # stores too, so each record's graph is labelled once.
-        fresh = screen(g)
-        if fresh.graph_key is None:
-            report.integrity.append(
-                f"{where}: graph6 does not decode to a class: "
-                f"canonical forms are capped at order {CANONICAL_ORDER_CAP}"
-            )
-            continue
-        cls = (g.order, fresh.graph_key)
-        if cls in classes:
-            report.integrity.append(f"{where}: class listed more than once")
-        classes.add(cls)
-        for rule in fresh.rules:
-            tally = report.rules[rule.rule_id]
-            tally.instances_checked += 1
-            if rule.status == "ruled_out" and (
-                rec.verdict != "no" or rec.witnesses or rec.factor_pairs
-            ):
-                tally.violations += 1
-        if rec.verdict == "yes" and not (rec.factor_pairs and rec.witnesses):
-            report.integrity.append(f"{where}: verdict yes without stored witnesses")
-        if rec.verdict != "yes" and (rec.factor_pairs or rec.witnesses):
-            report.integrity.append(f"{where}: verdict {rec.verdict} with stored witnesses")
-        if fresh.overall == "ruled_out" and rec.verdict != "no":
-            report.integrity.append(f"{where}: ruled_out class without verdict no")
-        valid = []
-        for idx, w in enumerate(rec.witnesses):
-            report.witnesses_checked += 1
-            product.instances_checked += 1
-            try:
-                f = w.to_factorization()
-            except (PreconditionError, ParameterError) as exc:
-                product.violations += 1
-                report.integrity.append(f"{where}: witness {idx}: {exc}")
-                continue
-            if f.g != g:
-                product.violations += 1
-                report.integrity.append(f"{where}: witness {idx} targets a different graph")
-                continue
-            valid.append(f)
-        rebuilt, checks = _describe(g, rec.verdict, fresh, valid, tol)
-        stored = rec.to_json()
-        for name, value in rebuilt.to_json().items():
-            if name == "lambda_max":
-                # Scaled by the rebuilt value and negated, so NaN and inf differ.
-                differs = not abs(value - rec.lambda_max) <= tol * max(1.0, abs(value))
-            else:
-                differs = value != stored[name]
-            if differs:
-                report.integrity.append(f"{where}: stored {name} mismatch")
-        for outcomes, obs in checks:
-            for outcome in outcomes:
-                if outcome.applied:
-                    tally = report.assertions[outcome.assertion_id]
-                    tally.instances_checked += 1
-                    if outcome.violation is not None:
-                        tally.violations += 1
-            if obs.stronger_edge_bound_applied:
-                report.exploratory["stronger_edge_bound"]["instances"] += 1
-                if not obs.stronger_edge_bound_holds:
-                    report.exploratory["stronger_edge_bound"]["failures"] += 1
-            if obs.unguarded_product_bound_applied:
-                report.exploratory["unguarded_product_bound"]["instances"] += 1
-                if not obs.unguarded_product_bound_holds:
-                    report.exploratory["unguarded_product_bound"]["failures"] += 1
-            if obs.component_iso_applied and obs.component_iso is not None:
-                report.exploratory["component_isomorphism"]["instances"] += 1
-                bucket = "isomorphic" if obs.component_iso else "non_isomorphic"
-                report.exploratory["component_isomorphism"][bucket] += 1
+        _check_record(rec, tol, report)
     return report
+
+
+def verify_lines(lines, tol: float = DEFAULT_TOL, jobs: int = 1) -> TheoremReport:
+    """verify_catalog of the catalog whose raw lines (bytes, as read from
+    the file) are given, with the same report.  Runs of VERIFY_CHUNK_LINES
+    lines are parsed, as read_catalog parses them, and verified by
+    min(jobs, cores, runs // VERIFY_CHUNKS_PER_WORKER) worker processes,
+    and their reports are added up in catalog order.  The catalog's first
+    schema error is raised."""
+    check_tolerance(tol)
+    chunks = [
+        (lines[i:i + VERIFY_CHUNK_LINES], i + 1, tol)
+        for i in range(0, len(lines), VERIFY_CHUNK_LINES)
+    ]
+    return _pool_map(
+        _verify_chunk, chunks, jobs, _sum_reports, per_worker=VERIFY_CHUNKS_PER_WORKER
+    )
+
+
+def _verify_chunk(args: tuple) -> TheoremReport:
+    lines, first_lineno, tol = args
+    return verify_catalog(_parse_lines(lines, first_lineno), tol)
+
+
+def _sum_reports(reports) -> TheoremReport:
+    total = TheoremReport()
+    for report in reports:
+        total.absorb(report)
+    return total
+
+
+def _check_record(rec: CensusRecord, tol: float, report: TheoremReport) -> None:
+    """Verify one record: add its entry and its tallies to report."""
+    where = f"record {rec.graph6!r}"
+    undecodable = f"{where}: graph6 does not decode to a class"
+    try:
+        g = decode_graph6(rec.graph6)
+    except (Graph6Error, UnsupportedSizeError) as exc:
+        report.checked.append((where, None, [f"{undecodable}: {exc}"]))
+        return
+    # The class is the fresh report's key, which the rebuilt record stores
+    # too, so each record's graph is labelled once.
+    fresh = screen(g)
+    if fresh.graph_key is None:
+        report.checked.append((where, None, [
+            f"{undecodable}: canonical forms are capped at order {CANONICAL_ORDER_CAP}"
+        ]))
+        return
+    messages: list[str] = []
+    report.checked.append((where, (g.order, fresh.graph_key), messages))
+    for rule in fresh.rules:
+        tally = report.rules[rule.rule_id]
+        tally.instances_checked += 1
+        if rule.status == "ruled_out" and (
+            rec.verdict != "no" or rec.witnesses or rec.factor_pairs
+        ):
+            tally.violations += 1
+    if rec.verdict == "yes" and not (rec.factor_pairs and rec.witnesses):
+        messages.append(f"{where}: verdict yes without stored witnesses")
+    if rec.verdict != "yes" and (rec.factor_pairs or rec.witnesses):
+        messages.append(f"{where}: verdict {rec.verdict} with stored witnesses")
+    if fresh.overall == "ruled_out" and rec.verdict != "no":
+        messages.append(f"{where}: ruled_out class without verdict no")
+    product = report.assertions[PRODUCT_ASSERTION]
+    valid = []
+    for idx, w in enumerate(rec.witnesses):
+        report.witnesses_checked += 1
+        product.instances_checked += 1
+        try:
+            f = w.to_factorization()
+        except (PreconditionError, ParameterError) as exc:
+            product.violations += 1
+            messages.append(f"{where}: witness {idx}: {exc}")
+            continue
+        if f.g != g:
+            product.violations += 1
+            messages.append(f"{where}: witness {idx} targets a different graph")
+            continue
+        valid.append(f)
+    rebuilt, checks = _describe(g, rec.verdict, fresh, valid, tol)
+    stored = rec.to_json()
+    for name, value in rebuilt.to_json().items():
+        if name == "lambda_max":
+            # Scaled by the rebuilt value and negated, so NaN and inf differ.
+            differs = not abs(value - rec.lambda_max) <= tol * max(1.0, abs(value))
+        else:
+            differs = value != stored[name]
+        if differs:
+            messages.append(f"{where}: stored {name} mismatch")
+    exploratory = report.exploratory
+    for outcomes, obs in checks:
+        for outcome in outcomes:
+            if outcome.applied:
+                tally = report.assertions[outcome.assertion_id]
+                tally.instances_checked += 1
+                if outcome.violation is not None:
+                    tally.violations += 1
+        if obs.stronger_edge_bound_applied:
+            exploratory["stronger_edge_bound"]["instances"] += 1
+            if not obs.stronger_edge_bound_holds:
+                exploratory["stronger_edge_bound"]["failures"] += 1
+        if obs.unguarded_product_bound_applied:
+            exploratory["unguarded_product_bound"]["instances"] += 1
+            if not obs.unguarded_product_bound_holds:
+                exploratory["unguarded_product_bound"]["failures"] += 1
+        if obs.component_iso_applied and obs.component_iso is not None:
+            exploratory["component_isomorphism"]["instances"] += 1
+            bucket = "isomorphic" if obs.component_iso else "non_isomorphic"
+            exploratory["component_isomorphism"][bucket] += 1

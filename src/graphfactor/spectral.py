@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import ParameterError, PreconditionError
-from .exact import IntMatrix, adjacency, commute
+from .exact import IntMatrix, commute
 from .graphs import Graph, is_connected
 
 DEFAULT_TOL = 1e-9
@@ -142,10 +142,16 @@ def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
     if not m.is_symmetric():
         raise PreconditionError("eigen_sym requires a symmetric matrix")
     values, _ = _jacobi(m.entries, tol, want_vectors=False)
+    return Spectrum(tuple(_descending(values, m.trace(), tol)), tol)
+
+
+def _descending(values: list[float], trace: int, tol: float) -> list[float]:
+    """The eigenvalues sorted in descending order, once their sum is checked
+    against the matrix trace."""
     values.sort(reverse=True)
-    if abs(sum(values) - m.trace()) > max(tol, 1e-12 * m.order * (1 + abs(m.trace()))):
+    if abs(sum(values) - trace) > max(tol, 1e-12 * len(values) * (1 + abs(trace))):
         raise ArithmeticError("eigenvalue sum drifted from the trace")
-    return Spectrum(tuple(values), tol)
+    return values
 
 
 def lambda_max(g: Graph, tol: float = DEFAULT_TOL) -> float:
@@ -158,8 +164,13 @@ def lambda_max(g: Graph, tol: float = DEFAULT_TOL) -> float:
 def _lambda_max(order: int, rows: tuple[int, ...], tol: float) -> float:
     """The memo behind lambda_max.  It is keyed on the plain (order, rows,
     tol), so it keeps no Graph, and no memoised labelling, alive; 2**15
-    entries hold every labelled graph of the order-8 census (12,691)."""
-    return eigen_sym(adjacency(Graph(order, rows)), tol).values[0]
+    entries hold every labelled graph of the order-8 census (12,691).  The
+    rows' 0/1 entries go straight to the kernel: a graph's matrix is
+    symmetric with zero trace."""
+    check_tolerance(tol)
+    matrix = [[row >> j & 1 for j in range(order)] for row in rows]
+    values, _ = _jacobi(matrix, tol, want_vectors=False)
+    return _descending(values, 0, tol)[0]
 
 
 def spectrum_is_symmetric(s: Spectrum) -> bool:

@@ -372,6 +372,35 @@ def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
     assert [r.to_json() for r in records] == [r.to_json() for r in run_census(n)]
 
 
+@pytest.mark.parametrize(
+    "copies, jobs, cores, workers",
+    [
+        (2, 5000, 2, 2),  # 312 lines: capped at the cores
+        (2, 5000, 64, 2),  # capped at 10 runs of lines, 4 runs a worker
+        (2, 3, 1, None),  # one core: serial, no pool
+        (1, 5000, 64, None),  # 156 lines: one process verifies them faster
+        (0, 5000, 64, None),  # one record
+    ],
+)
+def test_verify_caps_the_worker_count(
+    monkeypatch, tmp_path, capsys, order6_records, copies, jobs, cores, workers
+):
+    import concurrent.futures
+
+    from graphfactor import census as census_mod
+    from graphfactor.cli import main
+
+    records = list(order6_records) * copies or list(order6_records[:1])
+    path = tmp_path / "catalog.jsonl"
+    write_catalog(records, path)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
+    SerialPool.sizes = []
+    main(["verify", "--catalog", str(path), "--json", "--jobs", str(jobs)])
+    assert SerialPool.sizes == ([] if workers is None else [workers])
+    assert json.loads(capsys.readouterr().out) == verify_catalog(records).to_json()
+
+
 def test_verify_full_order_6_clean(order6_records):
     report = verify_catalog(order6_records)
     assert report.total_violations == 0

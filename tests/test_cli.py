@@ -7,8 +7,11 @@ import pytest
 
 import graphfactor
 
+from graphfactor import census as census_mod
 from graphfactor.cli import main
-from graphfactor.census import enumerate_graphs, read_catalog, run_census, verify_catalog
+from graphfactor.census import (
+    enumerate_graphs, read_catalog, run_census, verify_catalog, write_catalog,
+)
 from graphfactor.errors import CatalogSchemaError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
@@ -272,6 +275,90 @@ def test_verify_non_utf8_catalog_is_a_schema_error(tmp_path, capsys):
     assert "line 2" in err
 
 
+@pytest.fixture
+def pool_of_two(monkeypatch):
+    """verify --jobs 2 starts a real pool of 2 workers on any catalog of two
+    or more runs of lines; the fixture lists the pool sizes asked for."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    class CountedPool(ProcessPoolExecutor):
+        sizes: list[int] = []
+
+        def __init__(self, max_workers):
+            CountedPool.sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(census_mod, "VERIFY_CHUNKS_PER_WORKER", 1)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 2)
+    return CountedPool.sizes
+
+
+def verify_at_jobs_1_and_2(capsys, path):
+    return [
+        run_cli(capsys, "verify", "--catalog", str(path), "--json", "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+
+
+def test_verify_order_6_report_is_the_same_at_any_jobs(
+    tmp_path, capsys, pool_of_two, order6_records
+):
+    path = tmp_path / "n6.jsonl"
+    write_catalog(order6_records, path)
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert pool_of_two == [2]
+    assert serial == parallel
+    assert serial[0] == 0
+    assert serial[1] == json.dumps(verify_catalog(order6_records).to_json(), indent=2) + "\n"
+
+
+def test_verify_forged_catalog_report_is_the_same_at_any_jobs(
+    tmp_path, capsys, pool_of_two, order6_records
+):
+    objs = [rec.to_json() for rec in order6_records]
+    yes = [i for i, obj in enumerate(objs) if obj["witnesses"]]
+    objs[3]["graph6"] = "E??"  # does not decode
+    objs[yes[-1]]["witnesses"][0] = objs[yes[-2]]["witnesses"][0]
+    objs[100]["lambda_max"] += 1.0
+    objs.append(objs[5])  # line 157 repeats line 6, four runs of lines later
+    assert len(objs) > 4 * census_mod.VERIFY_CHUNK_LINES
+    path = tmp_path / "forged.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert pool_of_two == [2]
+    assert serial == parallel
+    assert serial[0] == 1
+    report = json.loads(serial[1])
+    assert report == verify_catalog(read_catalog(path)).to_json()
+    assert report["integrity"] == [
+        "record 'E??': graph6 does not decode to a class: "
+        "byte 3: order 6 needs 3 edge bytes, got 2",
+        f"record {objs[100]['graph6']!r}: stored lambda_max mismatch",
+        f"record {objs[yes[-1]]['graph6']!r}: witness 0 targets a different graph",
+        f"record {objs[yes[-1]]['graph6']!r}: stored witnesses mismatch",
+        f"record {objs[5]['graph6']!r}: class listed more than once",
+    ]
+
+
+@pytest.mark.parametrize("bad", [b'{"n": 6, "gr\xffph6": "E???"}\n', b'{"n": 6,\n'])
+def test_verify_schema_error_is_the_same_at_any_jobs(
+    tmp_path, capsys, pool_of_two, order6_records, bad
+):
+    path = tmp_path / "n6.jsonl"
+    write_catalog(order6_records, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[70:70] = [b"\n", b"  \n", bad]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CatalogSchemaError, match="^line 73: ") as caught:
+        read_catalog(path)
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert pool_of_two == [2]
+    assert serial == parallel == (1, "", f"error: {caught.value}\n")
+
+
 @pytest.mark.parametrize("out", ["missing/x.jsonl", "."])
 def test_census_unwritable_out_exits_before_enumerating(tmp_path, capsys, monkeypatch, out):
     from graphfactor import census as census_mod
@@ -375,16 +462,25 @@ def test_one_decision_path_for_library_cli_and_census(order6_records, capsys):
     assert len(records[-1].witnesses) == 1  # E???, so factor --all printed one witness
 
 
-def test_import_cli_loads_no_process_pool():
-    # Only census --jobs > 1 needs multiprocessing; it is imported there.
+def test_import_cli_loads_no_process_pool(tmp_path, order6_records):
+    # Only census and verify at --jobs > 1 need multiprocessing; it is
+    # imported there.  The catalog is large enough for a pool at --jobs 2.
+    path = tmp_path / "n6x2.jsonl"
+    write_catalog(list(order6_records) * 2, path)
     probe = (
-        "import sys, graphfactor.cli; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
+        "import contextlib, io, sys\n"
+        "from graphfactor.cli import main\n"
+        "def pool_modules():\n"
+        "    return sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules)\n"
+        "print(pool_modules())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['verify', '--catalog', {str(path)!r}, '--jobs', '1'])\n"
+        "print(pool_modules())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphfactor.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]

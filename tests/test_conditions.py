@@ -30,7 +30,7 @@ from graphfactor.graphs import (
     star,
     tree_from_pruefer,
 )
-from graphfactor.search import SearchConfig, factor_naive, factor_search, is_factorizable
+from graphfactor.search import SearchConfig, factor_search, is_factorizable
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -101,14 +101,13 @@ def test_every_rule_appears_once():
     assert [r.rule_id for r in report.rules] == ["R1", "R2", "R3", "R4"]
 
 
-def test_screen_soundness_small_orders():
+def test_screen_soundness_small_orders(naive_witnesses):
     # No ruled-out class may admit a factorization; decided by the naive
     # oracle through order 5 and by exhaustive search at order 6.
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            if screen(g).overall != "ruled_out":
-                continue
-            assert factor_naive(g) == []
+    for g, witnesses in naive_witnesses:
+        if screen(g).overall != "ruled_out":
+            continue
+        assert witnesses == []
     for g in enumerate_graphs(6):
         if screen(g).overall != "ruled_out":
             continue
@@ -197,22 +196,20 @@ def test_two_c4_assertions_vacuous_connectivity():
     assert all(o.violation is None for o in outcomes.values())
 
 
-def test_degree_product_sums_to_twice_edges():
+def test_degree_product_sums_to_twice_edges(naive_witnesses):
     # Summing the degree product identity over vertices reproduces
     # 2|E(G)| = sum deg_H(v) deg_K(v) exactly.
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            for f in factor_naive(g):
-                dh = degree_sequence(f.h)
-                dk = degree_sequence(f.k)
-                assert 2 * f.g.edge_count == sum(x * y for x, y in zip(dh, dk))
+    for _, witnesses in naive_witnesses:
+        for f in witnesses:
+            dh = degree_sequence(f.h)
+            dk = degree_sequence(f.k)
+            assert 2 * f.g.edge_count == sum(x * y for x, y in zip(dh, dk))
 
 
-def test_all_small_witnesses_validate_clean():
-    for n in range(1, 6):
-        for g in enumerate_graphs(n):
-            for f in factor_naive(g):
-                assert validate_factorization(f).empty, (n, f.to_json())
+def test_all_small_witnesses_validate_clean(naive_witnesses):
+    for g, witnesses in naive_witnesses:
+        for f in witnesses:
+            assert validate_factorization(f).empty, (g.order, f.to_json())
 
 
 def test_assertion_registry_complete():

@@ -401,12 +401,13 @@ def test_root_rows_pair_vertices_by_the_other_sides_degree():
     assert possc == [0b0100, 0b1000, 0b0001, 0b0010]
 
 
-def test_degree_pairs_keep_every_naive_witness():
+def test_degree_pairs_keep_every_naive_witness(naive_witnesses):
     for n in range(1, 5):
         for g in all_labeled_graphs(n):
             assert_filter_keeps_witnesses(canonical_form(g), factor_naive(g))
-    for g in enumerate_graphs(5):
-        assert_filter_keeps_witnesses(canonical_form(g), factor_naive(g))
+    for g, witnesses in naive_witnesses:
+        if g.order == 5:
+            assert_filter_keeps_witnesses(canonical_form(g), witnesses)
 
 
 def test_degree_pairs_keep_every_witness_of_orders_6_and_7():
