@@ -94,7 +94,6 @@ from .search import (
     FactorDecision,
     SearchConfig,
     SearchStats,
-    construct,
     cycle_product,
     dedup_pairs,
     disconnected_counterexample,

@@ -271,6 +271,13 @@ def _build_record(args: tuple) -> CensusRecord:
     return _describe(g, decision.verdict, decision.report, decision.witnesses, tol)[0]
 
 
+# Classes per census worker, the 128 items a worker verify asks for
+# (VERIFY_CHUNK_LINES * VERIFY_CHUNKS_PER_WORKER lines).  A pool costs about
+# 30 ms to start, so a census of order 6 or less (at most 156 classes) runs
+# faster in one process.
+CENSUS_CLASSES_PER_WORKER = 128
+
+
 def run_census(
     n: int,
     *,
@@ -283,8 +290,8 @@ def run_census(
     """One record per isomorphism class at order n (1..CANONICAL_ORDER_CAP),
     in canonical-key order; a class whose all-witness search spends
     node_limit nodes unfinished is "unknown".  The classes are described by
-    min(jobs, cores, classes) worker processes, in this process if that
-    is 1.
+    min(jobs, cores, classes // CENSUS_CLASSES_PER_WORKER) worker
+    processes, in this process if that is 1.
 
     A nonempty ViolationList aborts the run (it indicates an implementation
     bug) unless keep_going is set.
@@ -295,7 +302,7 @@ def run_census(
     return _pool_map(
         _build_record, args, jobs,
         lambda records: _collect(records, len(args), keep_going, progress),
-        chunksize=8,
+        chunksize=8, per_worker=CENSUS_CLASSES_PER_WORKER,
     )
 
 

@@ -27,7 +27,10 @@ from .graphs import (
     GRAPH6_ORDER_CAP, Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite,
     is_connected,
 )
-from .search import DEFAULT_NODE_LIMIT, SearchConfig, construct, is_factorizable
+from .search import (
+    DEFAULT_NODE_LIMIT, SearchConfig, cycle_product, disconnected_counterexample, doubled_graph,
+    is_factorizable,
+)
 from .spectral import DEFAULT_TOL, eigen_sym, lambda_max, perron, spectrum_is_symmetric
 
 _USAGE_ERRORS = (ParameterError, Graph6Error, UnsupportedSizeError, PreconditionError)
@@ -228,11 +231,11 @@ def _cmd_construct(args) -> int:
             f"{what}: product order {order} exceeds the graph6 cap {GRAPH6_ORDER_CAP}"
         )
     if args.kind == "cycle":
-        f = construct("cycle_product", n=args.n)
+        f = cycle_product(args.n)
     elif args.kind == "counterexample":
-        f = construct("disconnected_counterexample", n=args.n)
+        f = disconnected_counterexample(args.n)
     else:
-        f = construct("doubled_graph", graph=g)
+        f = doubled_graph(g)
     violations = validate_factorization(f)
     lam_g = lambda_max(f.g)
     lam_h = lambda_max(f.h)

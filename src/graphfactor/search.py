@@ -1,6 +1,6 @@
 """Decide and enumerate matrix-product factorizations A = BC.
 
-Three routes:
+Two routes:
 
 * factor_naive  - transcription of the definition: enumerate every pair of
   symmetric 0-1 zero-diagonal matrices (order <= 5) and keep exact products.
@@ -14,8 +14,9 @@ Three routes:
   A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
   visits witnesses whose first edge in variable order lies in C, and all-mode
   results add every mirror back, in the order the unbroken search found them.
-* construct     - the explicit witness families: the cycle product, the
-  doubled graph, and the disconnected eigenvalue counterexample.
+
+cycle_product, doubled_graph and disconnected_counterexample build the
+explicit witness families.
 
 is_factorizable is the one decision path from a graph to a verdict; the CLI
 and the census both go through it.
@@ -68,6 +69,10 @@ class SearchConfig:
             raise ParameterError(f"mode must be 'first' or 'all', got {self.mode!r}")
         if self.node_limit <= 0:
             raise ParameterError("node_limit must be positive")
+        if not 1 <= self.order_cap <= CANONICAL_ORDER_CAP:
+            raise ParameterError(
+                f"order_cap must be 1..{CANONICAL_ORDER_CAP}, got {self.order_cap}"
+            )
 
 
 @dataclass
@@ -280,18 +285,17 @@ class _Engine:
     Bounds: entry (i, j) of BC counts |b_i & c_j|.  P1 asks that the count
     of committed 1s stay at most a_ij and that the count of still-possible
     1s reach a_ij off the diagonal; P2 asks the same of the zero diagonal.
-    check[i] holds the columns of row i the enabled rules test (the P2
-    diagonal bit, the P1 off-diagonal bits).  A column of C is a row of B
-    with the sides swapped, since CB = A counts the same entries.
+    A column of C is a row of B with the sides swapped, since CB = A
+    counts the same entries.
 
-    Root: with pairs (the _degree_pairs of g) the possible rows start as
-    _root_rows leaves them, otherwise full.  The pairs are a fixpoint, so
-    the masked root meets every bound: each edge ij of A keeps a middle
-    vertex in possb[i] & possc[j] (P1), and each vertex keeps a pair (b, c)
-    with b and c at most its possible degrees (P3).
+    Root: the possible rows start as _root_rows leaves the pairs (the
+    _degree_pairs of g).  The pairs are a fixpoint, so the root meets every
+    bound: each edge ij of A keeps a middle vertex in possb[i] & possc[j]
+    (P1), and each vertex keeps a pair (b, c) with b and c at most its
+    possible degrees (P3).
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset, pairs=None):
+    def __init__(self, g: Graph, cfg: SearchConfig, pairs: list[list[tuple[int, int]]]):
         self.g = g
         self.cfg = cfg
         self.n = n = g.order
@@ -304,20 +308,9 @@ class _Engine:
                 u, w = order[i], order[j]
                 self.vars.append((0, u, w))
                 self.vars.append((1, u, w))
-        full = (1 << n) - 1
         self.comm1b = [0] * n
         self.comm1c = [0] * n
-        if pairs is None:
-            self.possb = [full ^ (1 << i) for i in range(n)]
-            self.possc = [full ^ (1 << i) for i in range(n)]
-        else:
-            self.possb, self.possc = _root_rows(pairs)
-        p1 = "P1" not in disabled
-        p2 = "P2" not in disabled
-        self.check = [
-            (full ^ (1 << i) if p1 else 0) | (1 << i if p2 else 0) for i in range(n)
-        ]
-        self.p3 = "P3" not in disabled
+        self.possb, self.possc = _root_rows(pairs)
         self.nvars = len(self.vars)
         # Per side: the committed and possible rows of the side a variable
         # sets, then those of the other side.
@@ -330,16 +323,7 @@ class _Engine:
 
     def run(self) -> tuple[list[Factorization], SearchStats]:
         try:
-            if self.n == 2 and self.arow[0] & self.check[0]:
-                # K2 under P1 with P3 off (the root filter refutes K2
-                # otherwise): its edge has no middle vertex, so the root
-                # already breaks P1, which _extend (testing only what a
-                # value moves) would not see.  The mirror rule leaves the
-                # root one value, B_01 = 0, and P1 prunes that node.
-                self.stats.nodes_expanded = 1
-                self.stats.prunes_by_rule["P1"] += 1
-            else:
-                self._extend(0, True)
+            self._extend(0, True)
             self.stats.exhausted = True
         except _LimitReached:
             self.stats.exhausted = False
@@ -366,10 +350,10 @@ class _Engine:
 
         Forward checking tests only the columns whose bound the new value
         moves (Haralick & Elliott, 1980).  Every state this is called on
-        meets every checked bound: the root does (see the class docstring;
-        run handles K2, where it does not), and a child is extended only
-        once the columns its value moved pass.  So the test below gives the verdict of a whole-row
-        test, and the same lowest violating column, which names the rule.
+        meets every bound: the root does (see the class docstring), and a
+        child is extended only once the columns its value moved pass.  So
+        the test below gives the verdict of a whole-row test, and the same
+        lowest violating column, which names the rule.
 
         For the variable (u, w) on one side, with ocomm and oposs the rows
         of the other side (symmetric, so j is in ocomm[w] exactly when w is
@@ -391,10 +375,8 @@ class _Engine:
         comm, poss, ocomm, oposs = self.sides[side]
         cu, cw, pu, pw = comm[u], comm[w], poss[u], poss[w]
         au, aw = self.arow[u], self.arow[w]
-        chu, chw = self.check[u], self.check[w]
         bit_u, bit_w = 1 << u, 1 << w
         deg_u, deg_w = self.deg[u], self.deg[w]
-        p3 = self.p3
         stats = self.stats
         prunes = stats.prunes_by_rule
         limit = self.cfg.node_limit
@@ -406,18 +388,18 @@ class _Engine:
         npu = pu & ~bit_w
         npw = pw & ~bit_u
         ok = True
-        for j in _BITS[oposs[w] & au & chu]:
+        for j in _BITS[oposs[w] & au]:
             if not npu & oposs[j]:
                 ok = False
                 break
         if ok:
-            for j in _BITS[oposs[u] & aw & chw]:
+            for j in _BITS[oposs[u] & aw]:
                 if not npw & oposs[j]:
                     ok = False
                     break
         if not ok:
             prunes["P1"] += 1
-        elif p3 and not (
+        elif not (
             _degree_range_ok(
                 cu.bit_count(), npu.bit_count(),
                 ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
@@ -441,7 +423,7 @@ class _Engine:
         if stats.nodes_expanded > limit:
             raise _LimitReached
         rule = None
-        rising = ocomm[w] & chu
+        rising = ocomm[w]
         viol = rising & ~au
         for j in _BITS[rising & au]:
             if cu & ocomm[j]:
@@ -450,7 +432,7 @@ class _Engine:
         if viol:
             rule = "P2" if viol & -viol == bit_u else "P1"
         else:
-            rising = ocomm[u] & chw
+            rising = ocomm[u]
             viol = rising & ~aw
             for j in _BITS[rising & aw]:
                 if cw & ocomm[j]:
@@ -462,7 +444,7 @@ class _Engine:
         ncw = cw | bit_u
         if rule:
             prunes[rule] += 1
-        elif p3 and not (
+        elif not (
             _degree_range_ok(
                 ncu.bit_count(), pu.bit_count(),
                 ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
@@ -494,35 +476,25 @@ class _Engine:
 
 
 def factor_search(
-    g: Graph,
-    cfg: SearchConfig = SearchConfig(),
-    *,
-    disable_rules: frozenset = frozenset(),
+    g: Graph, cfg: SearchConfig = SearchConfig()
 ) -> tuple[list[Factorization], SearchStats]:
     """Pruned backtracking search for all (or the first) witnesses of
     A = BC on the canonical labeling of g.
 
-    With P3 on, _degree_pairs runs first, on g as given: a graph it refutes
-    is never labelled and costs one node and one P3 prune; the pairs of any
-    other graph are carried to its canonical labeling and narrow the root.
-    With P3 off the search starts from full rows, as before the filter."""
+    _degree_pairs runs first, on g as given: a graph it refutes is never
+    labelled and costs one node and one P3 prune; the pairs of any other
+    graph are carried to its canonical labeling and narrow the root."""
     if g.order > cfg.order_cap:
         raise UnsupportedSizeError(
             f"search is capped at order {cfg.order_cap}; got order {g.order}"
         )
-    unknown = set(disable_rules) - set(PRUNE_RULES)
-    if unknown:
-        raise ParameterError(f"unknown pruning rules: {sorted(unknown)}")
-    disabled = frozenset(disable_rules)
-    if "P3" in disabled:
-        return _Engine(canonical_form(g), cfg, disabled).run()
     pairs = _degree_pairs(g)
     if pairs is None:
         return [], _refuted_stats()
     cg = canonical_form(g)
     images = canonical_relabeling(g).images
     placed = sorted(range(g.order), key=images.__getitem__)
-    return _Engine(cg, cfg, disabled, [pairs[v] for v in placed]).run()
+    return _Engine(cg, cfg, [pairs[v] for v in placed]).run()
 
 
 def _refuted_stats() -> SearchStats:
@@ -664,23 +636,3 @@ def disconnected_counterexample(n: int) -> Factorization:
     if len(comps) != 2 or any(len(comp) != 2 * n for comp in comps):
         raise TheoremViolationError("counterexample product is not two equal cycles")
     return _validated(f)
-
-
-_CONSTRUCT_KINDS = ("cycle_product", "doubled_graph", "disconnected_counterexample")
-
-
-def construct(kind: str, *, n: int | None = None, graph: Graph | None = None) -> Factorization:
-    """Dispatch to a construction by name."""
-    if kind == "cycle_product":
-        if n is None:
-            raise ParameterError("cycle_product needs n")
-        return cycle_product(n)
-    if kind == "doubled_graph":
-        if graph is None:
-            raise ParameterError("doubled_graph needs an input graph")
-        return doubled_graph(graph)
-    if kind == "disconnected_counterexample":
-        if n is None:
-            raise ParameterError("disconnected_counterexample needs n")
-        return disconnected_counterexample(n)
-    raise ParameterError(f"unknown construction {kind!r}; choose from {_CONSTRUCT_KINDS}")

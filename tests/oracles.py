@@ -422,7 +422,7 @@ class _WholeRowEngine:
     order.
     """
 
-    def __init__(self, g: Graph, cfg: SearchConfig, disabled: frozenset, pairs=None):
+    def __init__(self, g: Graph, cfg: SearchConfig, pairs=None):
         self.g = g
         self.cfg = cfg
         self.n = n = g.order
@@ -443,13 +443,6 @@ class _WholeRowEngine:
             self.possc = [full ^ (1 << i) for i in range(n)]
         else:
             self.possb, self.possc = _root_rows(pairs)
-        # Columns of row i that P1 (off the diagonal) and P2 (on it) check.
-        p1 = "P1" not in disabled
-        p2 = "P2" not in disabled
-        self.check = [
-            (full ^ (1 << i) if p1 else 0) | (1 << i if p2 else 0) for i in range(n)
-        ]
-        self.p3 = "P3" not in disabled
         self.nvars = len(self.vars)
         # Per side: the committed and possible rows of the side a variable
         # sets, then those of the other side.
@@ -533,7 +526,6 @@ class _WholeRowEngine:
         """
         comm, poss, other_comm, other_poss = self.sides[side]
         arow = self.arow
-        check = self.check
         for i in (u, w):
             if val:
                 one = two = 0
@@ -541,28 +533,27 @@ class _WholeRowEngine:
                     ck = other_comm[k]
                     two |= one & ck
                     one |= ck
-                viol = (two | (one & ~arow[i])) & check[i]
+                viol = two | (one & ~arow[i])
             else:
                 reach = 0
                 for k in _BITS[poss[i]]:
                     reach |= other_poss[k]
-                viol = arow[i] & ~reach & check[i]
+                viol = arow[i] & ~reach
             if viol:
                 self.stats.prunes_by_rule["P2" if viol & -viol == 1 << i else "P1"] += 1
                 return False
-        if self.p3:
-            comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
-            deg = self.deg
-            for x in (u, w):
-                if not _degree_range_ok(
-                    comm1b[x].bit_count(),
-                    possb[x].bit_count(),
-                    comm1c[x].bit_count(),
-                    possc[x].bit_count(),
-                    deg[x],
-                ):
-                    self.stats.prunes_by_rule["P3"] += 1
-                    return False
+        comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
+        deg = self.deg
+        for x in (u, w):
+            if not _degree_range_ok(
+                comm1b[x].bit_count(),
+                possb[x].bit_count(),
+                comm1c[x].bit_count(),
+                possc[x].bit_count(),
+                deg[x],
+            ):
+                self.stats.prunes_by_rule["P3"] += 1
+                return False
         return True
 
     def _leaf(self) -> None:
@@ -618,19 +609,17 @@ def search_reference(
     g: Graph,
     cfg: SearchConfig = SearchConfig(),
     *,
-    disable_rules: frozenset = frozenset(),
     root_filter: bool = True,
 ):
     """search.factor_search on the whole-row engine: (witnesses, stats).
-    With P3 on and root_filter set, the search starts from the rows the
-    degree pairs of the canonical form leave, and a graph with no pairs
-    costs one node and one P3 prune, as in search.factor_search; without
-    root_filter it starts from full rows."""
-    disabled = frozenset(disable_rules)
+    With root_filter set, the search starts from the rows the degree pairs
+    of the canonical form leave, and a graph with no pairs costs one node
+    and one P3 prune, as in search.factor_search; without root_filter it
+    starts from full rows."""
     cg = canonical_form(g)
     pairs = None
-    if root_filter and "P3" not in disabled:
+    if root_filter:
         pairs = _degree_pairs(cg)
         if pairs is None:
             return [], _refuted_stats()
-    return _WholeRowEngine(cg, cfg, disabled, pairs).run()
+    return _WholeRowEngine(cg, cfg, pairs).run()

@@ -35,8 +35,8 @@ from graphfactor.graphs import (
 )
 from graphfactor.search import (
     SearchConfig,
-    construct,
     dedup_pairs,
+    disconnected_counterexample,
     factor_search,
 )
 from graphfactor.spectral import lambda_max
@@ -172,7 +172,7 @@ def test_criterion_05_lambda_max_multiplicative(catalog_1_to_6):
 
 def test_criterion_06_counterexample_reproduction():
     t0 = time.perf_counter()
-    f = construct("disconnected_counterexample", n=3)
+    f = disconnected_counterexample(3)
     lhs = lambda_max(f.g)
     rhs = lambda_max(f.h) * lambda_max(f.k)
     elapsed = time.perf_counter() - t0

@@ -87,12 +87,7 @@ def test_enumerate_matches_ladder_reference():
 
 def test_enumerate_order_8_keys_pinned():
     # The edge ladder's order-8 key list; the ladder itself takes about 25 s.
-    from graphfactor import census as census_mod
-
-    try:
-        keys = "\n".join(graph_bits(g) for g in enumerate_graphs(8))
-    finally:
-        census_mod._CLASS_CACHE.pop(8, None)
+    keys = "\n".join(graph_bits(g) for g in enumerate_graphs(8))
     assert hashlib.sha256(keys.encode("ascii")).hexdigest() == (
         "c9940658f3c7c698cf9a0ab68574c957fb092f57c1e967cece875644bb56424d"
     )
@@ -321,11 +316,12 @@ def test_census_determinism_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_census_parallel_matches_serial(tmp_path):
+def test_census_parallel_matches_serial(tmp_path, pool_of_two):
     serial = tmp_path / "serial.jsonl"
     parallel = tmp_path / "parallel.jsonl"
     write_catalog(run_census(5, jobs=1), serial)
     write_catalog(run_census(5, jobs=2), parallel)
+    assert pool_of_two == [2]
     assert serial.read_bytes() == parallel.read_bytes()
 
 
@@ -348,6 +344,21 @@ class SerialPool:
         return map(fn, iterable)
 
 
+def census_pool_sizes(monkeypatch, n, jobs, cores):
+    """The pool sizes run_census(n, jobs=jobs) asks for on that many cores;
+    its records must equal those of a serial run."""
+    import concurrent.futures
+
+    from graphfactor import census as census_mod
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
+    SerialPool.sizes = []
+    records = run_census(n, jobs=jobs)
+    assert [r.to_json() for r in records] == [r.to_json() for r in run_census(n)]
+    return SerialPool.sizes
+
+
 @pytest.mark.parametrize(
     "n, jobs, cores, workers",
     [
@@ -360,16 +371,26 @@ class SerialPool:
     ],
 )
 def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
-    import concurrent.futures
-
+    # With one class a worker, as the pool tests force it; the minimum of
+    # CENSUS_CLASSES_PER_WORKER is tested below.
     from graphfactor import census as census_mod
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
-    SerialPool.sizes = []
-    records = run_census(n, jobs=jobs)
-    assert SerialPool.sizes == ([] if workers is None else [workers])
-    assert [r.to_json() for r in records] == [r.to_json() for r in run_census(n)]
+    monkeypatch.setattr(census_mod, "CENSUS_CLASSES_PER_WORKER", 1)
+    sizes = census_pool_sizes(monkeypatch, n, jobs, cores)
+    assert sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "n, jobs, cores, workers",
+    [
+        (7, 2, 2, 2),  # 1,044 classes: both cores
+        (7, 5000, 64, 8),  # capped at 1,044 // 128 workers
+        (6, 5000, 64, None),  # 156 classes: one process runs them faster
+    ],
+)
+def test_run_census_gives_each_worker_128_classes(monkeypatch, n, jobs, cores, workers):
+    sizes = census_pool_sizes(monkeypatch, n, jobs, cores)
+    assert sizes == ([] if workers is None else [workers])
 
 
 @pytest.mark.parametrize(

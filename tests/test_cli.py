@@ -218,7 +218,8 @@ def test_construct_refuses_a_product_above_the_graph6_cap(capsys, monkeypatch, a
     def never(*args, **kwargs):
         raise AssertionError("built a product graph6 cannot print")
 
-    monkeypatch.setattr(cli, "construct", never)
+    for name in ("cycle_product", "disconnected_counterexample", "doubled_graph"):
+        monkeypatch.setattr(cli, name, never)
     code, _, err = run_cli(capsys, "construct", *argv)
     assert code == 2
     assert err.startswith(f"error: {flag}: product order ")
@@ -273,27 +274,6 @@ def test_verify_non_utf8_catalog_is_a_schema_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--catalog", str(out_path))
     assert code == 1
     assert "line 2" in err
-
-
-@pytest.fixture
-def pool_of_two(monkeypatch):
-    """verify --jobs 2 starts a real pool of 2 workers on any catalog of two
-    or more runs of lines; the fixture lists the pool sizes asked for."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    class CountedPool(ProcessPoolExecutor):
-        sizes: list[int] = []
-
-        def __init__(self, max_workers):
-            CountedPool.sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    import concurrent.futures
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(census_mod, "VERIFY_CHUNKS_PER_WORKER", 1)
-    monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 2)
-    return CountedPool.sizes
 
 
 def verify_at_jobs_1_and_2(capsys, path):

@@ -34,7 +34,6 @@ from graphfactor.search import (
     _degree_pairs,
     _Engine,
     _root_rows,
-    construct,
     cycle_product,
     dedup_pairs,
     disconnected_counterexample,
@@ -169,30 +168,28 @@ def test_search_order_cap():
     assert not stats.exhausted
 
 
-def test_search_rejects_unknown_rule():
-    with pytest.raises(ParameterError):
-        factor_search(cycle(6), disable_rules=frozenset({"P9"}))
-
-
 def test_search_config_validation():
     with pytest.raises(ParameterError):
         SearchConfig(mode="some")
     with pytest.raises(ParameterError):
         SearchConfig(node_limit=0)
+    # The search's bit tables stop at CANONICAL_ORDER_CAP vertices.
+    for order_cap in (-1, 0, 9, 10):
+        with pytest.raises(ParameterError):
+            SearchConfig(order_cap=order_cap)
 
 
-def test_pruning_safety_200_random_graphs():
+def test_pruning_safety_200_random_graphs(naive_witnesses):
+    # Randomly labelled graphs of order <= 5: the pruned search keeps every
+    # witness of the naive enumeration (both work on the canonical form).
+    naive = {canonical_key(g): sorted(map(witness_key, ws)) for g, ws in naive_witnesses}
     rng = random.Random(1234)
-    cases = [random_graph(rng, rng.randint(1, 5)) for _ in range(200)]
     cfg = SearchConfig(mode="all")
-    for g in cases:
-        baseline, base_stats = factor_search(g, cfg)
-        base_keys = sorted(map(witness_key, baseline))
-        assert base_stats.exhausted
-        for rule in PRUNE_RULES:
-            found, stats = factor_search(g, cfg, disable_rules=frozenset({rule}))
-            assert stats.exhausted
-            assert sorted(map(witness_key, found)) == base_keys, (rule, g.rows)
+    for _ in range(200):
+        g = random_graph(rng, rng.randint(1, 5))
+        found, stats = factor_search(g, cfg)
+        assert stats.exhausted
+        assert sorted(map(witness_key, found)) == naive[canonical_key(g)], g.rows
 
 
 def test_every_witness_is_sound():
@@ -234,53 +231,50 @@ def test_mirror_rule_keeps_witness_sets_and_first_witness():
         assert [(f.h.rows, f.k.rows) for f in first] == keys[:1], g.rows
 
 
-# Search counters summed over the order-6 classes that reach search, in all
-# mode.  Each disabled rule moves its prunes to the others, so the rows pin
-# which rule every prune is attributed to.
-ORDER_6_COUNTERS = {
-    frozenset(): (2_840, 972, 191, 213),
-    frozenset({"P1"}): (497_304, 0, 47_966, 186_143),
-    frozenset({"P2"}): (5_708, 2_354, 0, 422),
-    frozenset({"P3"}): (17_448, 7_081, 1_517, 0),
-}
-
-
-@pytest.mark.parametrize(
-    "disabled", list(ORDER_6_COUNTERS), ids=lambda d: "+".join(sorted(d)) or "none"
-)
-def test_order_6_search_counters_are_pinned(disabled):
+def summed_counters(classes):
+    """All-mode search counters summed over the classes: (nodes, P1, P2,
+    P3 prunes), witnesses, and the classes with a witness."""
     cfg = SearchConfig(mode="all")
-    nodes, witnesses = 0, 0
+    nodes, witnesses, yes = 0, 0, 0
     prunes = dict.fromkeys(PRUNE_RULES, 0)
-    for g in searched_classes([6]):
-        _, stats = factor_search(g, cfg, disable_rules=disabled)
+    for g in classes:
+        found, stats = factor_search(g, cfg)
         nodes += stats.nodes_expanded
         witnesses += stats.witnesses_found
+        yes += bool(found)
         for rule in PRUNE_RULES:
             prunes[rule] += stats.prunes_by_rule[rule]
-    assert (nodes, prunes["P1"], prunes["P2"], prunes["P3"]) == ORDER_6_COUNTERS[disabled]
+    return (nodes, prunes["P1"], prunes["P2"], prunes["P3"]), witnesses, yes
+
+
+# The pins below fix which rule every prune is attributed to, as well as
+# the size of the tree; search_trace (further down) checks the same counters
+# per graph against the whole-row reference.
+def test_order_6_search_counters_are_pinned():
+    counters, witnesses, _ = summed_counters(searched_classes([6]))
+    assert counters == (2_840, 972, 191, 213)
     assert witnesses == 58
 
 
-# All-mode counters over the 485 order-7 classes that reach search (434 of
-# them refuted at the root, one node and one P3 prune each).
-ORDER_7_COUNTERS = (19_590, 6_997, 1_307, 1_482)
-
-
 def test_order_7_search_counters_are_pinned():
-    cfg = SearchConfig(mode="all")
-    nodes, witnesses = 0, 0
-    prunes = dict.fromkeys(PRUNE_RULES, 0)
+    # 485 order-7 classes reach search, and 434 of them are refuted at the
+    # root, one node and one P3 prune each.
     classes = searched_classes([7])
     assert len(classes) == 485
-    for g in classes:
-        _, stats = factor_search(g, cfg)
-        nodes += stats.nodes_expanded
-        witnesses += stats.witnesses_found
-        for rule in PRUNE_RULES:
-            prunes[rule] += stats.prunes_by_rule[rule]
-    assert (nodes, prunes["P1"], prunes["P2"], prunes["P3"]) == ORDER_7_COUNTERS
+    counters, witnesses, _ = summed_counters(classes)
+    assert counters == (19_590, 6_997, 1_307, 1_482)
     assert witnesses == 132
+
+
+def test_order_8_search_counters_are_pinned():
+    # 6,177 of the 12,346 order-8 classes reach search, and 5,646 of those
+    # are refuted at the root.  The classes are cached per process, so this
+    # shares its enumeration with test_enumerate_order_8_keys_pinned.
+    classes = searched_classes([8])
+    assert len(classes) == 6_177
+    counters, witnesses, yes = summed_counters(classes)
+    assert counters == (430_388, 158_771, 25_852, 31_629)
+    assert (witnesses, yes) == (1_656, 80)
 
 
 # ---------------------------------------------------------------------------
@@ -299,35 +293,23 @@ def search_trace(result):
     )
 
 
-def assert_matches_reference(g, cfg, disabled=frozenset()):
-    got = search_trace(factor_search(g, cfg, disable_rules=disabled))
-    want = search_trace(search_reference(g, cfg, disable_rules=disabled))
-    assert got == want, (g.order, g.rows, cfg, sorted(disabled))
-
-
-ONE_RULE_OFF = [frozenset()] + [frozenset({rule}) for rule in PRUNE_RULES]
+def assert_matches_reference(g, cfg):
+    got = search_trace(factor_search(g, cfg))
+    want = search_trace(search_reference(g, cfg))
+    assert got == want, (g.order, g.rows, cfg)
 
 
 def test_incremental_search_matches_reference_on_orders_1_and_2():
-    # K2 is the one root that breaks a bound: its edge has no middle vertex.
     for n in (1, 2):
         for g in all_labeled_graphs(n):
             for mode in ("all", "first"):
-                for disabled in ONE_RULE_OFF:
-                    assert_matches_reference(g, SearchConfig(mode=mode), disabled)
+                assert_matches_reference(g, SearchConfig(mode=mode))
 
 
 def test_incremental_search_matches_reference_on_orders_3_to_7():
     for g in searched_classes(range(3, 8)):
         for mode in ("all", "first"):
             assert_matches_reference(g, SearchConfig(mode=mode))
-
-
-@pytest.mark.parametrize("rule", PRUNE_RULES)
-def test_incremental_search_matches_reference_with_a_rule_disabled(rule):
-    cfg = SearchConfig(mode="all")
-    for g in searched_classes([6]):
-        assert_matches_reference(g, cfg, frozenset({rule}))
 
 
 def seeded_order_8_graphs():
@@ -441,7 +423,7 @@ def test_masked_root_meets_every_bound():
         if pairs is None:
             continue
         kept += 1
-        engine = _Engine(g, SearchConfig(), frozenset(), pairs)
+        engine = _Engine(g, SearchConfig(), pairs)
         state = (g.rows, engine.comm1b, engine.possb, engine.comm1c, engine.possc)
         assert bound_violations(*state) == set(), g.rows
     assert kept == 75 + 25  # of 579 classes and 300 random graphs
@@ -555,13 +537,10 @@ def test_disconnected_counterexample_3():
 
 
 def test_construct_dispatch():
-    assert construct("cycle_product", n=3).a == IntMatrix(SIX_CYCLE_PRODUCT)
-    assert construct("doubled_graph", graph=complete(3)).g.order == 6
-    assert construct("disconnected_counterexample", n=3).g.order == 12
-    with pytest.raises(ParameterError):
-        construct("unknown", n=3)
-    with pytest.raises(ParameterError):
-        construct("cycle_product")
+    # The CLI's --kind cycle, double and counterexample call these.
+    assert cycle_product(3).a == IntMatrix(SIX_CYCLE_PRODUCT)
+    assert doubled_graph(complete(3)).g.order == 6
+    assert disconnected_counterexample(3).g.order == 12
 
 
 def test_is_factorizable_labels_the_graph_once(monkeypatch):
