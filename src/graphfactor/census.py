@@ -388,8 +388,15 @@ def _assertion_tallies() -> dict[str, AssertionTally]:
     return {aid: AssertionTally() for aid in (PRODUCT_ASSERTION, *ASSERTION_IDS)}
 
 
-def _rule_tallies() -> dict[str, AssertionTally]:
-    return {rid: AssertionTally() for rid in RULE_IDS}
+@dataclass
+class RuleTally:
+    instances_checked: int = 0
+    ruled_out: int = 0
+    violations: int = 0
+
+
+def _rule_tallies() -> dict[str, RuleTally]:
+    return {rid: RuleTally() for rid in RULE_IDS}
 
 
 def _exploratory_counts() -> dict[str, dict[str, int]]:
@@ -410,7 +417,7 @@ class TheoremReport:
 
     witnesses_checked: int = 0
     assertions: dict[str, AssertionTally] = field(default_factory=_assertion_tallies)
-    rules: dict[str, AssertionTally] = field(default_factory=_rule_tallies)
+    rules: dict[str, RuleTally] = field(default_factory=_rule_tallies)
     exploratory: dict[str, dict[str, int]] = field(default_factory=_exploratory_counts)
     checked: list[tuple[str, tuple[int, str] | None, list[str]]] = field(
         default_factory=list
@@ -441,6 +448,8 @@ class TheoremReport:
             for key, tally in theirs.items():
                 mine[key].instances_checked += tally.instances_checked
                 mine[key].violations += tally.violations
+        for rid, tally in later.rules.items():
+            self.rules[rid].ruled_out += tally.ruled_out
         for name, counts in later.exploratory.items():
             for key, value in counts.items():
                 self.exploratory[name][key] += value
@@ -463,7 +472,11 @@ class TheoremReport:
                 for aid, t in self.assertions.items()
             },
             "rules": {
-                rid: {"instances_checked": t.instances_checked, "violations": t.violations}
+                rid: {
+                    "instances_checked": t.instances_checked,
+                    "ruled_out": t.ruled_out,
+                    "violations": t.violations,
+                }
                 for rid, t in self.rules.items()
             },
             "exploratory": self.exploratory,
@@ -487,9 +500,12 @@ class TheoremReport:
                 f"  ({fired}) {refs.get(aid, '')}"
             )
         lines.append("")
-        lines.append("screening rules (id: instances / soundness violations):")
+        lines.append("screening rules (id: instances / ruled out / soundness violations):")
         for rid, tally in self.rules.items():
-            lines.append(f"  {rid:>3}: {tally.instances_checked:6d} / {tally.violations:d}")
+            lines.append(
+                f"  {rid:>3}: {tally.instances_checked:6d} / {tally.ruled_out:6d}"
+                f" / {tally.violations:d}"
+            )
         lines.append("")
         lines.append("exploratory evidence (logged, never asserted):")
         for name, stats in self.exploratory.items():
@@ -576,10 +592,10 @@ def _check_record(rec: CensusRecord, tol: float, report: TheoremReport) -> None:
     for rule in fresh.rules:
         tally = report.rules[rule.rule_id]
         tally.instances_checked += 1
-        if rule.status == "ruled_out" and (
-            rec.verdict != "no" or rec.witnesses or rec.factor_pairs
-        ):
-            tally.violations += 1
+        if rule.status == "ruled_out":
+            tally.ruled_out += 1
+            if rec.verdict != "no" or rec.witnesses or rec.factor_pairs:
+                tally.violations += 1
     if rec.verdict == "yes" and not (rec.factor_pairs and rec.witnesses):
         messages.append(f"{where}: verdict yes without stored witnesses")
     if rec.verdict != "yes" and (rec.factor_pairs or rec.witnesses):

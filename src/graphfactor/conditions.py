@@ -14,11 +14,9 @@ from .errors import ParameterError
 from .factorization import Factorization
 from .graphs import (
     CANONICAL_ORDER_CAP,
-    AcyclicClass,
     Graph,
     bipartition_of,
     canonical_key,
-    classify_acyclic,
     components,
     contains_c4,
     degree_sequence,
@@ -26,7 +24,6 @@ from .graphs import (
     induced_subgraph,
     is_bipartite,
     is_connected,
-    is_edgeless,
     is_regular,
 )
 from .spectral import DEFAULT_TOL, lambda_max, lambda_max_product_check
@@ -168,68 +165,74 @@ _RULE_REFS = {
 }
 
 
-def _rule_r1(g: Graph) -> tuple[str, str]:
-    e = g.edge_count
+RULE_IDS = tuple(_RULE_REFS)
+
+
+@lru_cache(maxsize=4096)
+def _rule_results(
+    n: int, e: int, isolated: bool, c4: bool, forest_ncomp: int
+) -> tuple[RuleResult, ...]:
+    """The four rules' results from the invariants they read; forest_ncomp
+    is the component count of a forest and 0 for a graph with a cycle."""
     if e % 2 == 1:
-        return STATUS_RULED_OUT, f"{e} edges (odd)"
-    return STATUS_PASS, f"{e} edges (even)"
-
-
-def _rule_r2(g: Graph) -> tuple[str, str]:
-    if contains_c4(g):
-        return STATUS_PASS, "contains a 4-cycle"
-    if has_isolated_vertex(g):
-        return STATUS_PASS, "has an isolated vertex"
-    if g.order % 2 == 1:
-        return STATUS_RULED_OUT, f"order {g.order} odd, no 4-cycle, no isolated vertex"
-    return STATUS_PASS, f"order {g.order} even"
-
-
-def _rule_r3(g: Graph) -> tuple[str, str]:
-    kind, _ = classify_acyclic(g)
-    if kind is AcyclicClass.TREE and g.order >= 2:
-        return STATUS_RULED_OUT, f"tree on {g.order} vertices"
-    return STATUS_PASS, "not a tree of order at least 2"
-
-
-def _rule_r4(g: Graph) -> tuple[str, str]:
-    kind, ncomp = classify_acyclic(g)
-    if kind is AcyclicClass.HAS_CYCLE:
-        return STATUS_PASS, "contains a cycle"
-    if has_isolated_vertex(g):
-        return STATUS_PASS, "has an isolated vertex"
-    if ncomp % 2 == 1:
-        return STATUS_RULED_OUT, f"forest with {ncomp} components (odd), no isolated vertex"
-    return STATUS_PASS, f"forest with {ncomp} components (even)"
-
-
-_RULES = {
-    "R1": _rule_r1,
-    "R2": _rule_r2,
-    "R3": _rule_r3,
-    "R4": _rule_r4,
-}
-
-RULE_IDS = tuple(sorted(_RULES))
-
-
-def evaluate_rule(rule_id: str, g: Graph) -> RuleResult:
-    if rule_id not in _RULES:
-        raise ParameterError(f"unknown rule {rule_id!r}")
-    status, detail = _RULES[rule_id](g)
-    return RuleResult(rule_id, status, _RULE_REFS[rule_id], detail)
+        r1 = STATUS_RULED_OUT, f"{e} edges (odd)"
+    else:
+        r1 = STATUS_PASS, f"{e} edges (even)"
+    if c4:
+        r2 = STATUS_PASS, "contains a 4-cycle"
+    elif isolated:
+        r2 = STATUS_PASS, "has an isolated vertex"
+    elif n % 2 == 1:
+        r2 = STATUS_RULED_OUT, f"order {n} odd, no 4-cycle, no isolated vertex"
+    else:
+        r2 = STATUS_PASS, f"order {n} even"
+    if forest_ncomp == 1 and n >= 2:
+        r3 = STATUS_RULED_OUT, f"tree on {n} vertices"
+    else:
+        r3 = STATUS_PASS, "not a tree of order at least 2"
+    if not forest_ncomp:
+        r4 = STATUS_PASS, "contains a cycle"
+    elif isolated:
+        r4 = STATUS_PASS, "has an isolated vertex"
+    elif forest_ncomp % 2 == 1:
+        r4 = STATUS_RULED_OUT, f"forest with {forest_ncomp} components (odd), no isolated vertex"
+    else:
+        r4 = STATUS_PASS, f"forest with {forest_ncomp} components (even)"
+    return tuple(
+        RuleResult(rid, status, _RULE_REFS[rid], detail)
+        for rid, (status, detail) in zip(RULE_IDS, (r1, r2, r3, r4))
+    )
 
 
 def screen(g: Graph) -> ConditionReport:
-    """Run every registered rule; surviving graphs stay inconclusive.
+    """Run the four rules on g; surviving graphs stay inconclusive.
 
+    The rules read four invariants, each computed once: the edge count e,
+    an isolated vertex, a 4-cycle and, only when e < n, the component
+    count (a graph with at least n edges has a cycle); g is a forest
+    exactly when e + components = n.  The rules' results come from a memo
+    keyed on those invariants.
     Edgeless graphs survive and are flagged trivial: the zero matrix
     factors as zero times zero.  The rules need no labelling, so the report
     labels g only when its graph key is read; above the canonical cap the
     key is None.
     """
-    rules = tuple(evaluate_rule(rid, g) for rid in RULE_IDS)
-    return ConditionReport(g, rules, trivial=is_edgeless(g))
+    n = g.order
+    e = g.edge_count
+    forest_ncomp = 0
+    if e < n:
+        ncomp = len(components(g))
+        if e + ncomp == n:
+            forest_ncomp = ncomp
+    rules = _rule_results(n, e, has_isolated_vertex(g), contains_c4(g), forest_ncomp)
+    return ConditionReport(g, rules, trivial=e == 0)
+
+
+def evaluate_rule(rule_id: str, g: Graph) -> RuleResult:
+    """One rule's result on g, as screen(g) reports it."""
+    if rule_id not in _RULE_REFS:
+        raise ParameterError(f"unknown rule {rule_id!r}")
+    return screen(g).rules[RULE_IDS.index(rule_id)]
 
 
 # ---------------------------------------------------------------------------

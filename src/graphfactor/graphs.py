@@ -79,7 +79,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
+        return sum(map(int.bit_count, self.rows)) >> 1
 
     @cached_property
     def _canonical(self) -> tuple[str, tuple[int, ...]]:
@@ -394,7 +394,7 @@ def is_connected(g: Graph) -> bool:
 
 
 def has_isolated_vertex(g: Graph) -> bool:
-    return any(r == 0 for r in g.rows)
+    return 0 in g.rows
 
 
 def is_edgeless(g: Graph) -> bool:
@@ -463,10 +463,12 @@ def classify_acyclic(g: Graph) -> tuple[AcyclicClass, int]:
 
 def contains_c4(g: Graph) -> bool:
     """True iff two distinct vertices share at least two common neighbors."""
-    n = g.order
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (g.rows[u] & g.rows[v]).bit_count() >= 2:
+    rows = g.rows
+    for u in range(g.order - 1):
+        ru = rows[u]
+        for rv in rows[u + 1:]:
+            common = ru & rv
+            if common & (common - 1):
                 return True
     return False
 

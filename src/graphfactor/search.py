@@ -170,6 +170,17 @@ def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool
     return False
 
 
+@cache
+def _v1_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per degree d < n, the (b, c) pairs with b * c = d that vertices of an
+    order-n graph can take: b and c below n, and every (0, c) and (b, 0)
+    for an isolated vertex."""
+    table = [tuple((0, c) for c in range(n)) + tuple((b, 0) for b in range(1, n))]
+    for d in range(1, n):
+        table.append(tuple((b, d // b) for b in range(1, n) if d % b == 0 and d // b < n))
+    return tuple(table)
+
+
 def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     """The (b, c) = (deg_H, deg_K) pairs each vertex of g can take in a
     witness (H, K), or None when some vertex has none left.
@@ -191,13 +202,8 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     n = g.order
     rows = g.rows
     full = (1 << n) - 1
-    doms = []
-    for row in rows:
-        d = row.bit_count()
-        if d:
-            doms.append([(b, d // b) for b in range(1, n) if d % b == 0 and d // b < n])
-        else:
-            doms.append([(0, c) for c in range(n)] + [(b, 0) for b in range(1, n)])
+    v1 = _v1_pairs(n)
+    doms = [list(v1[row.bit_count()]) for row in rows]
     changed = True
     while changed:
         changed = False

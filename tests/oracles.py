@@ -8,7 +8,9 @@ classes are generated, not for the labelling (which has its own
 reference below), so it keys its classes with the package's canonical_key.
 The search reference is the engine's old whole-row consistency test; it
 shares the search module's config, counters, bit table, degree test and
-root filter (which it can also run without).
+root filter (which it can also run without).  The screen reference is the
+old rule-by-rule screen on the graphs module's predicates; it shares the
+conditions module's report types, statuses and rule texts.
 """
 from __future__ import annotations
 
@@ -16,8 +18,25 @@ import math
 from fractions import Fraction
 from itertools import permutations
 
+from graphfactor.conditions import (
+    _RULE_REFS,
+    STATUS_PASS,
+    STATUS_RULED_OUT,
+    ConditionReport,
+    RuleResult,
+)
 from graphfactor.factorization import Factorization
-from graphfactor.graphs import Graph, canonical_form, canonical_key, graph_from_canonical_key
+from graphfactor.graphs import (
+    AcyclicClass,
+    Graph,
+    canonical_form,
+    canonical_key,
+    classify_acyclic,
+    contains_c4,
+    graph_from_canonical_key,
+    has_isolated_vertex,
+    is_edgeless,
+)
 from graphfactor.search import (
     SearchConfig,
     SearchStats,
@@ -118,6 +137,59 @@ def lexmin_order_reference(g: Graph) -> tuple[str, tuple[int, ...]]:
         frontier = extended
         blocks.append(format(best, f"0{k}b"))
     return "".join(blocks), frontier[0]
+
+
+def _rule_r1(g: Graph) -> tuple[str, str]:
+    e = g.edge_count
+    if e % 2 == 1:
+        return STATUS_RULED_OUT, f"{e} edges (odd)"
+    return STATUS_PASS, f"{e} edges (even)"
+
+
+def _rule_r2(g: Graph) -> tuple[str, str]:
+    if contains_c4(g):
+        return STATUS_PASS, "contains a 4-cycle"
+    if has_isolated_vertex(g):
+        return STATUS_PASS, "has an isolated vertex"
+    if g.order % 2 == 1:
+        return STATUS_RULED_OUT, f"order {g.order} odd, no 4-cycle, no isolated vertex"
+    return STATUS_PASS, f"order {g.order} even"
+
+
+def _rule_r3(g: Graph) -> tuple[str, str]:
+    kind, _ = classify_acyclic(g)
+    if kind is AcyclicClass.TREE and g.order >= 2:
+        return STATUS_RULED_OUT, f"tree on {g.order} vertices"
+    return STATUS_PASS, "not a tree of order at least 2"
+
+
+def _rule_r4(g: Graph) -> tuple[str, str]:
+    kind, ncomp = classify_acyclic(g)
+    if kind is AcyclicClass.HAS_CYCLE:
+        return STATUS_PASS, "contains a cycle"
+    if has_isolated_vertex(g):
+        return STATUS_PASS, "has an isolated vertex"
+    if ncomp % 2 == 1:
+        return STATUS_RULED_OUT, f"forest with {ncomp} components (odd), no isolated vertex"
+    return STATUS_PASS, f"forest with {ncomp} components (even)"
+
+
+_RULES = {
+    "R1": _rule_r1,
+    "R2": _rule_r2,
+    "R3": _rule_r3,
+    "R4": _rule_r4,
+}
+
+
+def screen_reference(g: Graph) -> ConditionReport:
+    """Every rule evaluated on its own, each recomputing what it reads.
+    The reference for conditions.screen."""
+    rules = []
+    for rule_id in sorted(_RULES):
+        status, detail = _RULES[rule_id](g)
+        rules.append(RuleResult(rule_id, status, _RULE_REFS[rule_id], detail))
+    return ConditionReport(g, tuple(rules), trivial=is_edgeless(g))
 
 
 def ladder_class_keys(n: int) -> list[str]:

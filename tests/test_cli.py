@@ -143,6 +143,8 @@ def test_verify_json_schema(tmp_path, capsys):
     assert set(payload["assertions"]) >= {"W0", "V1", "V13", "S1"}
     for tally in payload["assertions"].values():
         assert set(tally) == {"instances_checked", "violations"}
+    for tally in payload["rules"].values():
+        assert set(tally) == {"instances_checked", "ruled_out", "violations"}
 
 
 def test_verify_exit_1_on_corruption(tmp_path, capsys):
@@ -293,6 +295,27 @@ def test_verify_order_6_report_is_the_same_at_any_jobs(
     assert serial == parallel
     assert serial[0] == 0
     assert serial[1] == json.dumps(verify_catalog(order6_records).to_json(), indent=2) + "\n"
+
+
+def test_verify_order_7_counts_the_classes_each_rule_rules_out(tmp_path, capsys, pool_of_two):
+    path = tmp_path / "n7.jsonl"
+    write_catalog(run_census(7, jobs=1), path)
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert serial == parallel
+    assert serial[0] == 0
+    ruled_out = {"R1": 522, "R2": 73, "R3": 11, "R4": 12}
+    assert json.loads(serial[1])["rules"] == {
+        rid: {"instances_checked": 1044, "ruled_out": count, "violations": 0}
+        for rid, count in ruled_out.items()
+    }
+    text = [
+        run_cli(capsys, "verify", "--catalog", str(path), "--jobs", jobs)
+        for jobs in ("1", "2")
+    ]
+    assert text[0] == text[1]
+    assert pool_of_two == [2, 2]
+    for rid, count in ruled_out.items():
+        assert f"  {rid}:   1044 / {count:6d} / 0\n" in text[0][1]
 
 
 def test_verify_forged_catalog_report_is_the_same_at_any_jobs(

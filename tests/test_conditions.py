@@ -1,6 +1,8 @@
 import dataclasses
+import importlib.util
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ from graphfactor import graphs
 from graphfactor.census import enumerate_graphs
 from graphfactor.conditions import (
     ASSERTION_IDS,
+    RULE_IDS,
     ConditionReport,
     ViolationList,
     check_assertions,
@@ -25,12 +28,15 @@ from graphfactor.graphs import (
     complete,
     cycle,
     degree_sequence,
+    disjoint_union,
     edgeless,
+    matching,
     path,
     star,
     tree_from_pruefer,
 )
 from graphfactor.search import SearchConfig, factor_search, is_factorizable
+from oracles import screen_reference
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -151,6 +157,86 @@ def test_condition_report_key_is_lazy_but_compares_as_stored():
     assert lazy.to_json() == eager.to_json()
     with pytest.raises(dataclasses.FrozenInstanceError):
         lazy.rules = ()
+
+
+def assert_screens_like_reference(graphs):
+    for g in graphs:
+        got, want = screen(g), screen_reference(g)
+        assert (got.rules, got.trivial, got.overall) == (
+            want.rules, want.trivial, want.overall
+        ), (g.order, g.rows)
+
+
+def test_screen_matches_reference_on_every_class_to_order_7():
+    assert_screens_like_reference(g for n in range(1, 8) for g in enumerate_graphs(n))
+
+
+def decide_batch() -> list[Graph]:
+    """The benchmark's decide-8 batch at its default seed: G(8, 1/2) graphs
+    from bench/run.py's decide_inputs, one bit per vertex pair in
+    lexicographic order."""
+    bench_run = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", bench_run)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    return [
+        Graph.from_edges(8, [p for t, p in enumerate(pairs) if mask >> t & 1])
+        for mask in run.decide_inputs(run.DEFAULT_SEED)
+    ]
+
+
+def test_screen_matches_reference_on_the_decide_batch():
+    batch = decide_batch()
+    assert len(batch) == 2_000
+    assert_screens_like_reference(batch)
+    assert sum(screen(g).overall == "ruled_out" for g in batch) == 990
+
+
+def test_screen_matches_reference_above_the_canonical_cap():
+    rng = random.Random(13)
+    graphs = [
+        Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
+        for n in range(9, 13)
+        for p in (0.1, 0.2, 0.3, 0.5, 0.8)
+        for _ in range(10)
+    ]
+    assert_screens_like_reference(graphs)
+    assert all(screen(g).graph_key is None for g in graphs)
+
+
+def test_screen_matches_reference_on_sparse_graphs():
+    graphs = [
+        *(edgeless(n) for n in range(1, 13)),
+        *(path(n) for n in range(1, 13)),
+        *(star(n) for n in range(1, 13)),
+        *(matching(k) for k in range(1, 6)),
+        *(disjoint_union(path(k), edgeless(m)) for k in range(2, 7) for m in range(1, 4)),
+        *(disjoint_union(star(k), path(2), edgeless(m)) for k in range(3, 6) for m in (1, 2)),
+        *(disjoint_union(path(k), path(3)) for k in range(2, 7)),
+        disjoint_union(path(2), path(3), path(4)),
+        disjoint_union(cycle(3), path(2), edgeless(1)),
+    ]
+    assert_screens_like_reference(graphs)
+
+
+def screening_totals(n: int) -> tuple[dict[str, int], int]:
+    """Classes of order n each rule rules out, and those some rule does."""
+    ruled_out = dict.fromkeys(RULE_IDS, 0)
+    classes = 0
+    for g in enumerate_graphs(n):
+        report = screen(g)
+        classes += report.overall == "ruled_out"
+        for rule in report.rules:
+            ruled_out[rule.rule_id] += rule.status == "ruled_out"
+    return ruled_out, classes
+
+
+def test_screening_totals_are_pinned():
+    assert screening_totals(7) == ({"R1": 522, "R2": 73, "R3": 11, "R4": 12}, 558)
+    # The order-8 classes are cached per process, shared with the pinned
+    # order-8 key and search counter tests.
+    assert screening_totals(8) == ({"R1": 6_168, "R2": 0, "R3": 23, "R4": 26}, 6_168)
 
 
 # ---------------------------------------------------------------------------
