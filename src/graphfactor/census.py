@@ -47,7 +47,7 @@ from .search import DEFAULT_NODE_LIMIT, SearchConfig, dedup_pairs, is_factorizab
 # Not called here since the census decides through is_factorizable; the
 # benchmark tracer (bench/tracer.py) still wraps census.factor_search.
 from .search import factor_search  # noqa: F401
-from .spectral import DEFAULT_TOL, check_tolerance, lambda_max
+from .spectral import DEFAULT_TOL, lambda_max
 
 # Class representatives per order, as enumerate_graphs returned them.
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -113,8 +113,9 @@ class CensusRecord:
         for name, kind in required.items():
             if name not in obj:
                 raise ParameterError(f"missing field {name!r}")
+            # A JSON true or false is a Python bool, and so an int.
             if not isinstance(obj[name], kind) or (
-                kind is int and isinstance(obj[name], bool)
+                kind is not bool and isinstance(obj[name], bool)
             ):
                 raise ParameterError(f"field {name!r} has the wrong type")
         if "component_iso_evidence" not in obj:
@@ -235,14 +236,12 @@ def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses, tol: float):
+def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
     """The record of class graph g, derived from g, its screening report and
     its witnesses, plus each witness's assertion outcomes and observations.
     The census writes the record; verify rebuilds it and diffs the two."""
     n = g.order
-    checks = tuple(
-        (check_assertions(f, tol), exploratory_observations(f, tol)) for f in witnesses
-    )
+    checks = tuple((check_assertions(f), exploratory_observations(f)) for f in witnesses)
     isos = [obs.component_iso for _, obs in checks if obs.component_iso is not None]
     record = CensusRecord(
         n=n,
@@ -255,7 +254,7 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses, tol: f
         screen=report,
         verdict=verdict,
         factor_pairs=factor_pairs(n, witnesses),
-        lambda_max=lambda_max(g, tol),
+        lambda_max=lambda_max(g),
         violations=ViolationList(tuple(
             o.violation for outcomes, _ in checks for o in outcomes if o.violation is not None
         )),
@@ -266,9 +265,9 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses, tol: f
 
 
 def _build_record(args: tuple) -> CensusRecord:
-    g, cfg, tol = args
+    g, cfg = args
     decision = is_factorizable(g, cfg)
-    return _describe(g, decision.verdict, decision.report, decision.witnesses, tol)[0]
+    return _describe(g, decision.verdict, decision.report, decision.witnesses)[0]
 
 
 # Classes per census worker, the 128 items a worker verify asks for
@@ -282,7 +281,6 @@ def run_census(
     n: int,
     *,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    tol: float = DEFAULT_TOL,
     jobs: int = 1,
     keep_going: bool = False,
     progress=None,
@@ -296,9 +294,8 @@ def run_census(
     A nonempty ViolationList aborts the run (it indicates an implementation
     bug) unless keep_going is set.
     """
-    check_tolerance(tol)
     cfg = SearchConfig(mode="all", node_limit=node_limit)
-    args = [(g, cfg, tol) for g in enumerate_graphs(n)]
+    args = [(g, cfg) for g in enumerate_graphs(n)]
     return _pool_map(
         _build_record, args, jobs,
         lambda records: _collect(records, len(args), keep_going, progress),
@@ -367,6 +364,8 @@ def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise CatalogSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
+        except RecursionError:
+            raise CatalogSchemaError(f"line {lineno}: JSON nested too deeply") from None
         try:
             records.append(CensusRecord.from_json(obj))
         except (ParameterError, KeyError, TypeError) as exc:
@@ -530,27 +529,25 @@ VERIFY_CHUNK_LINES = 32
 VERIFY_CHUNKS_PER_WORKER = 4
 
 
-def verify_catalog(records, tol: float = DEFAULT_TOL) -> TheoremReport:
+def verify_catalog(records) -> TheoremReport:
     """Rebuild every record from its graph and valid witnesses as the census
     does and report each field that differs; stored verdicts are only
     checked against screening and witnesses, never trusted."""
-    check_tolerance(tol)
     report = TheoremReport()
     for rec in records:
-        _check_record(rec, tol, report)
+        _check_record(rec, report)
     return report
 
 
-def verify_lines(lines, tol: float = DEFAULT_TOL, jobs: int = 1) -> TheoremReport:
+def verify_lines(lines, jobs: int = 1) -> TheoremReport:
     """verify_catalog of the catalog whose raw lines (bytes, as read from
     the file) are given, with the same report.  Runs of VERIFY_CHUNK_LINES
     lines are parsed, as read_catalog parses them, and verified by
     min(jobs, cores, runs // VERIFY_CHUNKS_PER_WORKER) worker processes,
     and their reports are added up in catalog order.  The catalog's first
     schema error is raised."""
-    check_tolerance(tol)
     chunks = [
-        (lines[i:i + VERIFY_CHUNK_LINES], i + 1, tol)
+        (lines[i:i + VERIFY_CHUNK_LINES], i + 1)
         for i in range(0, len(lines), VERIFY_CHUNK_LINES)
     ]
     return _pool_map(
@@ -559,8 +556,8 @@ def verify_lines(lines, tol: float = DEFAULT_TOL, jobs: int = 1) -> TheoremRepor
 
 
 def _verify_chunk(args: tuple) -> TheoremReport:
-    lines, first_lineno, tol = args
-    return verify_catalog(_parse_lines(lines, first_lineno), tol)
+    lines, first_lineno = args
+    return verify_catalog(_parse_lines(lines, first_lineno))
 
 
 def _sum_reports(reports) -> TheoremReport:
@@ -570,7 +567,7 @@ def _sum_reports(reports) -> TheoremReport:
     return total
 
 
-def _check_record(rec: CensusRecord, tol: float, report: TheoremReport) -> None:
+def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
     """Verify one record: add its entry and its tallies to report."""
     where = f"record {rec.graph6!r}"
     undecodable = f"{where}: graph6 does not decode to a class"
@@ -618,12 +615,12 @@ def _check_record(rec: CensusRecord, tol: float, report: TheoremReport) -> None:
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
-    rebuilt, checks = _describe(g, rec.verdict, fresh, valid, tol)
+    rebuilt, checks = _describe(g, rec.verdict, fresh, valid)
     stored = rec.to_json()
     for name, value in rebuilt.to_json().items():
         if name == "lambda_max":
             # Scaled by the rebuilt value and negated, so NaN and inf differ.
-            differs = not abs(value - rec.lambda_max) <= tol * max(1.0, abs(value))
+            differs = not abs(value - rec.lambda_max) <= DEFAULT_TOL * max(1.0, abs(value))
         else:
             differs = value != stored[name]
         if differs:

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -31,7 +30,7 @@ from .search import (
     DEFAULT_NODE_LIMIT, SearchConfig, cycle_product, disconnected_counterexample, doubled_graph,
     is_factorizable,
 )
-from .spectral import DEFAULT_TOL, eigen_sym, lambda_max, perron, spectrum_is_symmetric
+from .spectral import eigen_sym, lambda_max, perron, spectrum_is_symmetric
 
 _USAGE_ERRORS = (ParameterError, Graph6Error, UnsupportedSizeError, PreconditionError)
 
@@ -61,17 +60,6 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     src.add_argument("--edges", help="path to an edge-list file (one 'u v' per line)")
 
 
-def _tolerance(text: str) -> float:
-    """argparse type of --tol: a positive, finite float."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (value > 0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphfactor",
@@ -91,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_spec = sub.add_parser("spectral", help="spectrum, largest eigenvalue, Perron data")
     _add_graph_input(p_spec)
-    p_spec.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_spec.add_argument("--json", action="store_true")
 
     p_con = sub.add_parser("construct", help="build an explicit witness family member")
@@ -107,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--order", type=int, required=True)
     p_census.add_argument("--out", required=True, help="catalog output path (JSON lines)")
     p_census.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_census.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_census.add_argument("--node-limit", type=int, default=DEFAULT_NODE_LIMIT)
     p_census.add_argument("--keep-going", action="store_true",
                           help="report violations instead of aborting")
@@ -122,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
              "verify runs of catalog lines, and the report is byte-identical at "
              "any count",
     )
-    p_verify.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
     p_verify.add_argument("--json", action="store_true")
 
     return parser
@@ -185,9 +170,9 @@ def _cmd_check(args) -> int:
 
 def _cmd_spectral(args) -> int:
     g = _load_graph(args)
-    spectrum = eigen_sym(adjacency(g), args.tol)
+    spectrum = eigen_sym(adjacency(g))
     connected = is_connected(g)
-    perron_data = perron(g, args.tol) if connected else None
+    perron_data = perron(g) if connected else None
     if args.json:
         payload = {
             "graph6": encode_graph6(g),
@@ -216,7 +201,12 @@ def _cmd_spectral(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    # Refuse a product that graph6 cannot print before building anything.
+    # Refuse a flag the kind never reads, and a product that graph6 cannot
+    # print, before building anything.
+    ignored = ("--n",) if args.kind == "double" else ("--graph6", "--edges")
+    for flag in ignored:
+        if getattr(args, flag[2:]) is not None:
+            raise ParameterError(f"--kind {args.kind} does not read {flag}")
     if args.kind == "double":
         if args.graph6 is None and args.edges is None:
             raise ParameterError("--kind double needs --graph6 or --edges")
@@ -289,7 +279,6 @@ def _cmd_census(args) -> int:
         records = census_mod.run_census(
             args.order,
             node_limit=args.node_limit,
-            tol=args.tol,
             jobs=max(1, args.jobs),
             keep_going=args.keep_going,
             progress=progress,
@@ -321,7 +310,7 @@ def _cmd_verify(args) -> int:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"--catalog: {exc}") from None
-    report = census_mod.verify_lines(lines, args.tol, jobs=max(1, args.jobs))
+    report = census_mod.verify_lines(lines, jobs=max(1, args.jobs))
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -283,9 +283,8 @@ class ExploratoryObservations:
 class _Context:
     """Precomputed facts shared by the assertion checks."""
 
-    def __init__(self, f: Factorization, tol: float):
+    def __init__(self, f: Factorization):
         self.f = f
-        self.tol = tol
         self.n = f.g.order
         self.deg_g = degree_sequence(f.g)
         self.deg_h = degree_sequence(f.h)
@@ -508,7 +507,7 @@ def _check_v12(ctx: _Context) -> AssertionOutcome:
 def _check_v13(ctx: _Context) -> AssertionOutcome:
     if not ctx.g_conn:
         return AssertionOutcome("V13", False, None)
-    chk = lambda_max_product_check(ctx.f.g, ctx.f.h, ctx.f.k, ctx.tol)
+    chk = lambda_max_product_check(ctx.f.g, ctx.f.h, ctx.f.k)
     if not chk.holds:
         return AssertionOutcome("V13", True, _violation(
             "V13",
@@ -524,12 +523,11 @@ def _check_s1(ctx: _Context) -> AssertionOutcome:
     # not the no-isolated-vertices clause.
     if ctx.f.trivial or not (ctx.g_conn or ctx.h_conn or ctx.k_conn):
         return AssertionOutcome("S1", False, None)
-    tol = ctx.tol
-    lg = lambda_max(ctx.f.g, tol)
-    lh = lambda_max(ctx.f.h, tol)
-    lk = lambda_max(ctx.f.k, tol)
+    lg = lambda_max(ctx.f.g)
+    lh = lambda_max(ctx.f.h)
+    lk = lambda_max(ctx.f.k)
     problems = []
-    if abs(lg - lh * lk) > tol * max(1.0, abs(lg)):
+    if abs(lg - lh * lk) > DEFAULT_TOL * max(1.0, abs(lg)):
         problems.append(f"lambda product {lg!r} vs {lh!r}*{lk!r}")
     for name, graph, lam in (("G", ctx.f.g, lg), ("H", ctx.f.h, lh), ("K", ctx.f.k, lk)):
         if has_isolated_vertex(graph):
@@ -537,8 +535,8 @@ def _check_s1(ctx: _Context) -> AssertionOutcome:
             continue
         for comp in components(graph):
             sub = induced_subgraph(graph, comp)
-            lam_comp = lambda_max(sub, tol)
-            if abs(lam_comp - lam) > tol * max(1.0, abs(lam)):
+            lam_comp = lambda_max(sub)
+            if abs(lam_comp - lam) > DEFAULT_TOL * max(1.0, abs(lam)):
                 problems.append(
                     f"{name} component {comp} radius {lam_comp!r} != {lam!r}"
                 )
@@ -569,29 +567,27 @@ _CHECKS = {
 
 
 @lru_cache(maxsize=1)
-def _context(f: Factorization, tol: float) -> _Context:
+def _context(f: Factorization) -> _Context:
     """The shared facts of one witness.  check_assertions and
     exploratory_observations run back to back on each witness, so one slot
     builds each witness's context once."""
-    return _Context(f, tol)
+    return _Context(f)
 
 
-def check_assertions(f: Factorization, tol: float = DEFAULT_TOL) -> tuple[AssertionOutcome, ...]:
+def check_assertions(f: Factorization) -> tuple[AssertionOutcome, ...]:
     """Every registered assertion, with applied/violation status."""
-    ctx = _context(f, tol)
+    ctx = _context(f)
     return tuple(_CHECKS[aid](ctx) for aid in ASSERTION_IDS)
 
 
-def validate_factorization(f: Factorization, tol: float = DEFAULT_TOL) -> ViolationList:
+def validate_factorization(f: Factorization) -> ViolationList:
     """Violations of the registered assertions on a verified witness."""
-    items = tuple(
-        o.violation for o in check_assertions(f, tol) if o.violation is not None
-    )
+    items = tuple(o.violation for o in check_assertions(f) if o.violation is not None)
     return ViolationList(items)
 
 
-def exploratory_observations(f: Factorization, tol: float = DEFAULT_TOL) -> ExploratoryObservations:
-    ctx = _context(f, tol)
+def exploratory_observations(f: Factorization) -> ExploratoryObservations:
+    ctx = _context(f)
     no_isolated = not (has_isolated_vertex(f.h) or has_isolated_vertex(f.k))
     stronger_applied = no_isolated
     stronger_holds = (not stronger_applied) or ctx.e_g >= max(ctx.e_h, ctx.e_k)

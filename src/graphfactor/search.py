@@ -576,8 +576,8 @@ def _anti_diag(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-def _validated(f: Factorization, tol: float = 1e-9) -> Factorization:
-    violations = validate_factorization(f, tol)
+def _validated(f: Factorization) -> Factorization:
+    violations = validate_factorization(f)
     if not violations.empty:
         raise TheoremViolationError(
             "constructed witness fails validation: "

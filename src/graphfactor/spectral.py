@@ -5,9 +5,12 @@ eigenvalues that regular and bipartite graphs produce).  The kernel works on
 one flat row-major list, driven by a rotation plan built once per order,
 and runs every float operation of the nested-list sweep in the same order,
 so its values and rotations are bit-identical to that sweep's.  lambda_max
-runs it once per labelled graph and tolerance.  The Perron pair comes from
-power iteration.  The module also hosts the largest-eigenvalue product
-check used to audit factorizations.
+runs it once per labelled graph.  The Perron pair comes from power
+iteration.  The module also hosts the largest-eigenvalue product check used
+to audit factorizations.
+
+Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
+the paper's spectral statements are checked to.
 """
 from __future__ import annotations
 
@@ -29,10 +32,9 @@ _MAX_POWER_ITER = 200_000
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues sorted in descending order, plus the tolerance used."""
+    """Eigenvalues sorted in descending order."""
 
     values: tuple[float, ...]
-    tolerance: float
 
 
 @dataclass(frozen=True)
@@ -130,63 +132,54 @@ def _jacobi(mat, tol: float, want_vectors: bool):
     return a[::n + 1], v
 
 
-def check_tolerance(tol: float) -> None:
-    """Raise ParameterError unless tol is positive and finite."""
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ParameterError(f"tolerance must be positive and finite, got {tol!r}")
-
-
-def eigen_sym(m: IntMatrix, tol: float = DEFAULT_TOL) -> Spectrum:
+def eigen_sym(m: IntMatrix) -> Spectrum:
     """Full spectrum of a symmetric integer matrix, sorted descending."""
-    check_tolerance(tol)
     if not m.is_symmetric():
         raise PreconditionError("eigen_sym requires a symmetric matrix")
-    values, _ = _jacobi(m.entries, tol, want_vectors=False)
-    return Spectrum(tuple(_descending(values, m.trace(), tol)), tol)
+    values, _ = _jacobi(m.entries, DEFAULT_TOL, want_vectors=False)
+    return Spectrum(tuple(_descending(values, m.trace())))
 
 
-def _descending(values: list[float], trace: int, tol: float) -> list[float]:
+def _descending(values: list[float], trace: int) -> list[float]:
     """The eigenvalues sorted in descending order, once their sum is checked
     against the matrix trace."""
     values.sort(reverse=True)
-    if abs(sum(values) - trace) > max(tol, 1e-12 * len(values) * (1 + abs(trace))):
+    if abs(sum(values) - trace) > max(DEFAULT_TOL, 1e-12 * len(values) * (1 + abs(trace))):
         raise ArithmeticError("eigenvalue sum drifted from the trace")
     return values
 
 
-def lambda_max(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Largest adjacency eigenvalue, computed once per labelled graph and
-    tolerance."""
-    return _lambda_max(g.order, g.rows, tol)
+def lambda_max(g: Graph) -> float:
+    """Largest adjacency eigenvalue, to within DEFAULT_TOL (1e-9), computed
+    once per labelled graph."""
+    return _lambda_max(g.order, g.rows)
 
 
 @lru_cache(maxsize=1 << 15)
-def _lambda_max(order: int, rows: tuple[int, ...], tol: float) -> float:
-    """The memo behind lambda_max.  It is keyed on the plain (order, rows,
-    tol), so it keeps no Graph, and no memoised labelling, alive; 2**15
-    entries hold every labelled graph of the order-8 census (12,691).  The
-    rows' 0/1 entries go straight to the kernel: a graph's matrix is
-    symmetric with zero trace."""
-    check_tolerance(tol)
+def _lambda_max(order: int, rows: tuple[int, ...]) -> float:
+    """The memo behind lambda_max.  It is keyed on the plain (order, rows),
+    so it keeps no Graph, and no memoised labelling, alive; 2**15 entries
+    hold every labelled graph of the order-8 census (12,691).  The rows' 0/1
+    entries go straight to the kernel: a graph's matrix is symmetric with
+    zero trace."""
     matrix = [[row >> j & 1 for j in range(order)] for row in rows]
-    values, _ = _jacobi(matrix, tol, want_vectors=False)
-    return _descending(values, 0, tol)[0]
+    values, _ = _jacobi(matrix, DEFAULT_TOL, want_vectors=False)
+    return _descending(values, 0)[0]
 
 
 def spectrum_is_symmetric(s: Spectrum) -> bool:
-    """True iff the spectrum is symmetric about zero (within 2*tolerance)."""
+    """True iff the spectrum is symmetric about zero (within 2*DEFAULT_TOL)."""
     n = len(s.values)
     return all(
-        abs(s.values[i] + s.values[n - 1 - i]) <= 2.0 * s.tolerance for i in range(n)
+        abs(s.values[i] + s.values[n - 1 - i]) <= 2.0 * DEFAULT_TOL for i in range(n)
     )
 
 
-def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
+def perron(g: Graph) -> PerronData:
     """Perron value/vector of a connected graph by power iteration from the
     all-ones vector.  The iteration runs on A + I so bipartite spectra
     (where -lambda_max ties lambda_max in magnitude) cannot oscillate.
     """
-    check_tolerance(tol)
     if not is_connected(g):
         raise PreconditionError("perron requires a connected graph")
     n = g.order
@@ -206,7 +199,7 @@ def perron(g: Graph, tol: float = DEFAULT_TOL) -> PerronData:
         w = [x / norm for x in w]
         dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(w, v)))
         v = w
-        if dist < tol:
+        if dist < DEFAULT_TOL:
             break
     else:
         raise ArithmeticError("power iteration did not converge")
@@ -228,7 +221,6 @@ def common_eigenbasis(
     a: IntMatrix,
     b: IntMatrix,
     c: IntMatrix,
-    tol: float = DEFAULT_TOL,
     seed: int = DEFAULT_SEED,
 ):
     """Orthonormal basis diagonalizing three pairwise-commuting symmetric
@@ -254,18 +246,18 @@ def common_eigenbasis(
             for i in range(n)
         ]
         try:
-            _, vecs = _jacobi(combo, tol * 1e-3, want_vectors=True)
+            _, vecs = _jacobi(combo, DEFAULT_TOL * 1e-3, want_vectors=True)
         except ArithmeticError:
             continue
         if vecs is None:
             continue
-        if all(_diagonalizes(vecs, m, tol) for m in (a, b, c)):
+        if all(_diagonalizes(vecs, m) for m in (a, b, c)):
             basis = tuple(tuple(vecs[i][k] for i in range(n)) for k in range(n))
             return basis
     return None
 
 
-def _diagonalizes(vecs: list[list[float]], m: IntMatrix, tol: float) -> bool:
+def _diagonalizes(vecs: list[list[float]], m: IntMatrix) -> bool:
     n = m.order
     mv = [
         [sum(m.entries[i][t] * vecs[t][k] for t in range(n)) for k in range(n)]
@@ -276,16 +268,15 @@ def _diagonalizes(vecs: list[list[float]], m: IntMatrix, tol: float) -> bool:
             if k == l:
                 continue
             entry = sum(vecs[i][k] * mv[i][l] for i in range(n))
-            if abs(entry) > tol:
+            if abs(entry) > DEFAULT_TOL:
                 return False
     return True
 
 
-def lambda_max_product_check(
-    g: Graph, h: Graph, k: Graph, tol: float = DEFAULT_TOL
-) -> ProductCheck:
-    """Compare lambda_max(G) against lambda_max(H) * lambda_max(K)."""
-    lhs = lambda_max(g, tol)
-    rhs = lambda_max(h, tol) * lambda_max(k, tol)
-    holds = abs(lhs - rhs) <= tol * max(1.0, abs(lhs))
+def lambda_max_product_check(g: Graph, h: Graph, k: Graph) -> ProductCheck:
+    """Compare lambda_max(G) against lambda_max(H) * lambda_max(K), within
+    DEFAULT_TOL relative to lambda_max(G) (absolute below 1)."""
+    lhs = lambda_max(g)
+    rhs = lambda_max(h) * lambda_max(k)
+    holds = abs(lhs - rhs) <= DEFAULT_TOL * max(1.0, abs(lhs))
     return ProductCheck(lhs, rhs, holds)

@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 from collections import Counter, defaultdict
 from math import factorial
 
@@ -173,9 +172,9 @@ def test_census_builds_one_assertion_context_per_witness(monkeypatch):
     built = []
 
     class Counted(conditions._Context):
-        def __init__(self, f, tol):
+        def __init__(self, f):
             built.append(f)
-            super().__init__(f, tol)
+            super().__init__(f)
 
     monkeypatch.setattr(conditions, "_Context", Counted)
     conditions._context.cache_clear()
@@ -568,34 +567,6 @@ def test_run_census_node_limit_leaves_searched_classes_unknown():
         assert rec.verdict == ("no" if no else "unknown") and not rec.witnesses, rec.graph6
 
 
-BAD_TOLERANCES = [0.0, -1.0, math.nan, math.inf]
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_run_census_checks_the_tolerance_before_enumerating(monkeypatch, tol):
-    from graphfactor import census as census_mod
-
-    calls = []
-    monkeypatch.setattr(census_mod, "enumerate_graphs", lambda n: calls.append(n) or [])
-    with pytest.raises(ParameterError):
-        run_census(5, tol=tol)
-    assert calls == []
-
-
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_verify_catalog_checks_the_tolerance_before_any_record(
-    order6_records, monkeypatch, tol
-):
-    from graphfactor import census as census_mod
-
-    calls = []
-    monkeypatch.setattr(census_mod, "screen", lambda g: calls.append(g))
-    for records in ([], order6_records[:3]):
-        with pytest.raises(ParameterError):
-            verify_catalog(records, tol=tol)
-    assert calls == []
-
-
 def test_run_census_aborts_with_offending_record(monkeypatch):
     from graphfactor import census as census_mod
     from graphfactor.conditions import AssertionOutcome, Violation
@@ -605,7 +576,7 @@ def test_run_census_aborts_with_offending_record(monkeypatch):
             "V1", True, Violation("V1", "forced", "forced", "injected for the abort test")
         ),
     )
-    monkeypatch.setattr(census_mod, "check_assertions", lambda f, tol: fake)
+    monkeypatch.setattr(census_mod, "check_assertions", lambda f: fake)
     with pytest.raises(TheoremViolationError) as exc:
         run_census(3)
     # the offending record is printed in full, including its graph6 form
