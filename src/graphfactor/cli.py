@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--keep-going", action="store_true",
                           help="report violations instead of aborting")
     p_census.add_argument("--allow-order-8", action="store_true",
-                          help="permit order 8 (12346 classes; about 8 s with --jobs 2)")
+                          help="permit order 8 (12346 classes; about 6 s with --jobs 2)")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored catalog from scratch")
     p_verify.add_argument("--catalog", required=True)
@@ -262,7 +262,7 @@ def _cmd_construct(args) -> int:
 def _cmd_census(args) -> int:
     if args.order == 8 and not args.allow_order_8:
         raise ParameterError(
-            "--order 8 enumerates 12346 classes and takes about 8 s with --jobs 2 "
+            "--order 8 enumerates 12346 classes and takes about 6 s with --jobs 2 "
             "on two cores; pass --allow-order-8 to confirm"
         )
     out_dir = os.path.dirname(os.path.abspath(args.out))

@@ -9,8 +9,9 @@ Two routes:
   (deg_H, deg_K) pairs, propagated to a fixpoint, refute most graphs before
   they are labelled; the rest get backtracking over the unknown
   upper-triangle entries of B and C, from the rows the pairs leave, with
-  forward checking (entry bounds, zero diagonal, degree products) on only
-  the entries each value can move.
+  forward checking on only the entries each value can move (entry bounds,
+  zero diagonal) and on the root pairs of its two ends (degrees, and the
+  degree the two ends of a 1 share by V2).
   A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
   visits witnesses whose first edge in variable order lies in C, and all-mode
   results add every mirror back, in the order the unbroken search found them.
@@ -157,20 +158,6 @@ _BITS = tuple(
 
 
 @cache
-def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
-    """Some B-degree in [bmin, bmax] times some C-degree in [cmin, cmax]
-    equals the A-degree d (the row sums of BC are the products).  The test
-    is symmetric in B and C.  Every argument is at most
-    CANONICAL_ORDER_CAP, so the cache stays small."""
-    if d == 0:
-        return bmin == 0 or cmin == 0
-    for p in range(max(bmin, 1), bmax + 1):
-        if d % p == 0 and cmin <= d // p <= cmax:
-            return True
-    return False
-
-
-@cache
 def _v1_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per degree d < n, the (b, c) pairs with b * c = d that vertices of an
     order-n graph can take: b and c below n, and every (0, c) and (b, 0)
@@ -179,6 +166,50 @@ def _v1_pairs(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     for d in range(1, n):
         table.append(tuple((b, d // b) for b in range(1, n) if d % b == 0 and d // b < n))
     return tuple(table)
+
+
+@cache
+def _count_domains(degs: tuple[int, ...]) -> tuple[tuple[tuple[int, int], ...], ...] | None:
+    """At index d, the pairs the count drops of _degree_pairs leave the
+    vertices of degree d in the sorted degree sequence degs (empty for a
+    degree not in degs), or None when some vertex has none left.
+
+    The drops read only how many vertices can take each H- and K-degree, so
+    vertices of equal degree keep equal pairs and the result depends on the
+    degree multiset alone; the cache holds one entry per degree sequence."""
+    n = len(degs)
+    v1 = _v1_pairs(n)
+    # The vertices of each degree, by position in degs.
+    of_degree: dict[int, int] = {}
+    for i, d in enumerate(degs):
+        of_degree[d] = of_degree.get(d, 0) | 1 << i
+    doms = {d: v1[d] for d in of_degree}
+    changed = True
+    while changed:
+        changed = False
+        # Vertex masks of who can take H-degree b and K-degree c.
+        withb = [0] * n
+        withc = [0] * n
+        for d, dom in doms.items():
+            vs = of_degree[d]
+            for b, c in dom:
+                withb[b] |= vs
+                withc[c] |= vs
+        for d, dom in doms.items():
+            # Each mask holds the vertex itself, hence the strict tests.
+            kept = tuple(
+                (b, c)
+                for b, c in dom
+                if withc[c].bit_count() > b
+                and withb[b].bit_count() > c
+                and (withb[b] | withc[c]).bit_count() > b + c
+            )
+            if len(kept) < len(dom):
+                if not kept:
+                    return None
+                doms[d] = kept
+                changed = True
+    return tuple(doms.get(d, ()) for d in range(n))
 
 
 def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
@@ -198,12 +229,18 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     H-degree b' that some vertex other than i and j takes as (b', c).
     The drops repeat until none applies (arc consistency, Mackworth 1977);
     each keeps every witness's pairs, so None proves there is no witness.
+    The count drops alone come first, once per degree sequence
+    (_count_domains); the one greatest fixpoint makes the result the same
+    as running every drop from the V1 pairs.
     """
     n = g.order
     rows = g.rows
     full = (1 << n) - 1
-    v1 = _v1_pairs(n)
-    doms = [list(v1[row.bit_count()]) for row in rows]
+    degs = [row.bit_count() for row in rows]
+    start = _count_domains(tuple(sorted(degs)))
+    if start is None:
+        return None
+    doms = [list(start[d]) for d in degs]
     changed = True
     while changed:
         changed = False
@@ -275,6 +312,50 @@ def _root_rows(pairs: list[list[tuple[int, int]]]) -> tuple[list[int], list[int]
     return possb, possc
 
 
+# P3 reads each vertex's degree pairs as (own, other): own is the degree
+# on the side a variable sets, other the degree on the other side.  Degrees
+# stay below CANONICAL_ORDER_CAP = _STRIDE, and a set of degrees is a row of
+# _STRIDE bits; _SPAN[lo][hi] is the row of degrees lo..hi.
+_STRIDE = CANONICAL_ORDER_CAP
+_SPAN = tuple(
+    tuple(sum(1 << k for k in range(lo, hi + 1)) for hi in range(_STRIDE))
+    for lo in range(_STRIDE)
+)
+
+
+@cache
+def _others_by_own_range(pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    """For one vertex's (own, other) pairs: at index lo * _STRIDE + hi, the
+    row of other degrees of the pairs whose own degree lies in [lo, hi].
+    The cache holds one table per distinct set of pairs."""
+    table = [0] * (_STRIDE * _STRIDE)
+    for own, other in pairs:
+        for lo in range(own + 1):
+            for hi in range(own, _STRIDE):
+                table[lo * _STRIDE + hi] |= 1 << other
+    return tuple(table)
+
+
+def _pair_tables(
+    pairs: list[list[tuple[int, int]]],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Each vertex's _others_by_own_range table with B's degree as its own
+    (for the variables of B) and with C's degree as its own (for C)."""
+    return (
+        [_others_by_own_range(tuple(dom)) for dom in pairs],
+        [_others_by_own_range(tuple((c, b) for b, c in dom)) for dom in pairs],
+    )
+
+
+def _pairs_in_ranges(table: tuple[int, ...], lo: int, hi: int, olo: int, ohi: int) -> int:
+    """P3 at one vertex: the other degrees of its pairs with own degree in
+    [lo, hi] and other degree in [olo, ohi], the committed and possible
+    degrees on each side.  P3 holds when some are left; when the variable
+    (u, w) is set to 1, V2 also needs the rows of u and w to meet, since
+    u and w then share their degree on the other side (README)."""
+    return table[lo * _STRIDE + hi] & _SPAN[olo][ohi]
+
+
 class _Engine:
     """Backtracker over the upper triangles of B and C, interleaved in
     vertex-major order with high-degree vertices of A first.
@@ -294,11 +375,16 @@ class _Engine:
     A column of C is a row of B with the sides swapped, since CB = A
     counts the same entries.
 
-    Root: the possible rows start as _root_rows leaves the pairs (the
-    _degree_pairs of g).  The pairs are a fixpoint, so the root meets every
-    bound: each edge ij of A keeps a middle vertex in possb[i] & possc[j]
-    (P1), and each vertex keeps a pair (b, c) with b and c at most its
-    possible degrees (P3).
+    P3 reads each vertex's root pairs (the _degree_pairs of g): one pair
+    (b, c) must have b between the vertex's committed and possible degrees
+    in B, and c the same in C.  By V2 the two ends of a 1 in B must keep
+    pairs with one K-degree c, and those of a 1 in C pairs with one
+    H-degree b.  Each vertex's pairs are a _pair_tables table per side.
+
+    Root: the possible rows start as _root_rows leaves the pairs.  The
+    pairs are a fixpoint, so the root meets every bound: each edge ij of A
+    keeps a middle vertex in possb[i] & possc[j] (P1), and each vertex
+    keeps a pair (b, c) with b and c at most its possible degrees (P3).
     """
 
     def __init__(self, g: Graph, cfg: SearchConfig, pairs: list[list[tuple[int, int]]]):
@@ -306,7 +392,7 @@ class _Engine:
         self.cfg = cfg
         self.n = n = g.order
         self.arow = g.rows
-        self.deg = degs = [row.bit_count() for row in g.rows]
+        degs = [row.bit_count() for row in g.rows]
         order = sorted(range(n), key=lambda v: (-degs[v], v))
         self.vars: list[tuple[int, int, int]] = []
         for i in range(n):
@@ -317,12 +403,14 @@ class _Engine:
         self.comm1b = [0] * n
         self.comm1c = [0] * n
         self.possb, self.possc = _root_rows(pairs)
+        tableb, tablec = _pair_tables(pairs)
         self.nvars = len(self.vars)
         # Per side: the committed and possible rows of the side a variable
-        # sets, then those of the other side.
+        # sets, those of the other side, and the pair tables with the side's
+        # degree as their own.
         self.sides = (
-            (self.comm1b, self.possb, self.comm1c, self.possc),
-            (self.comm1c, self.possc, self.comm1b, self.possb),
+            (self.comm1b, self.possb, self.comm1c, self.possc, tableb),
+            (self.comm1c, self.possc, self.comm1b, self.possb, tablec),
         )
         self.stats = SearchStats()
         self.witnesses: list[Factorization] = []
@@ -372,17 +460,24 @@ class _Engine:
           only.  Such a column of A is violated (P1) if the new poss[u] no
           longer meets oposs[j].
         Row w is the same with u and w swapped, and is tested after row u.
-        P3 then tests the degrees of u and w.
+        P3 then tests the root pairs of u and w against their degree
+        ranges; only this side's ranges move.  After a 1 it also asks that
+        the pairs left to u and w share a degree on the other side (V2).
         """
         if t == self.nvars:
             self._leaf()
             return
         side, u, w = self.vars[t]
-        comm, poss, ocomm, oposs = self.sides[side]
+        comm, poss, ocomm, oposs, tables = self.sides[side]
         cu, cw, pu, pw = comm[u], comm[w], poss[u], poss[w]
         au, aw = self.arow[u], self.arow[w]
         bit_u, bit_w = 1 << u, 1 << w
-        deg_u, deg_w = self.deg[u], self.deg[w]
+        # P3 as _pairs_in_ranges, inline: each value moves only the own
+        # degree ranges; the other side's ranges stay as they are here.
+        tab_u, tab_w = tables[u], tables[w]
+        lo_u, lo_w = cu.bit_count() * _STRIDE, cw.bit_count() * _STRIDE
+        ospan_u = _SPAN[ocomm[u].bit_count()][oposs[u].bit_count()]
+        ospan_w = _SPAN[ocomm[w].bit_count()][oposs[w].bit_count()]
         stats = self.stats
         prunes = stats.prunes_by_rule
         limit = self.cfg.node_limit
@@ -406,14 +501,8 @@ class _Engine:
         if not ok:
             prunes["P1"] += 1
         elif not (
-            _degree_range_ok(
-                cu.bit_count(), npu.bit_count(),
-                ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
-            )
-            and _degree_range_ok(
-                cw.bit_count(), npw.bit_count(),
-                ocomm[w].bit_count(), oposs[w].bit_count(), deg_w,
-            )
+            tab_u[lo_u + npu.bit_count()] & ospan_u
+            and tab_w[lo_w + npw.bit_count()] & ospan_w
         ):
             prunes["P3"] += 1
         else:
@@ -451,14 +540,10 @@ class _Engine:
         if rule:
             prunes[rule] += 1
         elif not (
-            _degree_range_ok(
-                ncu.bit_count(), pu.bit_count(),
-                ocomm[u].bit_count(), oposs[u].bit_count(), deg_u,
-            )
-            and _degree_range_ok(
-                ncw.bit_count(), pw.bit_count(),
-                ocomm[w].bit_count(), oposs[w].bit_count(), deg_w,
-            )
+            # P3 at u and at w, and V2: one AND, since the rows of u and w
+            # meet only if neither is empty.
+            tab_u[lo_u + _STRIDE + pu.bit_count()] & ospan_u
+            & tab_w[lo_w + _STRIDE + pw.bit_count()] & ospan_w
         ):
             prunes["P3"] += 1
         else:
@@ -489,7 +574,8 @@ def factor_search(
 
     _degree_pairs runs first, on g as given: a graph it refutes is never
     labelled and costs one node and one P3 prune; the pairs of any other
-    graph are carried to its canonical labeling and narrow the root."""
+    graph are carried to its canonical labeling, narrow the root and are
+    P3's domains at every node."""
     if g.order > cfg.order_cap:
         raise UnsupportedSizeError(
             f"search is capped at order {cfg.order_cap}; got order {g.order}"

@@ -7,8 +7,9 @@ The one exception is the edge ladder, a reference for the order in which
 classes are generated, not for the labelling (which has its own
 reference below), so it keys its classes with the package's canonical_key.
 The search reference is the engine's old whole-row consistency test; it
-shares the search module's config, counters, bit table, degree test and
-root filter (which it can also run without).  The screen reference is the
+shares the search module's config, counters, bit table and pair predicate
+(P3).  It starts from the per-graph root filter below, or, without the
+filter, from full rows under the plain degree-product test.  The screen reference is the
 old rule-by-rule screen on the graphs module's predicates; it shares the
 conditions module's report types, statuses and rule texts.
 """
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 
 from graphfactor.conditions import (
@@ -41,12 +43,13 @@ from graphfactor.search import (
     SearchConfig,
     SearchStats,
     _BITS,
-    _degree_pairs,
-    _degree_range_ok,
     _FoundEnough,
     _LimitReached,
+    _pair_tables,
+    _pairs_in_ranges,
     _refuted_stats,
     _root_rows,
+    _v1_pairs,
 )
 
 
@@ -476,6 +479,97 @@ def exact_eigenvalues(entries) -> list[float]:
     return sorted(out, reverse=True)
 
 
+# The plain degree-product test: some degree pair in the two ranges
+# multiplies out to d.  The unfiltered search reference runs P3 on it;
+# given the V1 pairs of d, search._pairs_in_ranges decides the same.
+@cache
+def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
+    """Some B-degree in [bmin, bmax] times some C-degree in [cmin, cmax]
+    equals the A-degree d (the row sums of BC are the products).  The test
+    is symmetric in B and C.  Every argument is at most
+    CANONICAL_ORDER_CAP, so the cache stays small."""
+    if d == 0:
+        return bmin == 0 or cmin == 0
+    for p in range(max(bmin, 1), bmax + 1):
+        if d % p == 0 and cmin <= d // p <= cmax:
+            return True
+    return False
+
+
+# The root filter run per graph, every drop from the V1 pairs, with no
+# count drops cached per degree sequence.  The reference for
+# search._degree_pairs, which must give the same lists in the same order.
+def degree_pairs_reference(g: Graph) -> list[list[tuple[int, int]]] | None:
+    """The (b, c) = (deg_H, deg_K) pairs each vertex of g can take in a
+    witness (H, K), or None when some vertex has none left.
+
+    A = BC = CB with 0/1 entries and zero diagonals gives (README):
+    * V1: b_i * c_i = d_i;
+    * V2: t ~_H i implies c_t = c_i, and t ~_K i implies b_t = b_i;
+    * every edge ij of g has a middle vertex t, not i or j, with
+      i ~_H t ~_K j, so (b_t, c_t) = (b_j, c_i);
+    * N_H(i) and N_K(i) are disjoint, and by V2 lie among the other
+      vertices that can take K-degree c_i and H-degree b_i respectively.
+    Starting from the V1 pairs, a pair (b, c) of vertex i is dropped when
+    fewer than b other vertices can take K-degree c, fewer than c can take
+    H-degree b, or fewer than b + c either; or when a neighbour j has no
+    H-degree b' that some vertex other than i and j takes as (b', c).
+    The drops repeat until none applies (arc consistency, Mackworth 1977);
+    each keeps every witness's pairs, so None proves there is no witness.
+    """
+    n = g.order
+    rows = g.rows
+    full = (1 << n) - 1
+    v1 = _v1_pairs(n)
+    doms = [list(v1[row.bit_count()]) for row in rows]
+    changed = True
+    while changed:
+        changed = False
+        # Vertex masks of who can take H-degree b, K-degree c, and the pair
+        # (b, c) at index b * n + c; bvals[i] has bit b set when vertex i
+        # can take H-degree b.
+        withb = [0] * n
+        withc = [0] * n
+        withpair = [0] * (n * n)
+        bvals = [0] * n
+        for i, dom in enumerate(doms):
+            bit = 1 << i
+            for b, c in dom:
+                withb[b] |= bit
+                withc[c] |= bit
+                withpair[b * n + c] |= bit
+                bvals[i] |= 1 << b
+        # middle[bvals[j] * n + c]: who can take (b', c) for a b' of j.
+        middle: dict[int, int] = {}
+        for i, dom in enumerate(doms):
+            others = full ^ (1 << i)
+            kept = []
+            for pair in dom:
+                b, c = pair
+                hs = withc[c] & others
+                ks = withb[b] & others
+                if hs.bit_count() < b or ks.bit_count() < c or (hs | ks).bit_count() < b + c:
+                    continue
+                for j in _BITS[rows[i]]:
+                    key = bvals[j] * n + c
+                    mid = middle.get(key)
+                    if mid is None:
+                        mid = 0
+                        for bj in _BITS[bvals[j]]:
+                            mid |= withpair[bj * n + c]
+                        middle[key] = mid
+                    if not mid & others & ~(1 << j):
+                        break
+                else:
+                    kept.append(pair)
+            if len(kept) < len(dom):
+                if not kept:
+                    return None
+                doms[i] = kept
+                changed = True
+    return doms
+
+
 # The search engine as it was before its consistency test went incremental:
 # every node re-ORs the whole of each changed row.  The reference for
 # search._Engine, which must give the same witnesses in the same order and
@@ -510,11 +604,13 @@ class _WholeRowEngine:
         full = (1 << n) - 1
         self.comm1b = [0] * n
         self.comm1c = [0] * n
+        self.tables = None
         if pairs is None:
             self.possb = [full ^ (1 << i) for i in range(n)]
             self.possc = [full ^ (1 << i) for i in range(n)]
         else:
             self.possb, self.possc = _root_rows(pairs)
+            self.tables = _pair_tables(pairs)
         self.nvars = len(self.vars)
         # Per side: the committed and possible rows of the side a variable
         # sets, then those of the other side.
@@ -580,7 +676,9 @@ class _WholeRowEngine:
 
     def _consistent(self, side: int, u: int, w: int, val: int) -> bool:
         """P1/P2 on the changed rows u and w of B (side 0) or columns of C
-        (side 1), a whole row at a time, then P3 on the degrees of u and w.
+        (side 1), a whole row at a time, then P3 on the degrees of u and w:
+        the pair predicate (with V2 after a 1) from the root pairs, or the
+        plain degree-product test without them.
 
         For row i of B, entry j of BC counts |b_i & c_j|.  C is symmetric,
         so j is in comm1c[k] exactly when k is in c_j: OR-ing comm1c[k] over
@@ -614,6 +712,24 @@ class _WholeRowEngine:
             if viol:
                 self.stats.prunes_by_rule["P2" if viol & -viol == 1 << i else "P1"] += 1
                 return False
+        if self.tables is not None:
+            tables = self.tables[side]
+            fu, fw = [
+                _pairs_in_ranges(
+                    tables[x],
+                    comm[x].bit_count(),
+                    poss[x].bit_count(),
+                    other_comm[x].bit_count(),
+                    other_poss[x].bit_count(),
+                )
+                for x in (u, w)
+            ]
+            # P3 at u and at w, then V2 after a 1: u and w share a degree
+            # on the other side.
+            if not fu or not fw or val and not fu & fw:
+                self.stats.prunes_by_rule["P3"] += 1
+                return False
+            return True
         comm1b, possb, comm1c, possc = self.comm1b, self.possb, self.comm1c, self.possc
         deg = self.deg
         for x in (u, w):
@@ -685,13 +801,13 @@ def search_reference(
 ):
     """search.factor_search on the whole-row engine: (witnesses, stats).
     With root_filter set, the search starts from the rows the degree pairs
-    of the canonical form leave, and a graph with no pairs costs one node
-    and one P3 prune, as in search.factor_search; without root_filter it
-    starts from full rows."""
+    of the canonical form (by degree_pairs_reference) leave, and a graph
+    with no pairs costs one node and one P3 prune, as in
+    search.factor_search; without root_filter it starts from full rows."""
     cg = canonical_form(g)
     pairs = None
     if root_filter:
-        pairs = _degree_pairs(cg)
+        pairs = degree_pairs_reference(cg)
         if pairs is None:
             return [], _refuted_stats()
     return _WholeRowEngine(cg, cfg, pairs).run()

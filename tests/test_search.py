@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -33,7 +34,10 @@ from graphfactor.search import (
     SearchConfig,
     _degree_pairs,
     _Engine,
+    _pair_tables,
+    _pairs_in_ranges,
     _root_rows,
+    _v1_pairs,
     cycle_product,
     dedup_pairs,
     disconnected_counterexample,
@@ -44,7 +48,13 @@ from graphfactor.search import (
     is_factorizable,
 )
 from graphfactor.spectral import lambda_max
-from oracles import all_labeled_graphs, bound_violations, search_reference
+from oracles import (
+    _degree_range_ok,
+    all_labeled_graphs,
+    bound_violations,
+    degree_pairs_reference,
+    search_reference,
+)
 from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
 
 
@@ -252,7 +262,7 @@ def summed_counters(classes):
 # per graph against the whole-row reference.
 def test_order_6_search_counters_are_pinned():
     counters, witnesses, _ = summed_counters(searched_classes([6]))
-    assert counters == (2_840, 972, 191, 213)
+    assert counters == (2_716, 924, 168, 223)
     assert witnesses == 58
 
 
@@ -262,7 +272,7 @@ def test_order_7_search_counters_are_pinned():
     classes = searched_classes([7])
     assert len(classes) == 485
     counters, witnesses, _ = summed_counters(classes)
-    assert counters == (19_590, 6_997, 1_307, 1_482)
+    assert counters == (15_322, 5_257, 912, 1_497)
     assert witnesses == 132
 
 
@@ -273,8 +283,23 @@ def test_order_8_search_counters_are_pinned():
     classes = searched_classes([8])
     assert len(classes) == 6_177
     counters, witnesses, yes = summed_counters(classes)
-    assert counters == (430_388, 158_771, 25_852, 31_629)
+    assert counters == (279_799, 101_581, 12_807, 26_761)
     assert (witnesses, yes) == (1_656, 80)
+
+
+def test_first_witness_of_the_decision_is_pinned():
+    # The witness `graphfactor factor` prints is the first one the search
+    # finds, so a pruning change must leave it where it was, not only keep
+    # the witness sets and verdicts.  The seeded graphs are defined below.
+    graphs = [g for n in range(1, 8) for g in enumerate_graphs(n)] + seeded_order_8_graphs()
+    digest = hashlib.sha256()
+    for g in graphs:
+        decision = is_factorizable(g, SearchConfig(mode="first"))
+        f = decision.witness
+        digest.update(f"{decision.verdict} {(f.h.rows, f.k.rows) if f else ()}\n".encode())
+    assert digest.hexdigest() == (
+        "e2b5f95fcc4e2cce985f72e71aad4a7c5ec25d3330a06bd926a7a56dc104ffbf"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +401,31 @@ def assert_filter_keeps_witnesses(g, witnesses):
             assert not f.h.rows[i] & ~possb[i] and not f.k.rows[i] & ~possc[i], (g.rows, i)
 
 
+def test_degree_pairs_match_the_reference():
+    # The count drops run once per degree sequence; the pairs must be those
+    # of the per-graph filter, the same lists in the same order.
+    graphs = [g for n in range(1, 7) for g in all_labeled_graphs(n)]
+    graphs += [g for n in (7, 8) for g in enumerate_graphs(n)]
+    graphs += seeded_order_8_graphs()
+    for g in graphs:
+        assert _degree_pairs(g) == degree_pairs_reference(g), g.rows
+
+
+def test_pair_predicate_is_the_degree_product_test_on_v1_pairs():
+    # Given only the V1 pairs of d, P3 on the pairs decides as the plain
+    # degree-product test, on either side's tables.
+    for n in range(1, 9):
+        for d, dom in enumerate(_v1_pairs(n)):
+            tableb, tablec = _pair_tables([list(dom)])
+            for lo in range(n):
+                for hi in range(lo, n):
+                    for olo in range(n):
+                        for ohi in range(olo, n):
+                            want = _degree_range_ok(lo, hi, olo, ohi, d)
+                            assert bool(_pairs_in_ranges(tableb[0], lo, hi, olo, ohi)) == want
+                            assert bool(_pairs_in_ranges(tablec[0], olo, ohi, lo, hi)) == want
+
+
 def test_root_rows_pair_vertices_by_the_other_sides_degree():
     # By V2, H-neighbours share a K-degree and K-neighbours an H-degree.
     possb, possc = _root_rows([[(1, 2)], [(2, 2), (4, 1)], [(1, 1)], [(4, 1)]])
@@ -426,6 +476,11 @@ def test_masked_root_meets_every_bound():
         engine = _Engine(g, SearchConfig(), pairs)
         state = (g.rows, engine.comm1b, engine.possb, engine.comm1c, engine.possc)
         assert bound_violations(*state) == set(), g.rows
+        # Each vertex keeps a root pair within its root degree ranges.
+        tableb, _ = _pair_tables(pairs)
+        for x in range(g.order):
+            top_b, top_c = engine.possb[x].bit_count(), engine.possc[x].bit_count()
+            assert _pairs_in_ranges(tableb[x], 0, top_b, 0, top_c), (g.rows, x)
     assert kept == 75 + 25  # of 579 classes and 300 random graphs
 
 
