@@ -79,6 +79,7 @@ from .graphs import (
     encode_edge_list,
     encode_graph6,
     generate,
+    graph6_from_key,
     graph_from_key,
     induced_subgraph,
     is_bipartite,

@@ -6,6 +6,7 @@ runs produce byte-identical catalogs.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -36,9 +37,8 @@ from .graphs import (
     _pair_order,
     canonical_key,
     decode_graph6,
-    encode_graph6,
+    graph6_from_key,
     graph_from_canonical_key,
-    graph_from_key,
     is_bipartite,
     is_connected,
     is_regular,
@@ -231,7 +231,7 @@ def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
     """Unordered factor pairs of a witness list as graph6 of the canonical
     representatives, sorted by canonical key."""
     return tuple(
-        (encode_graph6(graph_from_key(n, hk)), encode_graph6(graph_from_key(n, kk)))
+        (graph6_from_key(n, hk), graph6_from_key(n, kk))
         for hk, kk in sorted(dedup_pairs(witnesses))
     )
 
@@ -245,7 +245,7 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
     isos = [obs.component_iso for _, obs in checks if obs.component_iso is not None]
     record = CensusRecord(
         n=n,
-        graph6=encode_graph6(graph_from_key(n, report.graph_key)),
+        graph6=graph6_from_key(n, report.graph_key),
         canonical_key=report.graph_key,
         edge_count=g.edge_count,
         connected=is_connected(g),
@@ -337,11 +337,39 @@ def _collect(iterator, total: int, keep_going: bool, progress) -> list[CensusRec
     return records
 
 
+_CATALOG_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def write_catalog(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_json(), separators=(",", ":")))
-            fh.write("\n")
+    """Write one compact JSON line per record to path.
+
+    The lines go to a temporary file beside the target, which replaces it
+    only after the last line, so an error or an interrupt mid-write leaves
+    the previous catalog whole; the temporary file is removed on any error.
+    A path that exists but is not a regular file (a pipe, a terminal or
+    /dev/null) cannot be replaced and is written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_lines(fh, records)
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            _write_lines(fh, records)
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
+
+
+def _write_lines(fh, records) -> None:
+    encode = _CATALOG_ENCODER.encode
+    for rec in records:
+        fh.write(encode(rec.to_json()))
+        fh.write("\n")
 
 
 def read_catalog(path) -> list[CensusRecord]:

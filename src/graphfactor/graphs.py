@@ -34,12 +34,25 @@ class Graph:
             raise ParameterError("graph order must be at least 1")
         if len(self.rows) != n:
             raise ParameterError(f"expected {n} adjacency rows, got {len(self.rows)}")
+        rows = self.rows
         full = (1 << n) - 1
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(rows):
             if row & ~full:
                 raise ParameterError(f"row {i} has bits outside 0..{n - 1}")
             if row >> i & 1:
                 raise ParameterError(f"loop at vertex {i}")
+        # Symmetric iff every set bit j of row i has bit i set in row j.
+        for i, row in enumerate(rows):
+            bit = 1 << i
+            while row:
+                low = row & -row
+                if not rows[low.bit_length() - 1] & bit:
+                    self._raise_asymmetric()
+                row ^= low
+
+    def _raise_asymmetric(self) -> None:
+        """Name the first asymmetric pair (i, j), i < j, in row-major order."""
+        n = self.order
         for i in range(n):
             for j in range(i + 1, n):
                 if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
@@ -177,39 +190,29 @@ def decode_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"byte {len(s)}: order {n} needs {nbytes} edge bytes, got {len(s) - 1}"
         )
-    bits: list[int] = []
-    for off in range(1, len(s)):
-        v = ord(s[off]) - 63
-        bits.extend((v >> shift) & 1 for shift in range(5, -1, -1))
-    for extra in range(nbits, len(bits)):
-        if bits[extra]:
-            raise Graph6Error(f"byte {1 + extra // 6}: nonzero padding bit")
-    rows = [0] * n
-    for (i, j), bit in zip(_pair_order(n), bits):
-        if bit:
-            rows[i] |= 1 << j
-            rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    bits = "".join(format(ord(ch) - 63, "06b") for ch in s[1:])
+    extra = bits.find("1", nbits)
+    if extra >= 0:
+        raise Graph6Error(f"byte {1 + extra // 6}: nonzero padding bit")
+    return graph_from_key(n, bits[:nbits])
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode the labeled graph in graph6 (no header)."""
-    n = g.order
+    return graph6_from_key(g.order, graph_bits(g))
+
+
+def graph6_from_key(n: int, key: str) -> str:
+    """graph6 (no header) of graph_from_key(n, key).  graph6 is the order
+    byte followed by the column-major upper-triangle bit-string, which is
+    what a key is, packed six bits a byte, so no graph is built."""
     if n > GRAPH6_ORDER_CAP:
         raise UnsupportedSizeError(f"graph6 single-byte form is capped at order {GRAPH6_ORDER_CAP}")
-    out = [chr(63 + n)]
-    acc = 0
-    filled = 0
-    for i, j in _pair_order(n):
-        acc = acc << 1 | (g.rows[i] >> j & 1)
-        filled += 1
-        if filled == 6:
-            out.append(chr(63 + acc))
-            acc = 0
-            filled = 0
-    if filled:
-        out.append(chr(63 + (acc << (6 - filled))))
-    return "".join(out)
+    _check_key(n, key)
+    bits = key + "0" * (-len(key) % 6)
+    return chr(63 + n) + "".join(
+        chr(63 + int(bits[t:t + 6], 2)) for t in range(0, len(bits), 6)
+    )
 
 
 def decode_edge_list(text: str) -> Graph:
@@ -533,28 +536,30 @@ def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
     if n > CANONICAL_ORDER_CAP:
         raise UnsupportedSizeError(f"canonical forms are capped at order {CANONICAL_ORDER_CAP}")
     rows = g.rows
+    full = (1 << n) - 1
     later = [0] * n  # later[u]: mask of u's twins above u
     for u in range(n):
         for w in range(u + 1, n):
             if rows[u] & ~(1 << w) == rows[w] & ~(1 << u):
                 later[u] |= 1 << w
+    non_adjacent = [full ^ row for row in rows]
     # (placed vertices, mask of free vertices); level 0 places the first vertex.
-    frontier: list[tuple[tuple[int, ...], int]] = [((), (1 << n) - 1)]
-    blocks: list[str] = []
+    frontier: list[tuple[tuple[int, ...], int]] = [((), full)]
+    key = 0  # the minimal blocks so far, as one integer
     for k in range(n):
-        best = -1
+        best = 1 << k  # above every k-bit block
         extended: list[tuple[tuple[int, ...], int]] = []
         for placed, free in frontier:
             cand = free
             block = 0
             for p in placed:
-                z = cand & ~rows[p]
+                z = cand & non_adjacent[p]
                 if z:
                     cand = z
                     block <<= 1
                 else:
                     block = block << 1 | 1
-            if best < 0 or block < best:
+            if block < best:
                 best = block
                 extended = []
             elif block > best:
@@ -564,11 +569,11 @@ def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
                 low = m & -m
                 u = low.bit_length() - 1
                 m &= ~(later[u] | low)
-                extended.append((placed + (u,), free & ~low))
+                extended.append((placed + (u,), free ^ low))
         frontier = extended
-        if k:
-            blocks.append(format(best, f"0{k}b"))
-    return "".join(blocks), frontier[0][0]
+        key = key << k | best
+    width = n * (n - 1) // 2
+    return format(key, f"0{width}b") if width else "", frontier[0][0]
 
 
 def canonical_key(g: Graph) -> str:
@@ -594,17 +599,24 @@ def graph_bits(g: Graph) -> str:
     return "".join(str(g.rows[i] >> j & 1) for i, j in _pair_order(g.order))
 
 
-def graph_from_key(n: int, key: str) -> Graph:
-    """Rebuild a graph from an order and a column-major upper-triangle bit-string."""
+def _check_key(n: int, key: str) -> None:
+    """Raise ParameterError unless key is a bit-string of the length order n needs."""
     if len(key) != n * (n - 1) // 2:
         raise ParameterError(f"key length {len(key)} does not match order {n}")
+    # What strip leaves starts with the key's first character that is not a bit.
+    stray = key.strip("01")
+    if stray:
+        raise ParameterError(f"key contains non-bit character {stray[0]!r}")
+
+
+def graph_from_key(n: int, key: str) -> Graph:
+    """Rebuild a graph from an order and a column-major upper-triangle bit-string."""
+    _check_key(n, key)
     rows = [0] * n
     for (i, j), ch in zip(_pair_order(n), key):
         if ch == "1":
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-        elif ch != "0":
-            raise ParameterError(f"key contains non-bit character {ch!r}")
     return Graph(n, tuple(rows))
 
 

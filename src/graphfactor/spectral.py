@@ -1,10 +1,11 @@
 """Floating-point spectra of symmetric integer matrices.
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
-eigenvalues that regular and bipartite graphs produce).  The kernel works on
-one flat row-major list, driven by a rotation plan built once per order,
-and runs every float operation of the nested-list sweep in the same order,
-so its values and rotations are bit-identical to that sweep's.  lambda_max
+eigenvalues that regular and bipartite graphs produce).  The kernel is one
+straight-line function per order, generated from a rotation plan and
+compiled once per process, with one local variable per matrix entry; it
+runs every float operation of the nested-list sweep in the same order, so
+its values and rotations are bit-identical to that sweep's.  lambda_max
 runs it once per labelled graph.  The Perron pair comes from power
 iteration.  The module also hosts the largest-eigenvalue product check used
 to audit factorizations.
@@ -52,7 +53,6 @@ class ProductCheck:
     holds: bool
 
 
-@cache
 def _rotation_plan(n: int):
     """Flat row-major positions for the cyclic Jacobi sweep at order n.
 
@@ -76,60 +76,89 @@ def _rotation_plan(n: int):
     return upper, tuple(rotations)
 
 
+@cache
+def _sweep(n: int, want_vectors: bool):
+    """The Jacobi loop at order n >= 2 as one function of straight-line
+    code, generated from _rotation_plan(n) and compiled once per process.
+
+    Matrix entry k of the flat row-major list lives in local a<k>, and
+    rotation entry k in local v<k>; each sweep sums the off-diagonal mass
+    and then spells out every rotation, so no list is indexed and no plan
+    is walked.  The float operations are those of the plan-driven loop,
+    in its order.  sweep(a, tol, skip) takes the flat matrix and returns
+    (diagonal values, rotation rows or None)."""
+    upper, rotations = _rotation_plan(n)
+    diagonal = [i * (n + 1) for i in range(n)]
+    used = set(upper) | set(diagonal)
+    src = [
+        "def sweep(a, tol, skip, abs=abs, sqrt=sqrt):",
+        "    " + ", ".join(f"a{k}" if k in used else "_" for k in range(n * n)) + ", = a",
+    ]
+    if want_vectors:
+        src.append("    " + " = ".join(f"v{k}" for k in diagonal) + " = 1.0")
+        src.append("    " + " = ".join(f"v{k}" for k in range(n * n) if k not in diagonal)
+                   + " = 0.0")
+    mass = " + ".join(f"a{k} * a{k}" for k in upper)
+    src += [
+        f"    for _ in range({_MAX_SWEEPS}):",
+        f"        if sqrt(2.0 * ({mass})) < tol:",
+        "            break",
+    ]
+    for pq, pp, qq, pairs, columns in rotations:
+        src += [
+            # Negated so that a NaN pivot is rotated, not skipped.
+            f"        if not abs(a{pq}) <= skip:",
+            f"            apq = a{pq}",
+            f"            diff = a{qq} - a{pp}",
+            "            if abs(apq) < 1e-300 * abs(diff):",
+            "                t = apq / diff",
+            "            else:",
+            "                theta = diff / (2.0 * apq)",
+            "                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))",
+            "                if theta < 0.0:",
+            "                    t = -t",
+            "            c = 1.0 / sqrt(t * t + 1.0)",
+            "            s = t * c",
+            "            tau = s / (1.0 + c)",
+            f"            a{pq} = 0.0",
+            f"            a{pp} -= t * apq",
+            f"            a{qq} += t * apq",
+        ]
+        for name, updates in (("a", pairs), ("v", columns if want_vectors else ())):
+            src += [
+                f"            {name}{g}, {name}{h} = {name}{g} - s * ({name}{h} + tau * {name}{g}),"
+                f" {name}{h} + s * ({name}{g} - tau * {name}{h})"
+                for g, h in updates
+            ]
+    values = ", ".join(f"a{k}" for k in diagonal)
+    vectors = "None"
+    if want_vectors:
+        vectors = ", ".join(
+            "[" + ", ".join(f"v{i * n + j}" for j in range(n)) + "]" for i in range(n)
+        )
+        vectors = f"[{vectors}]"
+    src += [
+        "    else:",
+        "        raise ArithmeticError('Jacobi iteration did not converge')",
+        f"    return [{values}], {vectors}",
+    ]
+    namespace = {"sqrt": math.sqrt}
+    exec(compile("\n".join(src), f"<jacobi sweep, order {n}>", "exec"), namespace)
+    return namespace["sweep"]
+
+
 def _jacobi(mat, tol: float, want_vectors: bool):
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass drops
     below tol.  Returns (diagonal values, rotation matrix or None).
 
-    The matrix is one flat row-major list and only its upper triangle is
-    kept current; _rotation_plan gives every position a sweep touches."""
+    The matrix is flattened row-major and handed to the compiled sweep of
+    its order (_sweep), which keeps only the upper triangle current."""
     n = len(mat)
     a = [float(x) for row in mat for x in row]
-    v = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)] if want_vectors else None
     if n == 1:
-        return a, [v] if want_vectors else None
-    upper, rotations = _rotation_plan(n)
+        return a, [[1.0]] if want_vectors else None
     skip = tol / (4.0 * n * n)
-    for _ in range(_MAX_SWEEPS):
-        mass = 0.0
-        for k in upper:
-            x = a[k]
-            mass += x * x
-        if math.sqrt(2.0 * mass) < tol:
-            break
-        for pq, pp, qq, pairs, columns in rotations:
-            apq = a[pq]
-            if abs(apq) <= skip:
-                continue
-            diff = a[qq] - a[pp]
-            if abs(apq) < 1e-300 * abs(diff):
-                t = apq / diff
-            else:
-                theta = diff / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            tau = s / (1.0 + c)
-            a[pq] = 0.0
-            a[pp] -= t * apq
-            a[qq] += t * apq
-            for gi, hi in pairs:
-                g_ = a[gi]
-                h_ = a[hi]
-                a[gi] = g_ - s * (h_ + tau * g_)
-                a[hi] = h_ + s * (g_ - tau * h_)
-            if v is not None:
-                for gi, hi in columns:
-                    g_ = v[gi]
-                    h_ = v[hi]
-                    v[gi] = g_ - s * (h_ + tau * g_)
-                    v[hi] = h_ + s * (g_ - tau * h_)
-    else:
-        raise ArithmeticError("Jacobi iteration did not converge")
-    if v is not None:
-        v = [v[i * n:(i + 1) * n] for i in range(n)]
-    return a[::n + 1], v
+    return _sweep(n, want_vectors)(a, tol, skip)
 
 
 def eigen_sym(m: IntMatrix) -> Spectrum:

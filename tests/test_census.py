@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import threading
 from collections import Counter, defaultdict
 from math import factorial
 
@@ -282,6 +284,39 @@ def test_catalog_empty_roundtrip(tmp_path):
     write_catalog([], path)
     assert path.read_text() == ""
     assert read_catalog(path) == []
+
+
+def test_catalog_write_error_keeps_the_previous_catalog(tmp_path):
+    records = run_census(4)
+    path = tmp_path / "n4.jsonl"
+    write_catalog(records, path)
+    before = path.read_bytes()
+
+    def failing():
+        yield from records[:2]
+        raise OSError(28, "No space left on device")
+
+    with pytest.raises(OSError, match="No space left"):
+        write_catalog(failing(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["n4.jsonl"]
+    write_catalog(records[:1], path)
+    assert read_catalog(path) == records[:1]
+    assert [p.name for p in tmp_path.iterdir()] == ["n4.jsonl"]
+
+
+def test_catalog_written_in_place_when_not_a_regular_file(tmp_path):
+    # A pipe cannot be replaced by a rename, so it receives the lines.
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    records = run_census(3)
+    done = []
+    reader = threading.Thread(target=lambda: done.append(read_catalog(fifo)), daemon=True)
+    reader.start()
+    write_catalog(records, fifo)
+    reader.join(10)
+    assert done == [records]
+    assert fifo.is_fifo()
 
 
 def test_catalog_schema_error_names_line_and_field(tmp_path):

@@ -32,6 +32,7 @@ from graphfactor.graphs import (
     encode_graph6,
     generate,
     graph_bits,
+    graph6_from_key,
     graph_from_key,
     induced_subgraph,
     matching,
@@ -62,6 +63,22 @@ def test_graph_rejects_asymmetry():
 def test_graph_rejects_loops():
     with pytest.raises(ParameterError):
         Graph(2, (0b01, 0b10))
+
+
+@pytest.mark.parametrize("order, rows, message", [
+    (3, (0b0010, 0b1001, 0b0000), "row 1 has bits outside 0..2"),
+    # Bits outside the order and loops are reported before any asymmetry.
+    (3, (0b100, 0b000, 0b1001), "row 2 has bits outside 0..2"),
+    (3, (0b110, 0b011, 0b001), "loop at vertex 1"),
+    (4, (0b1010, 0b0001, 0b0010, 0b0000), r"adjacency not symmetric at \(0, 3\)"),
+    # Walking the set bits meets the missing mirror of (1, 2) first, but the
+    # error names the first asymmetric pair in row-major order, (0, 3).
+    (4, (0b0000, 0b0100, 0b0000, 0b0001), r"adjacency not symmetric at \(0, 3\)"),
+    (3, (0b000, 0b000, 0b010), r"adjacency not symmetric at \(1, 2\)"),
+])
+def test_graph_error_messages(order, rows, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        Graph(order, rows)
 
 
 def test_graph_rejects_order_zero():
@@ -124,6 +141,21 @@ def test_decode_rejects_malformed(text):
     with pytest.raises(Graph6Error) as exc:
         decode_graph6(text)
     assert "byte" in str(exc.value)
+
+
+def test_graph6_from_key_packs_the_key():
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            key = canonical_key(g)
+            want = g6_encode(n, graph_from_key(n, key).edges())
+            assert graph6_from_key(n, key) == want == encode_graph6(g)
+
+
+@pytest.mark.parametrize("key", ["1010", "10", "1_0", "+10", "10 ", "102"])
+def test_graph6_from_key_rejects_what_is_not_a_key(key):
+    # int(..., 2) would read "1_0" and "+10"; a key holds only bits.
+    with pytest.raises(ParameterError):
+        graph6_from_key(3, key)
 
 
 def test_encode_rejects_large_order():
@@ -360,8 +392,8 @@ def test_canonical_form_realizes_key():
 
 def test_canonical_order_matches_lexmin_reference():
     # Same key and same placement as the plain frontier scan, on graphs rich
-    # in twins (small orders, sparse and dense samples, the named families)
-    # and on every order-7 class.
+    # in twins (small orders, sparse and dense samples, the named families),
+    # on every order-7 class and on every order-7 generation child.
     graphs = [g for n in range(1, 6) for g in all_labeled_graphs(n)]
     for g in enumerate_graphs(6):
         for u in range(6):
@@ -372,6 +404,21 @@ def test_canonical_order_matches_lexmin_reference():
                     rows[v] |= 1 << u
                     graphs.append(Graph(6, tuple(rows)))
     graphs.extend(Graph(7, g.rows) for g in enumerate_graphs(7))
+    # Every orderly-generation child at order 7: each class with one 1
+    # after the last 0 of its key cleared.  Most are not canonical, and
+    # they are the graphs enumeration labels.
+    pairs = [(i, j) for j in range(1, 7) for i in range(j)]
+    children = []
+    for g in enumerate_graphs(7):
+        key = canonical_key(g)
+        for t in range(key.rfind("0") + 1, len(pairs)):
+            i, j = pairs[t]
+            rows = list(g.rows)
+            rows[i] &= ~(1 << j)
+            rows[j] &= ~(1 << i)
+            children.append(Graph(7, tuple(rows)))
+    assert len(children) == 2377
+    graphs += children
     rng = random.Random(8)
     for p in (0.1, 0.3, 0.5, 0.7, 0.9):
         for _ in range(40):

@@ -194,6 +194,35 @@ def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
                 assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
 
 
+def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
+    classes = enumerate_graphs(8)
+    for g in random.Random(8).sample(classes, 150):
+        entries = adjacency(g).entries
+        for want_vectors in (False, True):
+            got = _jacobi(entries, DEFAULT_TOL, want_vectors)
+            want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
+            assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
+
+
+def test_jacobi_bit_identical_to_reference_on_integer_matrices():
+    # The eigen_sym path: symmetric integer entries outside {0, 1}, nonzero
+    # diagonals and negative entries, at every order up to 8.
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                m[i][j] = m[j][i] = rng.choice((0, 0, 1, 2, 3, -1, -4, 7))
+        for want_vectors in (False, True):
+            got = _jacobi(m, DEFAULT_TOL, want_vectors)
+            want = jacobi_reference(m, DEFAULT_TOL, want_vectors)
+            assert _float_bits(*got) == _float_bits(*want), (m, want_vectors)
+        assert eigen_sym(IntMatrix(tuple(map(tuple, m)))).values == tuple(
+            sorted(want[0], reverse=True)
+        )
+
+
 def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
     # The common_eigenbasis path: float entries, exact zeros, rotations kept,
     # and its tighter tolerance.
