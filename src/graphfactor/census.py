@@ -35,10 +35,11 @@ from .graphs import (
     CANONICAL_ORDER_CAP,
     Graph,
     _pair_order,
+    automorphism_generators,
     canonical_key,
+    complete,
     decode_graph6,
     graph6_from_key,
-    graph_from_canonical_key,
     is_bipartite,
     is_connected,
     is_regular,
@@ -194,20 +195,60 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
     exactly once, from that unique parent, and nothing is deduplicated.  A
     kept child realizes its key with the identity placement, so its
     memoised labelling is already its canonical one and it is not labelled
-    again.  The class count is rechecked by the cycle-type orbit count
-    before the result is accepted."""
+    again.
+
+    A parent's automorphisms reject most non-canonical children without a
+    labelling (McKay, "Isomorph-free exhaustive generation", 1998).  The
+    generators its labelling found split its edge positions into orbits,
+    and a child that clears position t is skipped when an earlier position
+    u < t shares t's orbit: an automorphism of the parent then carries the
+    child onto the parent with u cleared, whose bit-string is smaller, so
+    the child's own string is not its key.  Every other child is labelled
+    and kept iff canonical.  K_n is labelled like any child; its twins give
+    the whole symmetric group.  The class count is rechecked by the
+    cycle-type orbit count before the result is accepted."""
     if not 1 <= n <= CANONICAL_ORDER_CAP:
         raise ParameterError(f"order must lie in 1..{CANONICAL_ORDER_CAP}")
     cached = _CLASS_CACHE.get(n)
     if cached is not None:
         return cached
     pairs = _pair_order(n)
-    top_key = "1" * len(pairs)
-    found = [(top_key, graph_from_canonical_key(n, top_key))]
+    width = len(pairs)
+    # position[i * n + j]: the key position of the pair {i, j}.
+    position = [0] * (n * n)
+    for t, (i, j) in enumerate(pairs):
+        position[i * n + j] = position[j * n + i] = t
+    top = complete(n)
+    found = [(canonical_key(top), top)]
     stack = list(found)
     while stack:
         key, parent = stack.pop()
-        for t in range(key.rfind("0") + 1, len(pairs)):
+        first = key.rfind("0") + 1
+        if first == width:
+            continue
+        # Union-find over the parent's edge positions; each orbit's root is
+        # its least position, so a child position is tested iff it is a root.
+        low = list(range(width))
+        generators = automorphism_generators(parent)
+        if generators:
+            edges = [t for t in range(width) if key[t] == "1"]
+            for images in generators:
+                for t in edges:
+                    i, j = pairs[t]
+                    u = position[images[i] * n + images[j]]
+                    if u != t:
+                        while low[u] != u:
+                            u = low[u]
+                        r = t
+                        while low[r] != r:
+                            r = low[r]
+                        if u < r:
+                            low[r] = u
+                        elif r < u:
+                            low[u] = r
+        for t in range(first, width):
+            if low[t] != t:
+                continue
             i, j = pairs[t]
             rows = list(parent.rows)
             rows[i] &= ~(1 << j)

@@ -259,7 +259,13 @@ def _cmd_construct(args) -> int:
     return 0 if violations.empty else 1
 
 
+def _check_jobs(args) -> None:
+    if args.jobs < 1:
+        raise ParameterError("--jobs must be at least 1")
+
+
 def _cmd_census(args) -> int:
+    _check_jobs(args)
     if args.order == 8 and not args.allow_order_8:
         raise ParameterError(
             "--order 8 enumerates 12346 classes; pass --allow-order-8 to confirm"
@@ -278,7 +284,7 @@ def _cmd_census(args) -> int:
         records = census_mod.run_census(
             args.order,
             node_limit=args.node_limit,
-            jobs=max(1, args.jobs),
+            jobs=args.jobs,
             keep_going=args.keep_going,
             progress=progress,
         )
@@ -304,12 +310,13 @@ def _cmd_census(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_jobs(args)
     try:
         with open(args.catalog, "rb") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"--catalog: {exc}") from None
-    report = census_mod.verify_lines(lines, jobs=max(1, args.jobs))
+    report = census_mod.verify_lines(lines, jobs=args.jobs)
     if args.json:
         print(json.dumps(report.to_json(), indent=2))
     else:

@@ -95,7 +95,7 @@ class Graph:
         return sum(map(int.bit_count, self.rows)) >> 1
 
     @cached_property
-    def _canonical(self) -> tuple[str, tuple[int, ...]]:
+    def _canonical(self) -> "_Labelling":
         """_canonical_order of this graph, computed at most once per object."""
         return _canonical_order(self)
 
@@ -509,7 +509,17 @@ def permute(g: Graph, p: Permutation) -> Graph:
 # canonical forms (exhaustive over relabelings, order <= 8)
 # ---------------------------------------------------------------------------
 
-def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
+class _Labelling(tuple):
+    """The pair (key, placement) that _canonical_order returns, carrying the
+    raw end state of its search: frontier, the final placements (each a
+    (placement, free mask) pair, the least first), and later, the twin
+    masks.  Only automorphism_generators turns them into permutations."""
+
+    frontier: list[tuple[tuple[int, ...], int]]
+    later: list[int]
+
+
+def _canonical_order(g: Graph) -> _Labelling:
     """Minimal column-major upper-triangle bit-string and the least placement
     sequence realizing it (placement[k] = original vertex labeled k).
 
@@ -529,8 +539,12 @@ def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
       by an automorphism of g that fixes every other vertex, so placing w
       while u is free gives the same strings as placing u, from a
       lexicographically larger placement; only the lowest free vertex of
-      each twin class is placed.  The kept frontier together with the twin
-      transpositions generates Aut(g); the kept frontier alone does not.
+      each twin class is placed.
+
+    Every final placement realizes the key, so each one against the first
+    is an automorphism of g; those and the twin transpositions generate
+    Aut(g) (the final frontier alone does not), and the result keeps both
+    for automorphism_generators.
     """
     n = g.order
     if n > CANONICAL_ORDER_CAP:
@@ -573,7 +587,40 @@ def _canonical_order(g: Graph) -> tuple[str, tuple[int, ...]]:
         frontier = extended
         key = key << k | best
     width = n * (n - 1) // 2
-    return format(key, f"0{width}b") if width else "", frontier[0][0]
+    labelling = _Labelling((format(key, f"0{width}b") if width else "", frontier[0][0]))
+    labelling.frontier = frontier
+    labelling.later = later
+    return labelling
+
+
+def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
+    """Generators of Aut(g) as image tuples (images[v] = sigma(v)), read off
+    g's canonical labelling with no second search; empty iff Aut(g) is
+    trivial.
+
+    Each final placement of the labelling after the first realizes the key
+    too, so it composed with the inverse of the first is an automorphism.
+    Every automorphism carries the first placement to a placement realizing
+    the key, and reordering each twin class within it, which twin
+    transpositions do, gives a final placement; so those automorphisms and
+    one transposition (u w) per vertex u and its lowest twin w above it
+    generate Aut(g)."""
+    labelling = g._canonical
+    first = labelling[1]
+    n = g.order
+    generators = []
+    for placement, _ in labelling.frontier[1:]:
+        images = [0] * n
+        for old, new in zip(first, placement):
+            images[old] = new
+        generators.append(tuple(images))
+    for u, twins in enumerate(labelling.later):
+        if twins:
+            w = (twins & -twins).bit_length() - 1
+            images = list(range(n))
+            images[u], images[w] = w, u
+            generators.append(tuple(images))
+    return generators
 
 
 def canonical_key(g: Graph) -> str:
@@ -619,12 +666,3 @@ def graph_from_key(n: int, key: str) -> Graph:
             rows[j] |= 1 << i
     return Graph(n, tuple(rows))
 
-
-def graph_from_canonical_key(n: int, key: str) -> Graph:
-    """graph_from_key for a key that is already canonical, such as one
-    canonical_key just returned.  The identity placement realizes the key
-    and is the least placement, so it is the graph's canonical labelling
-    and is stored as such instead of being recomputed."""
-    g = graph_from_key(n, key)
-    g.__dict__["_canonical"] = (key, tuple(range(n)))
-    return g

@@ -151,10 +151,14 @@ def _jacobi(mat, tol: float, want_vectors: bool):
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass drops
     below tol.  Returns (diagonal values, rotation matrix or None).
 
-    The matrix is flattened row-major and handed to the compiled sweep of
-    its order (_sweep), which keeps only the upper triangle current."""
-    n = len(mat)
-    a = [float(x) for row in mat for x in row]
+    The matrix is flattened row-major into floats for _jacobi_flat."""
+    return _jacobi_flat(len(mat), [float(x) for row in mat for x in row], tol, want_vectors)
+
+
+def _jacobi_flat(n: int, a: list[float], tol: float, want_vectors: bool):
+    """_jacobi of the n x n matrix whose row-major float entries are a: the
+    compiled sweep of order n (_sweep), which keeps only the upper triangle
+    current."""
     if n == 1:
         return a, [[1.0]] if want_vectors else None
     skip = tol / (4.0 * n * n)
@@ -188,12 +192,21 @@ def lambda_max(g: Graph) -> float:
 def _lambda_max(order: int, rows: tuple[int, ...]) -> float:
     """The memo behind lambda_max.  It is keyed on the plain (order, rows),
     so it keeps no Graph, and no memoised labelling, alive; 2**15 entries
-    hold every labelled graph of the order-8 census (12,691).  The rows' 0/1
-    entries go straight to the kernel: a graph's matrix is symmetric with
-    zero trace."""
-    matrix = [[row >> j & 1 for j in range(order)] for row in rows]
-    values, _ = _jacobi(matrix, DEFAULT_TOL, want_vectors=False)
+    hold every labelled graph of the order-8 census (12,691).  The rows'
+    0/1 entries go straight to the kernel as floats, one memoised tuple per
+    row: a graph's matrix is symmetric with zero trace."""
+    a: list[float] = []
+    for row in rows:
+        a += _row_floats(order, row)
+    values, _ = _jacobi_flat(order, a, DEFAULT_TOL, want_vectors=False)
     return _descending(values, 0)[0]
+
+
+@lru_cache(maxsize=1 << 12)
+def _row_floats(order: int, row: int) -> tuple[float, ...]:
+    """The adjacency matrix row, in 0.0 and 1.0 entries, of the row mask of
+    a graph of the given order; every row of order 8 or less fits the memo."""
+    return tuple(float(row >> j & 1) for j in range(order))
 
 
 def spectrum_is_symmetric(s: Spectrum) -> bool:

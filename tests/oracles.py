@@ -35,7 +35,7 @@ from graphfactor.graphs import (
     canonical_key,
     classify_acyclic,
     contains_c4,
-    graph_from_canonical_key,
+    graph_from_key,
     has_isolated_vertex,
     is_edgeless,
 )
@@ -202,7 +202,7 @@ def ladder_class_keys(n: int) -> list[str]:
     reference for census.enumerate_graphs."""
     keys: dict[str, Graph] = {}
     edgeless_key = "0" * (n * (n - 1) // 2)
-    base = graph_from_canonical_key(n, edgeless_key)
+    base = graph_from_key(n, edgeless_key)
     keys[edgeless_key] = base
     level = [base]
     memo: dict[tuple[int, ...], str] = {}
@@ -222,7 +222,7 @@ def ladder_class_keys(n: int) -> list[str]:
                         key = canonical_key(Graph(n, mask))
                         memo[mask] = key
                     if key not in keys and key not in nxt:
-                        nxt[key] = graph_from_canonical_key(n, key)
+                        nxt[key] = graph_from_key(n, key)
         keys.update(nxt)
         level = list(nxt.values())
     return sorted(keys)

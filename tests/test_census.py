@@ -114,8 +114,9 @@ def test_enumerate_labelled_count_identity():
 
 
 def test_enumerate_order_7_canonical_key_calls_pinned(monkeypatch):
-    # One labelling per tested child of orderly generation; the edge ladder
-    # made 9,157.
+    # One labelling for K_n and one per child of orderly generation that the
+    # parent's automorphisms do not reject; all 2,377 children were labelled
+    # before the orbit rule, and the edge ladder made 9,157.
     from graphfactor import census as census_mod
 
     real_key = census_mod.canonical_key
@@ -128,7 +129,47 @@ def test_enumerate_order_7_canonical_key_calls_pinned(monkeypatch):
     monkeypatch.delitem(census_mod._CLASS_CACHE, 7, raising=False)
     monkeypatch.setattr(census_mod, "canonical_key", key)
     assert len(enumerate_graphs(7)) == 1044
-    assert len(calls) == 2377
+    assert len(calls) == 1282
+
+
+def test_orbit_rule_skips_only_non_canonical_children(monkeypatch):
+    # Every child of every class is rebuilt here as the unpruned generation
+    # made it; each one enumeration did not label must fail the canonicity
+    # test, and the canonical children are exactly the classes.
+    from graphfactor import census as census_mod
+
+    real_key = census_mod.canonical_key
+    for n in CLASS_LADDER:
+        labelled = Counter()
+
+        def key(g):
+            labelled[g.rows] += 1
+            return real_key(g)
+
+        monkeypatch.delitem(census_mod._CLASS_CACHE, n, raising=False)
+        monkeypatch.setattr(census_mod, "canonical_key", key)
+        classes = enumerate_graphs(n)
+        monkeypatch.setattr(census_mod, "canonical_key", real_key)
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        children = Counter()
+        for g in classes:
+            bits = graph_bits(g)
+            for t in range(bits.rfind("0") + 1, len(pairs)):
+                i, j = pairs[t]
+                rows = list(g.rows)
+                rows[i] &= ~(1 << j)
+                rows[j] &= ~(1 << i)
+                children[tuple(rows)] += 1
+        assert labelled - children == Counter({complete(n).rows: 1})
+        skipped = children - labelled
+        assert bool(skipped) == (n >= 3), n
+        canonical = {graph_bits(complete(n))}
+        for rows in children:
+            child = Graph(n, rows)
+            if canonical_key(child) == graph_bits(child):
+                assert rows not in skipped, child
+                canonical.add(graph_bits(child))
+        assert sorted(canonical) == [graph_bits(g) for g in classes], n
 
 
 def test_enumerate_ordered_by_canonical_key():

@@ -421,6 +421,25 @@ def test_census_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "error: --out: " in err and "No space left" in err
 
 
+@pytest.mark.parametrize("command", ["census", "verify"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, jobs):
+    def never(*args, **kwargs):
+        raise AssertionError("ran with --jobs below 1")
+
+    monkeypatch.setattr(census_mod, "run_census", never)
+    monkeypatch.setattr(census_mod, "verify_lines", never)
+    out = tmp_path / "x.jsonl"
+    out.write_text("")
+    argv = {
+        "census": ["census", "--order", "3", "--out", str(out)],
+        "verify": ["verify", "--catalog", str(out)],
+    }[command]
+    code, stdout, err = run_cli(capsys, *argv, "--jobs", jobs)
+    assert (code, stdout, err) == (2, "", "error: --jobs must be at least 1\n")
+    assert out.read_text() == ""
+
+
 def test_census_order_8_needs_flag(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "census", "--order", "8", "--out", str(tmp_path / "x.jsonl")

@@ -14,6 +14,7 @@ from graphfactor.graphs import (
     Graph,
     Permutation,
     _canonical_order,
+    automorphism_generators,
     bipartition_of,
     canonical_form,
     canonical_key,
@@ -461,3 +462,74 @@ def test_canonical_labelling_memoised_per_graph_and_pickled(monkeypatch):
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and canonical_key(copy) == key
     assert len(calls) == 1
+
+
+def _is_automorphism(g: Graph, images) -> bool:
+    """True iff images (images[v] = sigma(v)) maps g's edges onto its edges."""
+    return all(
+        sum(1 << images[w] for w in range(g.order) if g.rows[u] >> w & 1) == g.rows[images[u]]
+        for u in range(g.order)
+    )
+
+
+def _group_order(generators, n: int) -> int:
+    """Order of the permutation group generated by image tuples, by closing
+    the identity under composition with every generator."""
+    seen = {tuple(range(n))}
+    todo = list(seen)
+    while todo:
+        p = todo.pop()
+        for s in generators:
+            q = tuple(s[v] for v in p)
+            if q not in seen:
+                seen.add(q)
+                todo.append(q)
+    return len(seen)
+
+
+def _relabelled(rng: random.Random, g: Graph) -> Graph:
+    images = list(range(g.order))
+    rng.shuffle(images)
+    return permute(g, Permutation(tuple(images)))
+
+
+def test_automorphism_generators_generate_aut_to_order_6():
+    # Each class, and a relabelled copy whose least placement is not the
+    # identity, against a brute force over all n! relabellings.
+    from itertools import permutations
+
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            order = sum(1 for p in permutations(range(n)) if _is_automorphism(g, p))
+            for h in (g, _relabelled(rng, g)):
+                generators = automorphism_generators(h)
+                assert all(_is_automorphism(h, s) for s in generators), h
+                assert _group_order(generators, n) == order, h
+                assert (order == 1) == (not generators)
+
+
+@pytest.mark.parametrize("n, size", [(7, 60), (8, 40)])
+def test_automorphism_generators_generate_aut_on_sampled_classes(n, size):
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    rng = random.Random(n)
+    for g in rng.sample(enumerate_graphs(n), size):
+        h = nx.Graph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(g.edges())
+        order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
+        for k in (g, _relabelled(rng, g)):
+            generators = automorphism_generators(k)
+            assert all(_is_automorphism(k, s) for s in generators), k
+            assert _group_order(generators, n) == order, k
+
+
+def test_automorphism_generators_of_complete_and_edgeless_are_twin_swaps():
+    # All n vertices are twins, so the labelling ends on one placement and
+    # the n - 1 transpositions of consecutive vertices give S_n.
+    for g in (complete(8), edgeless(8)):
+        assert automorphism_generators(g) == [
+            tuple(v + 1 if v == u else u if v == u + 1 else v for v in range(8))
+            for u in range(7)
+        ]

@@ -185,6 +185,7 @@ def _float_bits(values, vectors):
 
 
 def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
+    # lambda_max hands the kernel float rows built from the adjacency masks.
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             entries = adjacency(g).entries
@@ -192,6 +193,7 @@ def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
                 got = _jacobi(entries, DEFAULT_TOL, want_vectors)
                 want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
                 assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
+            assert lambda_max(g).hex() == max(want[0]).hex(), g
 
 
 def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
@@ -202,6 +204,7 @@ def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
             got = _jacobi(entries, DEFAULT_TOL, want_vectors)
             want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
             assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
+        assert lambda_max(g).hex() == max(want[0]).hex(), g
 
 
 def test_jacobi_bit_identical_to_reference_on_integer_matrices():
@@ -242,13 +245,13 @@ def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
 def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
     spectral._lambda_max.cache_clear()
     runs = []
-    kernel = spectral._jacobi
+    kernel = spectral._jacobi_flat
 
-    def counted(mat, tol, want_vectors):
-        runs.append(tuple(tuple(row) for row in mat))
-        return kernel(mat, tol, want_vectors)
+    def counted(n, a, tol, want_vectors):
+        runs.append((n, tuple(a)))
+        return kernel(n, a, tol, want_vectors)
 
-    monkeypatch.setattr(spectral, "_jacobi", counted)
+    monkeypatch.setattr(spectral, "_jacobi_flat", counted)
     asked = []
     for module in (census, conditions, spectral):
         original = module.lambda_max
