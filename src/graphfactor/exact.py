@@ -28,10 +28,6 @@ class IntMatrix:
                 raise ParameterError("matrix must be square")
 
     @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
@@ -79,10 +75,6 @@ class RationalMatrix:
         for row in self.entries:
             if len(row) != n:
                 raise ParameterError("matrix must be square")
-
-    @classmethod
-    def from_int(cls, m: IntMatrix) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in m.entries))
 
     @classmethod
     def all_ones(cls, n: int) -> "RationalMatrix":

@@ -1,30 +1,45 @@
-"""Witness triples (A, B, C) with A = BC, plus their wire format.
+"""Witness triples (A, B, C) with A = BC, in their two forms.
 
-A Factorization always satisfies the exact product identity; StoredWitness
-is the unchecked on-disk shape, so catalog verification can re-derive and
-report a broken product instead of crashing at parse time.
+A Factorization is three bitmask graphs whose product identity holds; a
+StoredWitness is the catalog's bit-row strings, unchecked until
+to_factorization rebuilds the graphs, so catalog verification can report a
+broken witness instead of crashing at parse time.  The IntMatrix views (a, b,
+c and from_matrices) serve the CLI and the exact algorithms.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ParameterError, PreconditionError
-from .exact import IntMatrix, adjacency, as_adjacency, multiply
+from .exact import IntMatrix, adjacency, as_adjacency
 from .graphs import Graph, encode_graph6, is_edgeless
 
-
-def _bit_rows(m: IntMatrix) -> list[str]:
-    return ["".join(str(x) for x in row) for row in m.entries]
+_NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
 
 
-def _matrix_from_bit_rows(rows, what: str) -> IntMatrix:
+def _bit_rows(g: Graph) -> tuple[str, ...]:
+    """The rows of g's adjacency matrix; character j of row i is entry (i, j)."""
+    width = f"0{g.order}b"
+    return tuple(format(row, width)[::-1] for row in g.rows)
+
+
+def _checked_bit_rows(rows, what: str) -> tuple[str, ...]:
     n = len(rows)
-    out = []
+    if not n:
+        raise ParameterError("matrix order must be at least 1")
     for i, row in enumerate(rows):
-        if not isinstance(row, str) or len(row) != n or any(ch not in "01" for ch in row):
+        if not isinstance(row, str) or len(row) != n or row.strip("01"):
             raise ParameterError(f"{what}: row {i} is not a length-{n} bit-string")
-        out.append(tuple(int(ch) for ch in row))
-    return IntMatrix(tuple(out))
+    return tuple(rows)
+
+
+def _graph(n: int, rows) -> Graph:
+    """The graph of n row masks; a loop or an asymmetric pair is a
+    PreconditionError."""
+    try:
+        return Graph(n, tuple(rows))
+    except ParameterError:
+        raise PreconditionError(_NOT_ADJACENCY) from None
 
 
 @dataclass(frozen=True)
@@ -52,12 +67,19 @@ class Factorization:
             raise ParameterError("factorization matrices must share one order")
         g, h, k = as_adjacency(a), as_adjacency(b), as_adjacency(c)
         if g is None or h is None or k is None:
-            raise PreconditionError("factorization matrices must be adjacency matrices")
+            raise PreconditionError(_NOT_ADJACENCY)
         return cls(g, h, k)
 
     @classmethod
-    def from_factors(cls, b: IntMatrix, c: IntMatrix) -> "Factorization":
-        return cls.from_matrices(multiply(b, c), b, c)
+    def from_factors(cls, h: Graph, k: Graph) -> "Factorization":
+        """The witness whose A is the product of the factor graphs' B and C:
+        entry (i, j) is 1 where rows h_i and k_j share one vertex, and the
+        product check rejects any entry above 1."""
+        rows = [
+            sum(1 << j for j, kj in enumerate(k.rows) if (hi & kj).bit_count() == 1)
+            for hi in h.rows
+        ]
+        return cls(_graph(h.order, rows), h, k)
 
     @property
     def a(self) -> IntMatrix:
@@ -82,28 +104,32 @@ class Factorization:
 
 @dataclass(frozen=True)
 class StoredWitness:
-    """Witness as persisted: structurally valid, product not yet trusted."""
+    """Witness as persisted: the bit rows of A, B and C, structurally valid
+    with the product not yet trusted."""
 
-    a: IntMatrix
-    b: IntMatrix
-    c: IntMatrix
+    a: tuple[str, ...]
+    b: tuple[str, ...]
+    c: tuple[str, ...]
     h_graph6: str
     k_graph6: str
     trivial: bool
 
     @classmethod
     def from_factorization(cls, f: Factorization) -> "StoredWitness":
-        return cls(f.a, f.b, f.c, encode_graph6(f.h), encode_graph6(f.k), f.trivial)
+        return cls(
+            _bit_rows(f.g), _bit_rows(f.h), _bit_rows(f.k),
+            encode_graph6(f.h), encode_graph6(f.k), f.trivial,
+        )
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
         for field in ("a", "b", "c", "h_graph6", "k_graph6", "trivial"):
             if field not in obj:
                 raise ParameterError(f"witness is missing field {field!r}")
-        a = _matrix_from_bit_rows(obj["a"], "a")
-        b = _matrix_from_bit_rows(obj["b"], "b")
-        c = _matrix_from_bit_rows(obj["c"], "c")
-        if not (a.order == b.order == c.order):
+        a = _checked_bit_rows(obj["a"], "a")
+        b = _checked_bit_rows(obj["b"], "b")
+        c = _checked_bit_rows(obj["c"], "c")
+        if not (len(a) == len(b) == len(c)):
             raise ParameterError("witness matrices must share one order")
         if not isinstance(obj["trivial"], bool):
             raise ParameterError("witness field 'trivial' must be a boolean")
@@ -111,14 +137,18 @@ class StoredWitness:
 
     def to_json(self) -> dict:
         return {
-            "a": _bit_rows(self.a),
-            "b": _bit_rows(self.b),
-            "c": _bit_rows(self.c),
+            "a": list(self.a),
+            "b": list(self.b),
+            "c": list(self.c),
             "h_graph6": self.h_graph6,
             "k_graph6": self.k_graph6,
             "trivial": self.trivial,
         }
 
     def to_factorization(self) -> Factorization:
-        """Re-verify the product identity; raises PreconditionError on failure."""
-        return Factorization.from_matrices(self.a, self.b, self.c)
+        """Rebuild the three graphs and re-verify the product identity;
+        raises PreconditionError on failure."""
+        n = len(self.a)
+        return Factorization(*(
+            _graph(n, [int(row[::-1], 2) for row in rows]) for rows in (self.a, self.b, self.c)
+        ))

@@ -73,10 +73,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def neighbors(self, v: int) -> int:
-        """Neighborhood of v as a bitmask."""
-        return self.rows[v]
-
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 

@@ -34,7 +34,7 @@ from .errors import (
     TheoremViolationError,
     UnsupportedSizeError,
 )
-from .exact import IntMatrix, adjacency
+from .exact import adjacency
 from .factorization import Factorization
 from .graphs import (
     CANONICAL_ORDER_CAP,
@@ -98,9 +98,10 @@ class FactorDecision:
         return self.witnesses[0] if self.witnesses else None
 
 
-def fix_labeling(g: Graph) -> IntMatrix:
-    """Adjacency matrix of the canonical relabeling; every isomorphic copy
-    maps to the same matrix, so the search runs on one labeling only."""
+def fix_labeling(g: Graph):
+    """Adjacency matrix (an IntMatrix) of the canonical relabeling; every
+    isomorphic copy maps to the same matrix, so the search runs on one
+    labeling only."""
     return adjacency(canonical_form(g))
 
 
@@ -111,7 +112,7 @@ def factor_naive(g: Graph) -> list[Factorization]:
     if n > 5:
         raise UnsupportedSizeError("naive enumeration is capped at order 5")
     cg = canonical_form(g)
-    aij = [list(row) for row in adjacency(cg).entries]
+    arow = cg.rows
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     m = len(pairs)
     candidates: list[tuple[int, ...]] = []
@@ -129,9 +130,9 @@ def factor_naive(g: Graph) -> list[Factorization]:
             ok = True
             for i in rng:
                 rbi = rb[i]
-                ai = aij[i]
+                ai = arow[i]
                 for j in rng:
-                    if (rbi & rc[j]).bit_count() != ai[j]:
+                    if (rbi & rc[j]).bit_count() != ai >> j & 1:
                         ok = False
                         break
                 if not ok:
@@ -641,27 +642,6 @@ def is_factorizable(g: Graph, cfg: SearchConfig = SearchConfig()) -> FactorDecis
 # explicit constructions
 # ---------------------------------------------------------------------------
 
-def _block_diag(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-    n1, n2 = m1.order, m2.order
-    rows = []
-    for i in range(n1):
-        rows.append(tuple(m1.entries[i]) + (0,) * n2)
-    for i in range(n2):
-        rows.append((0,) * n1 + tuple(m2.entries[i]))
-    return IntMatrix(tuple(rows))
-
-
-def _anti_diag(m1: IntMatrix, m2: IntMatrix) -> IntMatrix:
-    """[[0, m1], [m2, 0]] for equal orders."""
-    n = m1.order
-    rows = []
-    for i in range(n):
-        rows.append((0,) * n + tuple(m1.entries[i]))
-    for i in range(n):
-        rows.append(tuple(m2.entries[i]) + (0,) * n)
-    return IntMatrix(tuple(rows))
-
-
 def _validated(f: Factorization) -> Factorization:
     violations = validate_factorization(f)
     if not violations.empty:
@@ -683,9 +663,7 @@ def cycle_product(n: int) -> Factorization:
             "cycle product needs odd n >= 3 (for even n the product splits "
             "into two disjoint n-cycles)"
         )
-    b = adjacency(matching(n))
-    c = adjacency(disjoint_union(cycle(n), cycle(n)))
-    f = Factorization.from_factors(b, c)
+    f = Factorization.from_factors(matching(n), disjoint_union(cycle(n), cycle(n)))
     degs = degree_sequence(f.g)
     if not (is_connected(f.g) and min(degs) == max(degs) == 2):
         raise TheoremViolationError("cycle product did not produce a single cycle")
@@ -693,18 +671,15 @@ def cycle_product(n: int) -> Factorization:
 
 
 def doubled_graph(g: Graph) -> Factorization:
-    """Two copies of a connected non-bipartite graph, factored into a
-    connected graph and a perfect matching."""
+    """Two copies of a connected non-bipartite graph, factored into its
+    bipartite double (connected) and a perfect matching."""
     if not is_connected(g):
         raise PreconditionError("input graph is not connected")
     if is_bipartite(g):
         raise PreconditionError("input graph is bipartite")
-    m = adjacency(g)
-    eye = IntMatrix.identity(g.order)
-    a = _block_diag(m, m)
-    b = _anti_diag(m, m)
-    c = _anti_diag(eye, eye)
-    f = Factorization.from_matrices(a, b, c)
+    n = g.order
+    double = Graph(2 * n, tuple(row << n for row in g.rows) + g.rows)
+    f = Factorization(disjoint_union(g, g), double, matching(n))
     if not is_connected(f.h):
         raise TheoremViolationError("doubled-graph factor H came out disconnected")
     return _validated(f)
@@ -719,11 +694,10 @@ def disconnected_counterexample(n: int) -> Factorization:
             "counterexample needs odd n >= 3 (for even n each block splits "
             "into two disjoint n-cycles)"
         )
-    match_adj = adjacency(matching(n))
-    cycles_adj = adjacency(disjoint_union(cycle(n), cycle(n)))
-    b = _block_diag(match_adj, cycles_adj)
-    c = _block_diag(cycles_adj, match_adj)
-    f = Factorization.from_factors(b, c)
+    f = Factorization.from_factors(
+        disjoint_union(matching(n), cycle(n), cycle(n)),
+        disjoint_union(cycle(n), cycle(n), matching(n)),
+    )
     comps = components(f.g)
     if len(comps) != 2 or any(len(comp) != 2 * n for comp in comps):
         raise TheoremViolationError("counterexample product is not two equal cycles")

@@ -1,14 +1,17 @@
 """Floating-point spectra of symmetric integer matrices.
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
-eigenvalues that regular and bipartite graphs produce).  The kernel is one
-straight-line function per order, generated from a rotation plan and
-compiled once per process, with one local variable per matrix entry; it
-runs every float operation of the nested-list sweep in the same order, so
-its values and rotations are bit-identical to that sweep's.  lambda_max
-runs it once per labelled graph.  The Perron pair comes from power
-iteration.  The module also hosts the largest-eigenvalue product check used
-to audit factorizations.
+eigenvalues that regular and bipartite graphs produce), driven by a rotation
+plan built once per order.  Up to CANONICAL_ORDER_CAP, the orders the census
+runs, the kernel is one straight-line function per order, generated from the
+plan and compiled once per process, with one local variable per matrix
+entry; a sweep spells out about n**3 / 2 statements, so above the cap a loop
+walks the plan over one flat list instead.  Both run every float operation
+of the nested-list sweep in the same order, so their values and rotations
+are bit-identical to that sweep's.  lambda_max runs the kernel once per
+labelled graph.  The Perron pair comes from power iteration.  The module
+also hosts the largest-eigenvalue product check used to audit
+factorizations.
 
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
@@ -22,7 +25,7 @@ from functools import cache, lru_cache
 
 from .errors import ParameterError, PreconditionError
 from .exact import IntMatrix, commute
-from .graphs import Graph, is_connected
+from .graphs import CANONICAL_ORDER_CAP, Graph, is_connected
 
 DEFAULT_TOL = 1e-9
 DEFAULT_SEED = 42
@@ -53,6 +56,7 @@ class ProductCheck:
     holds: bool
 
 
+@cache
 def _rotation_plan(n: int):
     """Flat row-major positions for the cyclic Jacobi sweep at order n.
 
@@ -157,12 +161,62 @@ def _jacobi(mat, tol: float, want_vectors: bool):
 
 def _jacobi_flat(n: int, a: list[float], tol: float, want_vectors: bool):
     """_jacobi of the n x n matrix whose row-major float entries are a: the
-    compiled sweep of order n (_sweep), which keeps only the upper triangle
-    current."""
+    compiled sweep of order n (_sweep) up to CANONICAL_ORDER_CAP, and
+    _plan_sweep above it.  Both keep only the upper triangle current."""
     if n == 1:
         return a, [[1.0]] if want_vectors else None
     skip = tol / (4.0 * n * n)
-    return _sweep(n, want_vectors)(a, tol, skip)
+    if n <= CANONICAL_ORDER_CAP:
+        return _sweep(n, want_vectors)(a, tol, skip)
+    return _plan_sweep(n, a, tol, skip, want_vectors)
+
+
+def _plan_sweep(n: int, a: list[float], tol: float, skip: float, want_vectors: bool):
+    """The Jacobi loop of _sweep, walking _rotation_plan(n) over the flat
+    list a (updated in place) instead of compiling it."""
+    v = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)] if want_vectors else None
+    upper, rotations = _rotation_plan(n)
+    for _ in range(_MAX_SWEEPS):
+        mass = 0.0
+        for k in upper:
+            x = a[k]
+            mass += x * x
+        if math.sqrt(2.0 * mass) < tol:
+            break
+        for pq, pp, qq, pairs, columns in rotations:
+            apq = a[pq]
+            if abs(apq) <= skip:
+                continue
+            diff = a[qq] - a[pp]
+            if abs(apq) < 1e-300 * abs(diff):
+                t = apq / diff
+            else:
+                theta = diff / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            tau = s / (1.0 + c)
+            a[pq] = 0.0
+            a[pp] -= t * apq
+            a[qq] += t * apq
+            for gi, hi in pairs:
+                g_ = a[gi]
+                h_ = a[hi]
+                a[gi] = g_ - s * (h_ + tau * g_)
+                a[hi] = h_ + s * (g_ - tau * h_)
+            if v is not None:
+                for gi, hi in columns:
+                    g_ = v[gi]
+                    h_ = v[hi]
+                    v[gi] = g_ - s * (h_ + tau * g_)
+                    v[hi] = h_ + s * (g_ - tau * h_)
+    else:
+        raise ArithmeticError("Jacobi iteration did not converge")
+    if v is not None:
+        v = [v[i * n:(i + 1) * n] for i in range(n)]
+    return a[::n + 1], v
 
 
 def eigen_sym(m: IntMatrix) -> Spectrum:

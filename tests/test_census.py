@@ -33,7 +33,8 @@ from graphfactor.graphs import (
     has_isolated_vertex,
     matching,
 )
-from graphfactor.search import _degree_pairs, fix_labeling
+from graphfactor.factorization import StoredWitness
+from graphfactor.search import SearchConfig, _degree_pairs, fix_labeling, is_factorizable
 from graphfactor.exact import adjacency
 from oracles import brute_class_reps, ladder_class_keys
 
@@ -537,6 +538,100 @@ def _forge(rec, edit):
     return CensusRecord.from_json(obj)
 
 
+def _flip(matrix, *cells):
+    """An edit that flips the given entries of one matrix of a record's
+    first witness."""
+    def edit(obj):
+        rows = [list(row) for row in obj["witnesses"][0][matrix]]
+        for i, j in cells:
+            rows[i][j] = "1" if rows[i][j] == "0" else "0"
+        obj["witnesses"][0][matrix] = ["".join(row) for row in rows]
+    return edit
+
+
+# (edit of the C6 record, verify's message for its first witness; a witness
+# of another graph is test_verify_rejects_witness_of_another_graph)
+BROKEN_WITNESSES = {
+    "asymmetric B": (_flip("b", (0, 1)), "factorization matrices must be adjacency matrices"),
+    "loop in C": (_flip("c", (2, 2)), "factorization matrices must be adjacency matrices"),
+    # B keeps its perfect matching and gains the edge {0, 2}.
+    "failed product": (_flip("b", (0, 2), (2, 0)), "product identity fails: B*C != A"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_WITNESSES))
+def test_verify_names_a_broken_witness(order6_records, name):
+    edit, message = BROKEN_WITNESSES[name]
+    c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
+    report = verify_catalog([_forge(c6, edit)])
+    assert report.integrity == [
+        f"record 'EBj?': witness 0: {message}",
+        "record 'EBj?': stored witnesses mismatch",
+    ]
+    assert report.assertions["W0"].violations == 1
+    assert report.total_violations == 3
+
+
+# (edit of the C6 record's first witness, the schema error it raises)
+MALFORMED_WITNESSES = {
+    "non-bit character": (
+        lambda w: w["b"].__setitem__(0, "0002" + w["b"][0][4:]),
+        "b: row 0 is not a length-6 bit-string",
+    ),
+    "ragged row": (
+        lambda w: w["c"].__setitem__(2, w["c"][2][:-1]),
+        "c: row 2 is not a length-6 bit-string",
+    ),
+    "empty matrix": (lambda w: w.update(a=[]), "matrix order must be at least 1"),
+    "two orders": (
+        lambda w: w.update(c=[row[:5] for row in w["c"][:5]]),
+        "witness matrices must share one order",
+    ),
+    "non-boolean trivial": (
+        lambda w: w.update(trivial=0), "witness field 'trivial' must be a boolean"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WITNESSES))
+def test_catalog_schema_error_names_a_malformed_witness(order6_records, tmp_path, name):
+    edit, message = MALFORMED_WITNESSES[name]
+    c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
+    obj = c6.to_json()
+    edit(obj["witnesses"][0])
+    path = tmp_path / "malformed.jsonl"
+    path.write_text(json.dumps(order6_records[0].to_json()) + "\n" + json.dumps(obj) + "\n")
+    with pytest.raises(CatalogSchemaError) as exc:
+        read_catalog(path)
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def _matrix_rows(m):
+    """The bit rows of an IntMatrix view, character j of row i its entry (i, j)."""
+    return ["".join(str(x) for x in row) for row in m.entries]
+
+
+def test_stored_witness_round_trips_every_witness_to_order_7():
+    # Each witness is written as the bit rows of its public IntMatrix views,
+    # and reads back to the same triple of graphs.
+    count = 0
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            for f in is_factorizable(g, SearchConfig(mode="all")).witnesses:
+                j = StoredWitness.from_factorization(f).to_json()
+                assert j == {
+                    "a": _matrix_rows(f.a),
+                    "b": _matrix_rows(f.b),
+                    "c": _matrix_rows(f.c),
+                    "h_graph6": encode_graph6(f.h),
+                    "k_graph6": encode_graph6(f.k),
+                    "trivial": f.trivial,
+                }
+                assert StoredWitness.from_json(json.loads(json.dumps(j))).to_factorization() == f
+                count += 1
+    assert count == 217
+
+
 FORGED_VIOLATION = {
     "assertion_id": "V1", "expected": "x", "observed": "y", "paper_ref": "invented"
 }
@@ -586,7 +681,10 @@ def test_verify_rejects_witness_of_another_graph(order6_records):
 
     report = verify_catalog([_forge(c6, swap)])
     assert report.assertions["W0"].violations == 1
-    assert "record 'EBj?': witness 0 targets a different graph" in report.integrity
+    assert report.integrity == [
+        "record 'EBj?': witness 0 targets a different graph",
+        "record 'EBj?': stored witnesses mismatch",
+    ]
 
 
 def test_verify_reports_duplicated_class(order6_records):

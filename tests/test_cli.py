@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -111,6 +112,24 @@ def test_construct_cycle_json(capsys):
     assert payload["lambda_max_g"] == pytest.approx(2.0, abs=1e-9)
     assert payload["violations"]["items"] == []
     StoredWitness.from_json(payload["witness"]).to_factorization()
+
+
+# sha256 of `construct --kind ... --json`; the double is of the triangle.
+CONSTRUCT_JSON_SHA256 = {
+    ("cycle", "--n", "3"): "9855ec0a29d0654279cd41fd3c484eab8a77e28ee5b792e7aa577e557be5513f",
+    ("cycle", "--n", "31"): "76fb62621178e0db4d4fd6a25314c4c4f20b1c28cc2d36387addad2a0c125259",
+    ("counterexample", "--n", "3"): (
+        "c69adbf260a3579f6b6fa816ab32af1463d9a1f544d02079d3cb053b8e82cc8d"
+    ),
+    ("double", "--graph6", "Bw"): "9e53263383ba577fdcd293309a607f209075a8d774588c93777d17dac748441a",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CONSTRUCT_JSON_SHA256))
+def test_construct_json_bytes_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, "construct", "--kind", *args, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_JSON_SHA256[args]
 
 
 def test_construct_double_requires_input(capsys):

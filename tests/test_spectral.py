@@ -8,6 +8,8 @@ from graphfactor.census import enumerate_graphs, run_census
 from graphfactor.errors import PreconditionError
 from graphfactor.exact import IntMatrix, adjacency, multiply
 from graphfactor.graphs import (
+    CANONICAL_ORDER_CAP,
+    Graph,
     complete,
     cycle,
     disjoint_union,
@@ -240,6 +242,37 @@ def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
         got = _jacobi(m, DEFAULT_TOL * 1e-3, True)
         want = jacobi_reference(m, DEFAULT_TOL * 1e-3, True)
         assert _float_bits(*got) == _float_bits(*want), m
+
+
+def test_jacobi_bit_identical_to_reference_above_the_compiled_orders():
+    # Orders 9 to 12 walk the rotation plan instead of a compiled sweep.
+    rng = random.Random(912)
+    for n in range(9, 13):
+        for _ in range(4):
+            g = Graph.from_edges(
+                n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+            )
+            entries = adjacency(g).entries
+            for want_vectors in (False, True):
+                got = _jacobi(entries, DEFAULT_TOL, want_vectors)
+                want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
+                assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
+            assert lambda_max(g).hex() == max(want[0]).hex(), g
+
+
+def test_sweep_is_compiled_only_up_to_the_canonical_cap(monkeypatch):
+    compiled = []
+    sweep = spectral._sweep
+
+    def spy(n, want_vectors):
+        compiled.append(n)
+        return sweep(n, want_vectors)
+
+    monkeypatch.setattr(spectral, "_sweep", spy)
+    for n in (3, CANONICAL_ORDER_CAP, CANONICAL_ORDER_CAP + 1, 62):
+        for want_vectors in (False, True):
+            _jacobi(adjacency(cycle(n)).entries, DEFAULT_TOL, want_vectors)
+    assert compiled == [3, 3, CANONICAL_ORDER_CAP, CANONICAL_ORDER_CAP]
 
 
 def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
