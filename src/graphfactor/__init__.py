@@ -41,7 +41,6 @@ from .exact import (
     HoffmanCertificate,
     IntMatrix,
     PositivityProfile,
-    RationalMatrix,
     adjacency,
     as_adjacency,
     bipartite_power_structure,

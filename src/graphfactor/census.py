@@ -446,47 +446,31 @@ def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
 # catalog verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AssertionTally:
-    instances_checked: int = 0
-    violations: int = 0
-
-
-def _assertion_tallies() -> dict[str, AssertionTally]:
-    return {aid: AssertionTally() for aid in (PRODUCT_ASSERTION, *ASSERTION_IDS)}
-
-
-@dataclass
-class RuleTally:
-    instances_checked: int = 0
-    ruled_out: int = 0
-    violations: int = 0
-
-
-def _rule_tallies() -> dict[str, RuleTally]:
-    return {rid: RuleTally() for rid in RULE_IDS}
-
-
-def _exploratory_counts() -> dict[str, dict[str, int]]:
-    return {
-        "stronger_edge_bound": {"instances": 0, "failures": 0},
-        "unguarded_product_bound": {"instances": 0, "failures": 0},
-        "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
-    }
+def _counts(ids, *names: str) -> dict[str, dict[str, int]]:
+    """A zero count of each name for each id, in the report's JSON order."""
+    return {key: dict.fromkeys(names, 0) for key in ids}
 
 
 @dataclass
 class TheoremReport:
-    """The tallies of a verified catalog, or of a run of its records.
+    """The counts of a verified catalog, or of a run of its records, each
+    section in the shape of its JSON.
 
     checked holds one (where, class, messages) entry per record in catalog
     order: the class is None when the record's graph6 does not decode to
     one.  Reports of consecutive runs of records add up with absorb."""
 
     witnesses_checked: int = 0
-    assertions: dict[str, AssertionTally] = field(default_factory=_assertion_tallies)
-    rules: dict[str, RuleTally] = field(default_factory=_rule_tallies)
-    exploratory: dict[str, dict[str, int]] = field(default_factory=_exploratory_counts)
+    assertions: dict[str, dict[str, int]] = field(default_factory=lambda: _counts(
+        (PRODUCT_ASSERTION, *ASSERTION_IDS), "instances_checked", "violations"
+    ))
+    rules: dict[str, dict[str, int]] = field(default_factory=lambda: _counts(
+        RULE_IDS, "instances_checked", "ruled_out", "violations"
+    ))
+    exploratory: dict[str, dict[str, int]] = field(default_factory=lambda: {
+        **_counts(("stronger_edge_bound", "unguarded_product_bound"), "instances", "failures"),
+        **_counts(("component_isomorphism",), "instances", "isomorphic", "non_isomorphic"),
+    })
     checked: list[tuple[str, tuple[int, str] | None, list[str]]] = field(
         default_factory=list
     )
@@ -512,22 +496,21 @@ class TheoremReport:
     def absorb(self, later: "TheoremReport") -> None:
         """Add the report of the records that follow this report's."""
         self.witnesses_checked += later.witnesses_checked
-        for mine, theirs in ((self.assertions, later.assertions), (self.rules, later.rules)):
-            for key, tally in theirs.items():
-                mine[key].instances_checked += tally.instances_checked
-                mine[key].violations += tally.violations
-        for rid, tally in later.rules.items():
-            self.rules[rid].ruled_out += tally.ruled_out
-        for name, counts in later.exploratory.items():
-            for key, value in counts.items():
-                self.exploratory[name][key] += value
+        for mine, theirs in (
+            (self.assertions, later.assertions),
+            (self.rules, later.rules),
+            (self.exploratory, later.exploratory),
+        ):
+            for key, counts in theirs.items():
+                for name, value in counts.items():
+                    mine[key][name] += value
         self.checked.extend(later.checked)
 
     @property
     def total_violations(self) -> int:
         return (
-            sum(t.violations for t in self.assertions.values())
-            + sum(t.violations for t in self.rules.values())
+            sum(c["violations"] for c in self.assertions.values())
+            + sum(c["violations"] for c in self.rules.values())
             + len(self.integrity)
         )
 
@@ -535,18 +518,8 @@ class TheoremReport:
         return {
             "records_checked": self.records_checked,
             "witnesses_checked": self.witnesses_checked,
-            "assertions": {
-                aid: {"instances_checked": t.instances_checked, "violations": t.violations}
-                for aid, t in self.assertions.items()
-            },
-            "rules": {
-                rid: {
-                    "instances_checked": t.instances_checked,
-                    "ruled_out": t.ruled_out,
-                    "violations": t.violations,
-                }
-                for rid, t in self.rules.items()
-            },
+            "assertions": self.assertions,
+            "rules": self.rules,
             "exploratory": self.exploratory,
             "integrity": self.integrity,
             "total_violations": self.total_violations,
@@ -561,18 +534,18 @@ class TheoremReport:
         ]
         refs = dict(ASSERTION_REFS)
         refs[PRODUCT_ASSERTION] = PRODUCT_REF
-        for aid, tally in self.assertions.items():
-            fired = "fired" if tally.instances_checked else "never fired"
+        for aid, counts in self.assertions.items():
+            fired = "fired" if counts["instances_checked"] else "never fired"
             lines.append(
-                f"  {aid:>3}: {tally.instances_checked:6d} / {tally.violations:d}"
+                f"  {aid:>3}: {counts['instances_checked']:6d} / {counts['violations']:d}"
                 f"  ({fired}) {refs.get(aid, '')}"
             )
         lines.append("")
         lines.append("screening rules (id: instances / ruled out / soundness violations):")
-        for rid, tally in self.rules.items():
+        for rid, counts in self.rules.items():
             lines.append(
-                f"  {rid:>3}: {tally.instances_checked:6d} / {tally.ruled_out:6d}"
-                f" / {tally.violations:d}"
+                f"  {rid:>3}: {counts['instances_checked']:6d} / {counts['ruled_out']:6d}"
+                f" / {counts['violations']:d}"
             )
         lines.append("")
         lines.append("exploratory evidence (logged, never asserted):")
@@ -637,7 +610,7 @@ def _sum_reports(reports) -> TheoremReport:
 
 
 def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
-    """Verify one record: add its entry and its tallies to report."""
+    """Verify one record: add its entry and its counts to report."""
     where = f"record {rec.graph6!r}"
     undecodable = f"{where}: graph6 does not decode to a class"
     try:
@@ -656,12 +629,12 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
     messages: list[str] = []
     report.checked.append((where, (g.order, fresh.graph_key), messages))
     for rule in fresh.rules:
-        tally = report.rules[rule.rule_id]
-        tally.instances_checked += 1
+        counts = report.rules[rule.rule_id]
+        counts["instances_checked"] += 1
         if rule.status == "ruled_out":
-            tally.ruled_out += 1
+            counts["ruled_out"] += 1
             if rec.verdict != "no" or rec.witnesses or rec.factor_pairs:
-                tally.violations += 1
+                counts["violations"] += 1
     if rec.verdict == "yes" and not (rec.factor_pairs and rec.witnesses):
         messages.append(f"{where}: verdict yes without stored witnesses")
     if rec.verdict != "yes" and (rec.factor_pairs or rec.witnesses):
@@ -672,15 +645,15 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
     valid = []
     for idx, w in enumerate(rec.witnesses):
         report.witnesses_checked += 1
-        product.instances_checked += 1
+        product["instances_checked"] += 1
         try:
             f = w.to_factorization()
         except (PreconditionError, ParameterError) as exc:
-            product.violations += 1
+            product["violations"] += 1
             messages.append(f"{where}: witness {idx}: {exc}")
             continue
         if f.g != g:
-            product.violations += 1
+            product["violations"] += 1
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
@@ -698,10 +671,10 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
     for outcomes, obs in checks:
         for outcome in outcomes:
             if outcome.applied:
-                tally = report.assertions[outcome.assertion_id]
-                tally.instances_checked += 1
+                counts = report.assertions[outcome.assertion_id]
+                counts["instances_checked"] += 1
                 if outcome.violation is not None:
-                    tally.violations += 1
+                    counts["violations"] += 1
         if obs.stronger_edge_bound_applied:
             exploratory["stronger_edge_bound"]["instances"] += 1
             if not obs.stronger_edge_bound_holds:

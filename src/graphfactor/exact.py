@@ -63,36 +63,12 @@ class BipartitePowerStructure:
 
 
 @dataclass(frozen=True)
-class RationalMatrix:
-    """Square matrix of exact rationals."""
-
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if n == 0:
-            raise ParameterError("matrix order must be at least 1")
-        for row in self.entries:
-            if len(row) != n:
-                raise ParameterError("matrix must be square")
-
-    @classmethod
-    def all_ones(cls, n: int) -> "RationalMatrix":
-        one = Fraction(1)
-        return cls(((one,) * n,) * n)
-
-    @property
-    def order(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class HoffmanCertificate:
     """Coefficients a_0..a_{n-1} with sum a_i A^i equal to the all-ones matrix."""
 
     coefficients: tuple[Fraction, ...]
 
-    def evaluate(self, a: "IntMatrix") -> "RationalMatrix":
+    def evaluates_to_all_ones(self, a: "IntMatrix") -> bool:
         n = a.order
         acc = [[Fraction(0)] * n for _ in range(n)]
         p = IntMatrix.identity(n)
@@ -102,10 +78,7 @@ class HoffmanCertificate:
                     for j in range(n):
                         acc[i][j] += coeff * p.entries[i][j]
             p = multiply(p, a)
-        return RationalMatrix(tuple(tuple(row) for row in acc))
-
-    def evaluates_to_all_ones(self, a: "IntMatrix") -> bool:
-        return self.evaluate(a) == RationalMatrix.all_ones(a.order)
+        return all(x == 1 for row in acc for x in row)
 
 
 def adjacency(g: Graph) -> IntMatrix:

@@ -2,16 +2,17 @@
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
 eigenvalues that regular and bipartite graphs produce), driven by a rotation
-plan built once per order.  Up to CANONICAL_ORDER_CAP, the orders the census
-runs, the kernel is one straight-line function per order, generated from the
-plan and compiled once per process, with one local variable per matrix
-entry; a sweep spells out about n**3 / 2 statements, so above the cap a loop
-walks the plan over one flat list instead.  Both run every float operation
-of the nested-list sweep in the same order, so their values and rotations
-are bit-identical to that sweep's.  lambda_max runs the kernel once per
-labelled graph.  The Perron pair comes from power iteration.  The module
-also hosts the largest-eigenvalue product check used to audit
-factorizations.
+plan built once per order.  For the values alone (lambda_max and eigen_sym)
+at orders up to CANONICAL_ORDER_CAP, the orders the census runs, the kernel
+is one straight-line function per order, generated from the plan and
+compiled once per process, with one local variable per matrix entry; a
+sweep spells out about n**3 / 2 statements, so above the cap, and whenever
+the rotations are wanted, a loop walks the plan over one flat list instead.
+Both run every float operation of the nested-list sweep in the same order,
+so their values and rotations are bit-identical to that sweep's.
+lambda_max runs the kernel once per labelled graph.  The Perron pair comes
+from power iteration.  The module also hosts the largest-eigenvalue product
+check used to audit factorizations.
 
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
@@ -81,34 +82,28 @@ def _rotation_plan(n: int):
 
 
 @cache
-def _sweep(n: int, want_vectors: bool):
-    """The Jacobi loop at order n >= 2 as one function of straight-line
-    code, generated from _rotation_plan(n) and compiled once per process.
+def _sweep(n: int):
+    """The Jacobi loop at order n >= 2, values only, as one function of
+    straight-line code, generated from _rotation_plan(n) and compiled once
+    per process.
 
-    Matrix entry k of the flat row-major list lives in local a<k>, and
-    rotation entry k in local v<k>; each sweep sums the off-diagonal mass
-    and then spells out every rotation, so no list is indexed and no plan
-    is walked.  The float operations are those of the plan-driven loop,
-    in its order.  sweep(a, tol, skip) takes the flat matrix and returns
-    (diagonal values, rotation rows or None)."""
+    Matrix entry k of the flat row-major list lives in local a<k>; each
+    sweep sums the off-diagonal mass and then spells out every rotation, so
+    no list is indexed and no plan is walked.  The float operations are
+    those of _plan_sweep, in its order.  sweep(a, tol, skip) takes the flat
+    matrix and returns (diagonal values, None)."""
     upper, rotations = _rotation_plan(n)
     diagonal = [i * (n + 1) for i in range(n)]
     used = set(upper) | set(diagonal)
+    mass = " + ".join(f"a{k} * a{k}" for k in upper)
     src = [
         "def sweep(a, tol, skip, abs=abs, sqrt=sqrt):",
         "    " + ", ".join(f"a{k}" if k in used else "_" for k in range(n * n)) + ", = a",
-    ]
-    if want_vectors:
-        src.append("    " + " = ".join(f"v{k}" for k in diagonal) + " = 1.0")
-        src.append("    " + " = ".join(f"v{k}" for k in range(n * n) if k not in diagonal)
-                   + " = 0.0")
-    mass = " + ".join(f"a{k} * a{k}" for k in upper)
-    src += [
         f"    for _ in range({_MAX_SWEEPS}):",
         f"        if sqrt(2.0 * ({mass})) < tol:",
         "            break",
     ]
-    for pq, pp, qq, pairs, columns in rotations:
+    for pq, pp, qq, pairs, _ in rotations:
         src += [
             # Negated so that a NaN pivot is rotated, not skipped.
             f"        if not abs(a{pq}) <= skip:",
@@ -127,24 +122,16 @@ def _sweep(n: int, want_vectors: bool):
             f"            a{pq} = 0.0",
             f"            a{pp} -= t * apq",
             f"            a{qq} += t * apq",
+        ] + [
+            f"            a{g}, a{h} = a{g} - s * (a{h} + tau * a{g}),"
+            f" a{h} + s * (a{g} - tau * a{h})"
+            for g, h in pairs
         ]
-        for name, updates in (("a", pairs), ("v", columns if want_vectors else ())):
-            src += [
-                f"            {name}{g}, {name}{h} = {name}{g} - s * ({name}{h} + tau * {name}{g}),"
-                f" {name}{h} + s * ({name}{g} - tau * {name}{h})"
-                for g, h in updates
-            ]
     values = ", ".join(f"a{k}" for k in diagonal)
-    vectors = "None"
-    if want_vectors:
-        vectors = ", ".join(
-            "[" + ", ".join(f"v{i * n + j}" for j in range(n)) + "]" for i in range(n)
-        )
-        vectors = f"[{vectors}]"
     src += [
         "    else:",
         "        raise ArithmeticError('Jacobi iteration did not converge')",
-        f"    return [{values}], {vectors}",
+        f"    return [{values}], None",
     ]
     namespace = {"sqrt": math.sqrt}
     exec(compile("\n".join(src), f"<jacobi sweep, order {n}>", "exec"), namespace)
@@ -161,19 +148,19 @@ def _jacobi(mat, tol: float, want_vectors: bool):
 
 def _jacobi_flat(n: int, a: list[float], tol: float, want_vectors: bool):
     """_jacobi of the n x n matrix whose row-major float entries are a: the
-    compiled sweep of order n (_sweep) up to CANONICAL_ORDER_CAP, and
-    _plan_sweep above it.  Both keep only the upper triangle current."""
-    if n == 1:
-        return a, [[1.0]] if want_vectors else None
+    compiled values sweep of order n (_sweep) for 2 <= n <=
+    CANONICAL_ORDER_CAP, and _plan_sweep for vectors and every other order.
+    Both keep only the upper triangle current."""
     skip = tol / (4.0 * n * n)
-    if n <= CANONICAL_ORDER_CAP:
-        return _sweep(n, want_vectors)(a, tol, skip)
+    if not want_vectors and 2 <= n <= CANONICAL_ORDER_CAP:
+        return _sweep(n)(a, tol, skip)
     return _plan_sweep(n, a, tol, skip, want_vectors)
 
 
 def _plan_sweep(n: int, a: list[float], tol: float, skip: float, want_vectors: bool):
     """The Jacobi loop of _sweep, walking _rotation_plan(n) over the flat
-    list a (updated in place) instead of compiling it."""
+    list a (updated in place) instead of compiling it, and accumulating the
+    rotations when want_vectors is set."""
     v = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)] if want_vectors else None
     upper, rotations = _rotation_plan(n)
     for _ in range(_MAX_SWEEPS):
@@ -275,12 +262,18 @@ def perron(g: Graph) -> PerronData:
     """Perron value/vector of a connected graph by power iteration from the
     all-ones vector.  The iteration runs on A + I so bipartite spectra
     (where -lambda_max ties lambda_max in magnitude) cannot oscillate.
+
+    A step that moves the vector by dist, after one that moved it by prev,
+    contracts at the rate r = dist / prev and leaves an error of about
+    dist * r / (1 - r) = dist**2 / (prev - dist), so the iteration stops
+    only once that, and dist itself, are below DEFAULT_TOL.
     """
     if not is_connected(g):
         raise PreconditionError("perron requires a connected graph")
     n = g.order
     rows = g.rows
     v = [1.0 / math.sqrt(n)] * n
+    prev = math.inf
     for _ in range(_MAX_POWER_ITER):
         w = []
         for i in range(n):
@@ -295,8 +288,9 @@ def perron(g: Graph) -> PerronData:
         w = [x / norm for x in w]
         dist = math.sqrt(sum((a - b) ** 2 for a, b in zip(w, v)))
         v = w
-        if dist < DEFAULT_TOL:
+        if dist < DEFAULT_TOL and dist * dist < DEFAULT_TOL * (prev - dist):
             break
+        prev = dist
     else:
         raise ArithmeticError("power iteration did not converge")
     value = 0.0

@@ -229,12 +229,12 @@ def test_criterion_09_theorem_suite_over_census(catalog_1_to_6):
     report = verify_catalog(catalog_1_to_6)
     elapsed = time.perf_counter() - t0
     core = [f"V{i}" for i in range(1, 14)]
-    zero_violations = all(report.assertions[aid].violations == 0 for aid in core)
+    zero_violations = all(report.assertions[aid]["violations"] == 0 for aid in core)
     ok = zero_violations and report.total_violations == 0
     print()
     print("=== order <= 6 theorem verification log ===")
     print(report.format_text())
-    fired = [aid for aid in core if report.assertions[aid].instances_checked]
+    fired = [aid for aid in core if report.assertions[aid]["instances_checked"]]
     _report(9, "theorem suite over the order<=6 census", ok, elapsed, f" [fired: {', '.join(fired)}]")
 
 

@@ -16,7 +16,7 @@ from graphfactor.census import (
 from graphfactor.errors import CatalogSchemaError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
-    cycle, disjoint_union, edgeless, encode_edge_list, encode_graph6, path,
+    canonical_key, cycle, disjoint_union, edgeless, encode_edge_list, encode_graph6, path,
 )
 from graphfactor.search import SearchConfig, is_factorizable
 
@@ -346,9 +346,26 @@ def test_verify_order_6_report_is_the_same_at_any_jobs(
     assert serial[1] == json.dumps(verify_catalog(order6_records).to_json(), indent=2) + "\n"
 
 
-def test_verify_order_7_counts_the_classes_each_rule_rules_out(tmp_path, capsys, pool_of_two):
-    path = tmp_path / "n7.jsonl"
-    write_catalog(run_census(7, jobs=1), path)
+@pytest.fixture(scope="module")
+def verify_catalogs(tmp_path_factory, order6_records):
+    """The order-7 catalog, and the order-6 catalog with one bit of the
+    first witness of C6 flipped."""
+    root = tmp_path_factory.mktemp("verify")
+    order7 = root / "n7.jsonl"
+    write_catalog(run_census(7, jobs=1), order7)
+    objs = [rec.to_json() for rec in order6_records]
+    c6 = next(obj for obj in objs if obj["canonical_key"] == canonical_key(cycle(6)))
+    row = c6["witnesses"][0]["b"][0]
+    c6["witnesses"][0]["b"][0] = row[0] + ("1" if row[1] == "0" else "0") + row[2:]
+    forged = root / "forged6.jsonl"
+    forged.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return {"order 7": order7, "forged order 6": forged}
+
+
+def test_verify_order_7_counts_the_classes_each_rule_rules_out(
+    capsys, pool_of_two, verify_catalogs
+):
+    path = verify_catalogs["order 7"]
     serial, parallel = verify_at_jobs_1_and_2(capsys, path)
     assert serial == parallel
     assert serial[0] == 0
@@ -365,6 +382,31 @@ def test_verify_order_7_counts_the_classes_each_rule_rules_out(tmp_path, capsys,
     assert pool_of_two == [2, 2]
     for rid, count in ruled_out.items():
         assert f"  {rid}:   1044 / {count:6d} / 0\n" in text[0][1]
+
+
+# sha256 of the `verify` report of each catalog of verify_catalogs, as
+# text and as --json; any change to a report byte is a change to a count,
+# an integrity message or the report format.
+VERIFY_REPORT_SHA256 = {
+    "order 7": (
+        "80d21fabea5b26441df4877fed856fca91405d3787a70dfbbf37a7e6c979f645",
+        "22fb302b531925866eaf3bebd46084824c6e557480ab32770799952fa6e704c4",
+    ),
+    "forged order 6": (
+        "a931679cd97700cd4ac6bd0970e5b3a5bfe855a9dbffbedd45a6f7b0c30ddf05",
+        "43b65f9cd57b18b75ab49044690dd0a0004708fcbb89379191372e01fdae65b0",
+    ),
+}
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(VERIFY_REPORT_SHA256))
+def test_verify_report_bytes_pinned(capsys, pool_of_two, verify_catalogs, name, jobs):
+    path = str(verify_catalogs[name])
+    for flags, digest in zip(((), ("--json",)), VERIFY_REPORT_SHA256[name]):
+        code, out, _ = run_cli(capsys, "verify", "--catalog", path, "--jobs", jobs, *flags)
+        assert code == (0 if name == "order 7" else 1)
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, flags
 
 
 def test_verify_forged_catalog_report_is_the_same_at_any_jobs(

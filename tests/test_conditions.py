@@ -13,6 +13,7 @@ from graphfactor.conditions import (
     RULE_IDS,
     ConditionReport,
     ViolationList,
+    _rule_results,
     check_assertions,
     evaluate_rule,
     exploratory_observations,
@@ -237,6 +238,28 @@ def test_screening_totals_are_pinned():
     # The order-8 classes are cached per process, shared with the pinned
     # order-8 key and search counter tests.
     assert screening_totals(8) == ({"R1": 6_168, "R2": 0, "R3": 23, "R4": 26}, 6_168)
+
+
+def _ruled_out_by(rules) -> set[str]:
+    return {rule.rule_id for rule in rules if rule.status == "ruled_out"}
+
+
+def test_r3_and_r4_never_rule_a_graph_out_alone():
+    # A forest with c components and no isolated vertex has n - c edges; R3
+    # fires for c = 1 and R4 for odd c.  For even n the edge count is then
+    # odd (R1), and for odd n the forest has no 4-cycle (R2).
+    fired = 0
+    for n in range(1, 63):
+        for c in range(1, n // 2 + 1):
+            ruled_out = _ruled_out_by(_rule_results(n, n - c, False, False, c))
+            if ruled_out & {"R3", "R4"}:
+                fired += 1
+                assert ruled_out & {"R1", "R2"}, (n, c)
+    assert fired == sum((n // 2 + 1) // 2 for n in range(1, 63))
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            ruled_out = _ruled_out_by(screen(g).rules)
+            assert not ruled_out & {"R3", "R4"} or ruled_out & {"R1", "R2"}, g
 
 
 # ---------------------------------------------------------------------------
