@@ -10,8 +10,10 @@ from graphfactor import graphs
 from graphfactor.census import enumerate_graphs
 from graphfactor.conditions import (
     ASSERTION_IDS,
+    ASSERTION_REFS,
     RULE_IDS,
     ConditionReport,
+    Violation,
     ViolationList,
     _rule_results,
     check_assertions,
@@ -329,6 +331,155 @@ def test_assertion_registry_complete():
 def test_violation_list_json_roundtrip():
     violations = validate_factorization(six_cycle_factorization())
     assert ViolationList.from_json(violations.to_json()) == violations
+
+
+def _k5_factorization() -> Factorization:
+    """K5 as the product of a 5-cycle and the pentagram: odd order, both
+    factors connected."""
+    return Factorization(
+        graphs.decode_graph6("D~{"), graphs.decode_graph6("DLo"), graphs.decode_graph6("DqK")
+    )
+
+
+def _doubled_triangle() -> Factorization:
+    from graphfactor.search import doubled_graph
+
+    return doubled_graph(complete(3))
+
+
+# Each case makes the predicates that conditions imports lie about one
+# witness's graphs (named "g", "h" and "k"), which drives the checks into
+# violations no honest witness produces; the violations of the case are
+# pinned in order.  "spectral.lambda_max" lies inside the spectral module,
+# which lambda_max_product_check reads.
+_FORCED_VIOLATIONS = {
+    "V1": (six_cycle_factorization, {"degree_sequence": {"g": (3, 2, 2, 2, 2, 2)}}, [
+        ("V1", "deg_G(0) = deg_H(0)*deg_K(0)", "3 != 2*1"),
+    ]),
+    "V2-h-components": (six_cycle_factorization, {
+        "degree_sequence": {"k": (2, 0, 1, 1, 1, 1), "g": (4, 0, 2, 2, 2, 2)},
+    }, [
+        ("V2", "constant deg_K on each H-component",
+         "component (0, 1, 2) has deg_K values [0, 1, 2]"),
+    ]),
+    "V2-k-components": (six_cycle_factorization, {
+        "degree_sequence": {"h": (3, 2, 2, 1, 2, 2), "g": (3, 2, 2, 1, 2, 2)},
+    }, [
+        ("V2", "constant deg_H on each K-component", "component (0, 3) has deg_H values [1, 3]"),
+    ]),
+    "V3": (six_cycle_factorization, {"degree_sequence": {"k": (0,) * 6}}, [
+        ("V1", "deg_G(0) = deg_H(0)*deg_K(0)", "2 != 2*0"),
+        ("V3", "0 <= |E(G)| <= 0", "|E(G)| = 6"),
+    ]),
+    "V4": (six_cycle_factorization, {
+        "is_connected": {"h": True, "k": True}, "degree_sequence": {"g": (4,) * 6},
+    }, [
+        ("V1", "deg_G(0) = deg_H(0)*deg_K(0)", "4 != 2*1"),
+        ("V3", "3 <= |E(G)| <= 6", "|E(G)| = 12"),
+        ("V4", "2|E(G)| <= 18", "2|E(G)| = 24"),
+        ("V7", "at most one connected factor", "both H and K connected"),
+    ]),
+    "V5": (six_cycle_factorization, {"is_regular": {"h": False}}, [
+        ("V5", "H and K regular", "H degrees [2], K degrees [1]"),
+    ]),
+    "V6": (six_cycle_factorization, {"is_regular": {"g": False}}, [
+        ("V6", "G regular", "G degrees [2]"),
+    ]),
+    "V7": (six_cycle_factorization, {"is_connected": {"h": True, "k": True}}, [
+        ("V7", "at most one connected factor", "both H and K connected"),
+    ]),
+    "V8": (six_cycle_factorization, {
+        "bipartition_of": {"g": graphs.Bipartition((0, 1, 3), (2, 4, 5))},
+    }, [
+        ("V8", "one factor only across G's parts, the other with no cross edges",
+         "neither role assignment fits G's bipartition"),
+    ]),
+    "V9": (six_cycle_factorization, {"is_connected": {"g": False, "h": True}}, [
+        ("V9", "G connected", "G has 1 components"),
+        ("V12", "H and K both bipartite", "H bipartite: False, K bipartite: True"),
+    ]),
+    "V10-cofactor-not-bipartite": (_doubled_triangle, {"bipartition_of": {"k": None}}, [
+        ("V10", "regular bipartite cofactor, even order, two non-bipartite components",
+         "cofactor not bipartite"),
+        ("V12", "H and K both bipartite", "H bipartite: True, K bipartite: False"),
+    ]),
+    "V10-bipartite-components": (two_c4_factorization, {"is_connected": {"h": True}}, [
+        ("V10", "regular bipartite cofactor, even order, two non-bipartite components",
+         "cofactor not regular; component (0, 1, 2, 3) bipartite;"
+         " component (4, 5, 6, 7) bipartite"),
+        ("S1", "componentwise radius equals parent's, no isolated vertices",
+         "lambda product 2.0 vs 2.0*2.0; H component (4, 7) radius 1.0 != 2.0;"
+         " H component (5, 6) radius 1.0 != 2.0; K component (0, 3) radius 1.0 != 2.0;"
+         " K component (1, 2) radius 1.0 != 2.0"),
+    ]),
+    "V10-odd-order": (_k5_factorization, {
+        "is_connected": {"g": False},
+        "bipartition_of": {"h": graphs.Bipartition((0, 1, 2), (3, 4))},
+    }, [
+        ("V9", "G connected", "G has 1 components"),
+        ("V10", "regular bipartite cofactor, even order, two non-bipartite components",
+         "cofactor not bipartite; order 5 odd; G has 1 components"),
+        ("V11", "G connected", "G has 1 components"),
+        ("V12", "H and K both bipartite", "H bipartite: True, K bipartite: False"),
+    ]),
+    "V11": (_k5_factorization, {"is_connected": {"g": False}}, [
+        ("V9", "G connected", "G has 1 components"),
+        ("V11", "G connected", "G has 1 components"),
+        ("V12", "H and K both bipartite", "H bipartite: False, K bipartite: False"),
+    ]),
+    "V12": (_doubled_triangle, {"bipartition_of": {"h": None}}, [
+        ("V9", "G connected", "G has 2 components"),
+        ("V12", "H and K both bipartite", "H bipartite: False, K bipartite: True"),
+    ]),
+    "V13": (six_cycle_factorization, {"spectral.lambda_max": {"g": 3.0}}, [
+        ("V13", "lambda_max(G) = lambda_max(H) * lambda_max(K)", "3.0 vs 2.0"),
+    ]),
+    "S1-product": (six_cycle_factorization, {"lambda_max": {"g": 3.0}}, [
+        ("S1", "componentwise radius equals parent's, no isolated vertices",
+         "lambda product 3.0 vs 2.0*1.0"),
+    ]),
+    "S1-components": (six_cycle_factorization, {"lambda_max": {"h": 3.0}}, [
+        ("S1", "componentwise radius equals parent's, no isolated vertices",
+         "lambda product 2.0 vs 3.0*1.0; H component (0, 1, 2) radius 2.0 != 3.0;"
+         " H component (3, 4, 5) radius 2.0 != 3.0"),
+    ]),
+    "S1-isolated": (six_cycle_factorization, {"has_isolated_vertex": {"k": True}}, [
+        ("S1", "componentwise radius equals parent's, no isolated vertices",
+         "K has an isolated vertex"),
+    ]),
+}
+
+
+@pytest.mark.parametrize("case", list(_FORCED_VIOLATIONS))
+def test_forced_violation_texts(monkeypatch, case):
+    from graphfactor import conditions, spectral
+
+    make, lies, expected = _FORCED_VIOLATIONS[case]
+    f = make()
+    graph_of = {"g": f.g, "h": f.h, "k": f.k}
+    for name, answers in lies.items():
+        module = spectral if name.startswith("spectral.") else conditions
+        attr = name.rpartition(".")[2]
+        truth = getattr(module, attr)
+
+        def lying(x, truth=truth, answers=answers):
+            for role, answer in answers.items():
+                if x == graph_of[role]:
+                    return answer
+            return truth(x)
+
+        monkeypatch.setattr(module, attr, lying)
+    # The one-slot context memo must not serve, or keep, a context built
+    # from other answers.
+    conditions._context.cache_clear()
+    try:
+        found = validate_factorization(f).items
+    finally:
+        conditions._context.cache_clear()
+    assert found == tuple(
+        Violation(aid, exp, obs, ASSERTION_REFS[aid]) for aid, exp, obs in expected
+    )
+    assert case.partition("-")[0] in {v.assertion_id for v in found}
 
 
 def test_exploratory_observations_on_six_cycle():
