@@ -77,7 +77,6 @@ from .graphs import (
     edgeless,
     encode_edge_list,
     encode_graph6,
-    generate,
     graph6_from_key,
     graph_from_key,
     induced_subgraph,

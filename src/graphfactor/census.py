@@ -283,7 +283,7 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
     The census writes the record; verify rebuilds it and diffs the two."""
     n = g.order
     checks = tuple((check_assertions(f), exploratory_observations(f)) for f in witnesses)
-    isos = [obs.component_iso for _, obs in checks if obs.component_iso is not None]
+    isos = [obs["component_isomorphism"] for _, obs in checks]
     record = CensusRecord(
         n=n,
         graph6=graph6_from_key(n, report.graph_key),
@@ -299,7 +299,10 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
         violations=ViolationList(tuple(
             o.violation for outcomes, _ in checks for o in outcomes if o.violation is not None
         )),
-        component_iso_evidence=all(isos) if isos else None,
+        component_iso_evidence=(
+            not any(c["non_isomorphic"] for c in isos)
+            if any(c["instances"] for c in isos) else None
+        ),
         witnesses=tuple(StoredWitness.from_factorization(f) for f in witnesses),
     )
     return record, checks
@@ -431,13 +434,14 @@ def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # A JSONDecodeError, or an integer literal past the digit limit.
             raise CatalogSchemaError(f"line {lineno}: invalid JSON: {exc}") from None
         except RecursionError:
             raise CatalogSchemaError(f"line {lineno}: JSON nested too deeply") from None
         try:
             records.append(CensusRecord.from_json(obj))
-        except (ParameterError, KeyError, TypeError) as exc:
+        except (ParameterError, KeyError, TypeError, OverflowError) as exc:
             raise CatalogSchemaError(f"line {lineno}: {exc}") from None
     return records
 
@@ -449,6 +453,14 @@ def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
 def _counts(ids, *names: str) -> dict[str, dict[str, int]]:
     """A zero count of each name for each id, in the report's JSON order."""
     return {key: dict.fromkeys(names, 0) for key in ids}
+
+
+def _add_counts(total: dict[str, dict[str, int]], more: dict[str, dict[str, int]]) -> None:
+    """Add each count of more to the count of the same id and name in total."""
+    for key, counts in more.items():
+        mine = total[key]
+        for name, value in counts.items():
+            mine[name] += value
 
 
 @dataclass
@@ -496,14 +508,9 @@ class TheoremReport:
     def absorb(self, later: "TheoremReport") -> None:
         """Add the report of the records that follow this report's."""
         self.witnesses_checked += later.witnesses_checked
-        for mine, theirs in (
-            (self.assertions, later.assertions),
-            (self.rules, later.rules),
-            (self.exploratory, later.exploratory),
-        ):
-            for key, counts in theirs.items():
-                for name, value in counts.items():
-                    mine[key][name] += value
+        _add_counts(self.assertions, later.assertions)
+        _add_counts(self.rules, later.rules)
+        _add_counts(self.exploratory, later.exploratory)
         self.checked.extend(later.checked)
 
     @property
@@ -667,23 +674,11 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
             differs = value != stored[name]
         if differs:
             messages.append(f"{where}: stored {name} mismatch")
-    exploratory = report.exploratory
-    for outcomes, obs in checks:
+    for outcomes, observed in checks:
         for outcome in outcomes:
             if outcome.applied:
                 counts = report.assertions[outcome.assertion_id]
                 counts["instances_checked"] += 1
                 if outcome.violation is not None:
                     counts["violations"] += 1
-        if obs.stronger_edge_bound_applied:
-            exploratory["stronger_edge_bound"]["instances"] += 1
-            if not obs.stronger_edge_bound_holds:
-                exploratory["stronger_edge_bound"]["failures"] += 1
-        if obs.unguarded_product_bound_applied:
-            exploratory["unguarded_product_bound"]["instances"] += 1
-            if not obs.unguarded_product_bound_holds:
-                exploratory["unguarded_product_bound"]["failures"] += 1
-        if obs.component_iso_applied and obs.component_iso is not None:
-            exploratory["component_isomorphism"]["instances"] += 1
-            bucket = "isomorphic" if obs.component_iso else "non_isomorphic"
-            exploratory["component_isomorphism"][bucket] += 1
+        _add_counts(report.exploratory, observed)

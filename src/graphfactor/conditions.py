@@ -25,6 +25,7 @@ from .graphs import (
     is_bipartite,
     is_connected,
     is_regular,
+    is_valid_bipartition,
 )
 from .spectral import DEFAULT_TOL, lambda_max, lambda_max_product_check
 
@@ -266,22 +267,19 @@ class AssertionOutcome:
     violation: Violation | None
 
 
-@dataclass(frozen=True)
-class ExploratoryObservations:
-    """Logged evidence, never asserted: the two-sided edge bound, the
-    unguarded product edge bound, and component isomorphism when the
-    disconnected-product case fires."""
-
-    stronger_edge_bound_applied: bool
-    stronger_edge_bound_holds: bool
-    unguarded_product_bound_applied: bool
-    unguarded_product_bound_holds: bool
-    component_iso_applied: bool
-    component_iso: bool | None
+# What a check returns: None when the assertion's hypotheses fail, HELD when
+# they hold and so does its conclusion, and the (expected, observed) texts
+# of the violation otherwise.
+HELD = ()
 
 
 class _Context:
-    """Precomputed facts shared by the assertion checks."""
+    """Precomputed facts shared by the assertion checks.
+
+    settings lists the role assignments that meet the paper's hypothesis, a
+    connected factor x and a cofactor y with no isolated vertex, each as
+    (x's bipartition, y's bipartition, y's degrees).  B and C commute, so
+    the transposed product factors G into (K, H) as well as (H, K)."""
 
     def __init__(self, f: Factorization):
         self.f = f
@@ -299,160 +297,125 @@ class _Context:
         self.h_parts = bipartition_of(f.h)
         self.k_parts = bipartition_of(f.k)
         self.g_comps = components(f.g)
-
-    def orderings(self):
-        """Both role assignments; B and C commute, so the transposed
-        product factors G into (K, H) as well."""
-        f = self.f
-        yield (f.h, self.h_conn, self.h_parts, self.deg_h,
-               f.k, self.k_conn, self.k_parts, self.deg_k)
-        yield (f.k, self.k_conn, self.k_parts, self.deg_k,
-               f.h, self.h_conn, self.h_parts, self.deg_h)
-
-
-def _violation(assertion_id: str, expected: str, observed: str) -> Violation:
-    return Violation(assertion_id, expected, observed, ASSERTION_REFS[assertion_id])
-
-
-def _check_v1(ctx: _Context) -> AssertionOutcome:
-    for v in range(ctx.n):
-        if ctx.deg_g[v] != ctx.deg_h[v] * ctx.deg_k[v]:
-            return AssertionOutcome("V1", True, _violation(
-                "V1",
-                f"deg_G({v}) = deg_H({v})*deg_K({v})",
-                f"{ctx.deg_g[v]} != {ctx.deg_h[v]}*{ctx.deg_k[v]}",
-            ))
-    return AssertionOutcome("V1", True, None)
+        self.g_regular = is_regular(f.g)
+        self.factors_regular = is_regular(f.h) and is_regular(f.k)
+        self.h_isolated = has_isolated_vertex(f.h)
+        self.k_isolated = has_isolated_vertex(f.k)
+        self.settings = [
+            (x_parts, y_parts, y_deg)
+            for x_conn, x_parts, y_isolated, y_parts, y_deg in (
+                (self.h_conn, self.h_parts, self.k_isolated, self.k_parts, self.deg_k),
+                (self.k_conn, self.k_parts, self.h_isolated, self.h_parts, self.deg_h),
+            )
+            if x_conn and not y_isolated
+        ]
 
 
-def _check_v2(ctx: _Context) -> AssertionOutcome:
-    for comp in components(ctx.f.h):
-        vals = {ctx.deg_k[v] for v in comp}
-        if len(vals) > 1:
-            return AssertionOutcome("V2", True, _violation(
-                "V2", "constant deg_K on each H-component",
-                f"component {comp} has deg_K values {sorted(vals)}",
-            ))
-    for comp in components(ctx.f.k):
-        vals = {ctx.deg_h[v] for v in comp}
-        if len(vals) > 1:
-            return AssertionOutcome("V2", True, _violation(
-                "V2", "constant deg_H on each K-component",
-                f"component {comp} has deg_H values {sorted(vals)}",
-            ))
-    return AssertionOutcome("V2", True, None)
+def _check_v1(ctx: _Context):
+    for v, (dg, dh, dk) in enumerate(zip(ctx.deg_g, ctx.deg_h, ctx.deg_k)):
+        if dg != dh * dk:
+            return f"deg_G({v}) = deg_H({v})*deg_K({v})", f"{dg} != {dh}*{dk}"
+    return HELD
 
 
-def _check_v3(ctx: _Context) -> AssertionOutcome:
-    if has_isolated_vertex(ctx.f.h) or has_isolated_vertex(ctx.f.k):
-        return AssertionOutcome("V3", False, None)
+def _check_v2(ctx: _Context):
+    for x, x_name, y_name, y_deg in (
+        (ctx.f.h, "H", "K", ctx.deg_k), (ctx.f.k, "K", "H", ctx.deg_h)
+    ):
+        for comp in components(x):
+            values = sorted({y_deg[v] for v in comp})
+            if len(values) > 1:
+                return (
+                    f"constant deg_{y_name} on each {x_name}-component",
+                    f"component {comp} has deg_{y_name} values {values}",
+                )
+    return HELD
+
+
+def _check_v3(ctx: _Context):
+    if ctx.h_isolated or ctx.k_isolated:
+        return None
     lower = min(ctx.e_h, ctx.e_k)
     upper = min(max(ctx.deg_h) * ctx.e_k, max(ctx.deg_k) * ctx.e_h)
-    if not (lower <= ctx.e_g <= upper):
-        return AssertionOutcome("V3", True, _violation(
-            "V3", f"{lower} <= |E(G)| <= {upper}", f"|E(G)| = {ctx.e_g}",
-        ))
-    return AssertionOutcome("V3", True, None)
+    if lower <= ctx.e_g <= upper:
+        return HELD
+    return f"{lower} <= |E(G)| <= {upper}", f"|E(G)| = {ctx.e_g}"
 
 
-def _check_v4(ctx: _Context) -> AssertionOutcome:
+def _check_v4(ctx: _Context):
     if not (ctx.n > 4 and ctx.h_conn and ctx.k_conn):
-        return AssertionOutcome("V4", False, None)
-    if 2 * ctx.e_g > ctx.e_h * ctx.e_k:
-        return AssertionOutcome("V4", True, _violation(
-            "V4", f"2|E(G)| <= {ctx.e_h * ctx.e_k}", f"2|E(G)| = {2 * ctx.e_g}",
-        ))
-    return AssertionOutcome("V4", True, None)
+        return None
+    if 2 * ctx.e_g <= ctx.e_h * ctx.e_k:
+        return HELD
+    return f"2|E(G)| <= {ctx.e_h * ctx.e_k}", f"2|E(G)| = {2 * ctx.e_g}"
 
 
-def _check_v5(ctx: _Context) -> AssertionOutcome:
-    if not (ctx.g_conn and is_regular(ctx.f.g)):
-        return AssertionOutcome("V5", False, None)
-    if not (is_regular(ctx.f.h) and is_regular(ctx.f.k)):
-        return AssertionOutcome("V5", True, _violation(
-            "V5", "H and K regular",
-            f"H degrees {sorted(set(ctx.deg_h))}, K degrees {sorted(set(ctx.deg_k))}",
-        ))
-    return AssertionOutcome("V5", True, None)
+def _check_v5(ctx: _Context):
+    if not (ctx.g_conn and ctx.g_regular):
+        return None
+    if ctx.factors_regular:
+        return HELD
+    return (
+        "H and K regular",
+        f"H degrees {sorted(set(ctx.deg_h))}, K degrees {sorted(set(ctx.deg_k))}",
+    )
 
 
-def _check_v6(ctx: _Context) -> AssertionOutcome:
-    if not (is_regular(ctx.f.h) and is_regular(ctx.f.k)):
-        return AssertionOutcome("V6", False, None)
-    if not is_regular(ctx.f.g):
-        return AssertionOutcome("V6", True, _violation(
-            "V6", "G regular", f"G degrees {sorted(set(ctx.deg_g))}",
-        ))
-    return AssertionOutcome("V6", True, None)
+def _check_v6(ctx: _Context):
+    if not ctx.factors_regular:
+        return None
+    if ctx.g_regular:
+        return HELD
+    return "G regular", f"G degrees {sorted(set(ctx.deg_g))}"
 
 
-def _check_v7(ctx: _Context) -> AssertionOutcome:
+def _check_v7(ctx: _Context):
     # Order 1 is excluded: K1 = K1 * K1 has two connected factors, and the
     # eigenvalue argument behind the statement needs a positive degree.
     if ctx.g_parts is None or ctx.n < 2:
-        return AssertionOutcome("V7", False, None)
-    if ctx.h_conn and ctx.k_conn:
-        return AssertionOutcome("V7", True, _violation(
-            "V7", "at most one connected factor", "both H and K connected",
-        ))
-    return AssertionOutcome("V7", True, None)
+        return None
+    if not (ctx.h_conn and ctx.k_conn):
+        return HELD
+    return "at most one connected factor", "both H and K connected"
 
 
-def _cross_edge_count(g: Graph, left_mask: int, right_mask: int) -> int:
-    return sum((g.rows[v] & right_mask).bit_count() for v in range(g.order) if left_mask >> v & 1)
+def _check_v8(ctx: _Context):
+    parts = ctx.g_parts
+    if not (ctx.g_conn and parts is not None):
+        return None
+    right = parts.right_mask()
 
+    def fits(across: Graph, within: Graph) -> bool:
+        return is_valid_bipartition(across, parts) and not any(
+            within.rows[v] & right for v in parts.left
+        )
 
-def _within_edge_count(g: Graph, side_mask: int) -> int:
-    total = 0
-    for v in range(g.order):
-        if side_mask >> v & 1:
-            total += (g.rows[v] & side_mask).bit_count()
-    return total // 2
-
-
-def _check_v8(ctx: _Context) -> AssertionOutcome:
-    if not (ctx.g_conn and ctx.g_parts is not None):
-        return AssertionOutcome("V8", False, None)
-    lm = ctx.g_parts.left_mask()
-    rm = ctx.g_parts.right_mask()
-
-    def across_only(x: Graph) -> bool:
-        return _within_edge_count(x, lm) == 0 and _within_edge_count(x, rm) == 0
-
-    def no_cross(x: Graph) -> bool:
-        return _cross_edge_count(x, lm, rm) == 0
-
-    ok = (across_only(ctx.f.h) and no_cross(ctx.f.k)) or (
-        across_only(ctx.f.k) and no_cross(ctx.f.h)
+    if fits(ctx.f.h, ctx.f.k) or fits(ctx.f.k, ctx.f.h):
+        return HELD
+    return (
+        "one factor only across G's parts, the other with no cross edges",
+        "neither role assignment fits G's bipartition",
     )
-    if not ok:
-        return AssertionOutcome("V8", True, _violation(
-            "V8",
-            "one factor only across G's parts, the other with no cross edges",
-            "neither role assignment fits G's bipartition",
-        ))
-    return AssertionOutcome("V8", True, None)
 
 
-def _check_v9(ctx: _Context) -> AssertionOutcome:
-    applied = False
-    for x, x_conn, x_parts, _, y, _, _, _ in ctx.orderings():
-        if x_conn and x_parts is None and not has_isolated_vertex(y):
-            applied = True
-            if not ctx.g_conn:
-                return AssertionOutcome("V9", True, _violation(
-                    "V9", "G connected", f"G has {len(ctx.g_comps)} components",
-                ))
-    return AssertionOutcome("V9", applied, None)
+def _connected_product(ctx: _Context):
+    if ctx.g_conn:
+        return HELD
+    return "G connected", f"G has {len(ctx.g_comps)} components"
 
 
-def _check_v10(ctx: _Context) -> AssertionOutcome:
-    applied = False
-    for x, x_conn, x_parts, _, y, _, y_parts, y_deg in ctx.orderings():
-        if not (x_conn and x_parts is not None and not has_isolated_vertex(y)
-                and not ctx.g_conn):
-            continue
-        applied = True
+def _check_v9(ctx: _Context):
+    if all(x_parts is not None for x_parts, _, _ in ctx.settings):
+        return None
+    return _connected_product(ctx)
+
+
+def _check_v10(ctx: _Context):
+    cofactors = [(y_parts, y_deg) for x_parts, y_parts, y_deg in ctx.settings
+                 if x_parts is not None]
+    if ctx.g_conn or not cofactors:
+        return None
+    for y_parts, y_deg in cofactors:
         problems = []
         if min(y_deg) != max(y_deg):
             problems.append("cofactor not regular")
@@ -467,62 +430,44 @@ def _check_v10(ctx: _Context) -> AssertionOutcome:
                 if is_bipartite(induced_subgraph(ctx.f.g, comp)):
                     problems.append(f"component {comp} bipartite")
         if problems:
-            return AssertionOutcome("V10", True, _violation(
-                "V10",
+            return (
                 "regular bipartite cofactor, even order, two non-bipartite components",
                 "; ".join(problems),
-            ))
-    return AssertionOutcome("V10", applied, None)
+            )
+    return HELD
 
 
-def _check_v11(ctx: _Context) -> AssertionOutcome:
-    if ctx.n % 2 == 0:
-        return AssertionOutcome("V11", False, None)
-    applied = False
-    for x, x_conn, _, _, y, _, _, _ in ctx.orderings():
-        if x_conn and not has_isolated_vertex(y):
-            applied = True
-            if not ctx.g_conn:
-                return AssertionOutcome("V11", True, _violation(
-                    "V11", "G connected", f"G has {len(ctx.g_comps)} components",
-                ))
-    return AssertionOutcome("V11", applied, None)
+def _check_v11(ctx: _Context):
+    if ctx.n % 2 == 0 or not ctx.settings:
+        return None
+    return _connected_product(ctx)
 
 
-def _check_v12(ctx: _Context) -> AssertionOutcome:
-    if ctx.g_conn:
-        return AssertionOutcome("V12", False, None)
-    applied = False
-    for x, x_conn, _, _, y, _, _, _ in ctx.orderings():
-        if x_conn and not has_isolated_vertex(y):
-            applied = True
-            if ctx.h_parts is None or ctx.k_parts is None:
-                return AssertionOutcome("V12", True, _violation(
-                    "V12", "H and K both bipartite",
-                    f"H bipartite: {ctx.h_parts is not None}, K bipartite: {ctx.k_parts is not None}",
-                ))
-    return AssertionOutcome("V12", applied, None)
+def _check_v12(ctx: _Context):
+    if ctx.g_conn or not ctx.settings:
+        return None
+    h_bipartite = ctx.h_parts is not None
+    k_bipartite = ctx.k_parts is not None
+    if h_bipartite and k_bipartite:
+        return HELD
+    return "H and K both bipartite", f"H bipartite: {h_bipartite}, K bipartite: {k_bipartite}"
 
 
-def _check_v13(ctx: _Context) -> AssertionOutcome:
+def _check_v13(ctx: _Context):
     if not ctx.g_conn:
-        return AssertionOutcome("V13", False, None)
+        return None
     chk = lambda_max_product_check(ctx.f.g, ctx.f.h, ctx.f.k)
-    if not chk.holds:
-        return AssertionOutcome("V13", True, _violation(
-            "V13",
-            "lambda_max(G) = lambda_max(H) * lambda_max(K)",
-            f"{chk.lhs!r} vs {chk.rhs!r}",
-        ))
-    return AssertionOutcome("V13", True, None)
+    if chk.holds:
+        return HELD
+    return "lambda_max(G) = lambda_max(H) * lambda_max(K)", f"{chk.lhs!r} vs {chk.rhs!r}"
 
 
-def _check_s1(ctx: _Context) -> AssertionOutcome:
+def _check_s1(ctx: _Context):
     # Trivial witnesses (zero factor, so G edgeless) are excluded: an
     # all-isolated graph satisfies the eigenvalue identity vacuously but
     # not the no-isolated-vertices clause.
     if ctx.f.trivial or not (ctx.g_conn or ctx.h_conn or ctx.k_conn):
-        return AssertionOutcome("S1", False, None)
+        return None
     lg = lambda_max(ctx.f.g)
     lh = lambda_max(ctx.f.h)
     lk = lambda_max(ctx.f.k)
@@ -540,30 +485,16 @@ def _check_s1(ctx: _Context) -> AssertionOutcome:
                 problems.append(
                     f"{name} component {comp} radius {lam_comp!r} != {lam!r}"
                 )
-    if problems:
-        return AssertionOutcome("S1", True, _violation(
-            "S1", "componentwise radius equals parent's, no isolated vertices",
-            "; ".join(problems),
-        ))
-    return AssertionOutcome("S1", True, None)
+    if not problems:
+        return HELD
+    return "componentwise radius equals parent's, no isolated vertices", "; ".join(problems)
 
 
-_CHECKS = {
-    "V1": _check_v1,
-    "V2": _check_v2,
-    "V3": _check_v3,
-    "V4": _check_v4,
-    "V5": _check_v5,
-    "V6": _check_v6,
-    "V7": _check_v7,
-    "V8": _check_v8,
-    "V9": _check_v9,
-    "V10": _check_v10,
-    "V11": _check_v11,
-    "V12": _check_v12,
-    "V13": _check_v13,
-    "S1": _check_s1,
-}
+# One check per assertion, in ASSERTION_IDS order.
+_CHECKS = (
+    _check_v1, _check_v2, _check_v3, _check_v4, _check_v5, _check_v6, _check_v7,
+    _check_v8, _check_v9, _check_v10, _check_v11, _check_v12, _check_v13, _check_s1,
+)
 
 
 @lru_cache(maxsize=1)
@@ -577,7 +508,12 @@ def _context(f: Factorization) -> _Context:
 def check_assertions(f: Factorization) -> tuple[AssertionOutcome, ...]:
     """Every registered assertion, with applied/violation status."""
     ctx = _context(f)
-    return tuple(_CHECKS[aid](ctx) for aid in ASSERTION_IDS)
+    outcomes = []
+    for aid, check in zip(ASSERTION_IDS, _CHECKS, strict=True):
+        result = check(ctx)
+        violation = Violation(aid, *result, ASSERTION_REFS[aid]) if result else None
+        outcomes.append(AssertionOutcome(aid, result is not None, violation))
+    return tuple(outcomes)
 
 
 def validate_factorization(f: Factorization) -> ViolationList:
@@ -586,20 +522,30 @@ def validate_factorization(f: Factorization) -> ViolationList:
     return ViolationList(items)
 
 
-def exploratory_observations(f: Factorization) -> ExploratoryObservations:
+def exploratory_observations(f: Factorization) -> dict[str, dict[str, int]]:
+    """Logged evidence, never asserted, as counts in the shape of the verify
+    report's exploratory section: the two-sided edge bound and the unguarded
+    product edge bound when neither factor has an isolated vertex, and
+    whether G's two components are isomorphic when V10 fires and holds."""
     ctx = _context(f)
-    no_isolated = not (has_isolated_vertex(f.h) or has_isolated_vertex(f.k))
-    stronger_applied = no_isolated
-    stronger_holds = (not stronger_applied) or ctx.e_g >= max(ctx.e_h, ctx.e_k)
-    unguarded_applied = ctx.n > 4 and no_isolated
-    unguarded_holds = (not unguarded_applied) or 2 * ctx.e_g <= ctx.e_h * ctx.e_k
-    v10 = _check_v10(ctx)
-    iso: bool | None = None
-    if v10.applied and v10.violation is None and len(ctx.g_comps) == 2:
-        keys = [canonical_key(induced_subgraph(f.g, comp)) for comp in ctx.g_comps]
-        iso = keys[0] == keys[1]
-    return ExploratoryObservations(
-        stronger_applied, stronger_holds,
-        unguarded_applied, unguarded_holds,
-        v10.applied, iso,
-    )
+    no_isolated = not (ctx.h_isolated or ctx.k_isolated)
+    unguarded = no_isolated and ctx.n > 4
+    iso = None
+    if _check_v10(ctx) == HELD:
+        first, second = (canonical_key(induced_subgraph(f.g, comp)) for comp in ctx.g_comps)
+        iso = first == second
+    return {
+        "stronger_edge_bound": {
+            "instances": int(no_isolated),
+            "failures": int(no_isolated and ctx.e_g < max(ctx.e_h, ctx.e_k)),
+        },
+        "unguarded_product_bound": {
+            "instances": int(unguarded),
+            "failures": int(unguarded and 2 * ctx.e_g > ctx.e_h * ctx.e_k),
+        },
+        "component_isomorphism": {
+            "instances": int(iso is not None),
+            "isomorphic": int(iso is True),
+            "non_isomorphic": int(iso is False),
+        },
+    }

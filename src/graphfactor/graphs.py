@@ -334,28 +334,6 @@ def tree_from_pruefer(seq) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-_FAMILIES = {
-    "complete": complete,
-    "cycle": cycle,
-    "path": path,
-    "star": star,
-    "matching": matching,
-    "complete_bipartite": complete_bipartite,
-    "disjoint_union": disjoint_union,
-    "edgeless": edgeless,
-    "tree_from_pruefer": tree_from_pruefer,
-}
-
-
-def generate(family: str, *params) -> Graph:
-    """Dispatch to a family generator by name."""
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ParameterError(f"unknown family {family!r}") from None
-    return builder(*params)
-
-
 # ---------------------------------------------------------------------------
 # structural predicates
 # ---------------------------------------------------------------------------

@@ -441,6 +441,7 @@ def test_verify_forged_catalog_report_is_the_same_at_any_jobs(
     b'{"n": 6, "gr\xffph6": "E???"}\n',
     b'{"n": 6,\n',
     pytest.param(b"[" * 5000 + b"]" * 5000 + b"\n", id="nested-5000-deep"),
+    pytest.param(b'{"n": 1' + b"0" * 4_400 + b"}\n", id="integer-past-the-digit-limit"),
 ])
 def test_verify_schema_error_is_the_same_at_any_jobs(
     tmp_path, capsys, pool_of_two, order6_records, bad
@@ -457,7 +458,23 @@ def test_verify_schema_error_is_the_same_at_any_jobs(
     assert serial == parallel == (1, "", f"error: {caught.value}\n")
 
 
-@pytest.mark.parametrize("out", ["missing/x.jsonl", "."])
+def test_verify_lambda_max_beyond_a_float_is_a_schema_error_at_any_jobs(
+    tmp_path, capsys, pool_of_two, order6_records
+):
+    path = tmp_path / "n6.jsonl"
+    write_catalog(order6_records, path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    head, sep, tail = lines[72].partition(b'"lambda_max":')
+    lines[72] = head + sep + b"1" + b"0" * 400 + tail[tail.index(b","):]
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(CatalogSchemaError, match="^line 73: ") as caught:
+        read_catalog(path)
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert pool_of_two == [2]
+    assert serial == parallel == (1, "", f"error: {caught.value}\n")
+
+
+@pytest.mark.parametrize("out",["missing/x.jsonl", "."])
 def test_census_unwritable_out_exits_before_enumerating(tmp_path, capsys, monkeypatch, out):
     from graphfactor import census as census_mod
 

@@ -483,15 +483,15 @@ def test_forced_violation_texts(monkeypatch, case):
 
 
 def test_exploratory_observations_on_six_cycle():
-    obs = exploratory_observations(six_cycle_factorization())
-    assert obs.stronger_edge_bound_applied and obs.stronger_edge_bound_holds
-    assert obs.unguarded_product_bound_applied and obs.unguarded_product_bound_holds
-    assert not obs.component_iso_applied
+    assert exploratory_observations(six_cycle_factorization()) == {
+        "stronger_edge_bound": {"instances": 1, "failures": 0},
+        "unguarded_product_bound": {"instances": 1, "failures": 0},
+        "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
+    }
 
 
 def test_exploratory_component_isomorphism_fires_on_doubled_graph():
     from graphfactor.search import doubled_graph
 
     obs = exploratory_observations(doubled_graph(complete(3)))
-    assert obs.component_iso_applied
-    assert obs.component_iso is True
+    assert obs["component_isomorphism"] == {"instances": 1, "isomorphic": 1, "non_isomorphic": 0}

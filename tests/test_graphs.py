@@ -31,7 +31,6 @@ from graphfactor.graphs import (
     edgeless,
     encode_edge_list,
     encode_graph6,
-    generate,
     graph_bits,
     graph6_from_key,
     graph_from_key,
@@ -258,13 +257,6 @@ def test_tree_from_pruefer():
     assert degree_sequence(g) == (3, 1, 1, 1)
     with pytest.raises(ParameterError):
         tree_from_pruefer((5,))
-
-
-def test_generate_dispatch():
-    assert generate("cycle", 5) == cycle(5)
-    assert generate("matching", 2) == matching(2)
-    with pytest.raises(ParameterError):
-        generate("moebius", 5)
 
 
 # ---------------------------------------------------------------------------
