@@ -132,6 +132,44 @@ def test_construct_json_bytes_pinned(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_JSON_SHA256[args]
 
 
+# sha256 of the concatenated outputs of `spectral --json`, `check --json`
+# and `factor --all --json` over every class of orders 1-6 (208 graphs, in
+# enumeration order), and of `spectral --json` of graphs above the
+# canonical cap, whose Jacobi sweep walks the rotation plan.
+COMMAND_JSON_SHA256 = {
+    ("spectral", "--json"): "01bf5534f7eb210ea96cfea83826022e2842bb20f747980a75ad647dda08ac9f",
+    ("check", "--json"): "6ebd9a1e1cff61eac88fae096ca618e9ae69636a5168a3f416483cc31c15d67c",
+    ("factor", "--all", "--json"): (
+        "116d08c75131bdad6b436ef057d101fdae8c0691b288642262eac57be9a18e69"
+    ),
+}
+SPECTRAL_JSON_SHA256 = {
+    "P20": (path(20), "870958783e0d552ee326fb5c6da3707197d561cc9afe0c0680dacd198aabf29f"),
+    "C31": (cycle(31), "a899333db4207a09eee3378cf2e0d9d8bd9a75d5cc73cf547b5900b78eaefe69"),
+    "P62": (path(62), "fcf372dfb962da88525bad2736574e38bdecaff6b45ec6c27f2bed21b69376db"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(COMMAND_JSON_SHA256))
+def test_command_json_bytes_pinned_on_every_class_to_order_6(capsys, argv):
+    command, *flags = argv
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        for g in enumerate_graphs(n):
+            code, out, _ = run_cli(capsys, command, "--graph6", encode_graph6(g), *flags)
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == COMMAND_JSON_SHA256[argv]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRAL_JSON_SHA256))
+def test_spectral_json_bytes_pinned_above_the_canonical_cap(capsys, name):
+    g, want = SPECTRAL_JSON_SHA256[name]
+    code, out, _ = run_cli(capsys, "spectral", "--graph6", encode_graph6(g), "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+
+
 def test_construct_double_requires_input(capsys):
     code, _, err = run_cli(capsys, "construct", "--kind", "double")
     assert code == 2
