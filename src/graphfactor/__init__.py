@@ -22,7 +22,6 @@ from .conditions import (
     Violation,
     ViolationList,
     check_assertions,
-    evaluate_rule,
     exploratory_observations,
     screen,
     validate_factorization,
@@ -37,26 +36,13 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .exact import (
-    BipartitePowerStructure,
-    HoffmanCertificate,
     IntMatrix,
-    PositivityProfile,
     adjacency,
     as_adjacency,
-    bipartite_power_structure,
-    commute,
-    connected_by_powers,
     first_adjacency_violation,
-    hoffman_polynomial,
-    multiply,
-    positivity_profile,
-    power,
-    primitivity_exponent,
-    wielandt_bound,
 )
 from .factorization import Factorization, StoredWitness
 from .graphs import (
-    AcyclicClass,
     Bipartition,
     Graph,
     Permutation,
@@ -64,9 +50,7 @@ from .graphs import (
     canonical_form,
     canonical_key,
     canonical_relabeling,
-    classify_acyclic,
     complete,
-    complete_bipartite,
     components,
     contains_c4,
     cycle,
@@ -75,7 +59,6 @@ from .graphs import (
     degree_sequence,
     disjoint_union,
     edgeless,
-    encode_edge_list,
     encode_graph6,
     graph6_from_key,
     graph_from_key,
@@ -86,8 +69,6 @@ from .graphs import (
     matching,
     path,
     permute,
-    star,
-    tree_from_pruefer,
 )
 from .search import (
     FactorDecision,
@@ -97,16 +78,13 @@ from .search import (
     dedup_pairs,
     disconnected_counterexample,
     doubled_graph,
-    factor_naive,
     factor_search,
-    fix_labeling,
     is_factorizable,
 )
 from .spectral import (
     PerronData,
     ProductCheck,
     Spectrum,
-    common_eigenbasis,
     eigen_sym,
     lambda_max,
     lambda_max_product_check,

@@ -229,13 +229,6 @@ def screen(g: Graph) -> ConditionReport:
     return ConditionReport(g, rules, trivial=e == 0)
 
 
-def evaluate_rule(rule_id: str, g: Graph) -> RuleResult:
-    """One rule's result on g, as screen(g) reports it."""
-    if rule_id not in _RULE_REFS:
-        raise ParameterError(f"unknown rule {rule_id!r}")
-    return screen(g).rules[RULE_IDS.index(rule_id)]
-
-
 # ---------------------------------------------------------------------------
 # assertion registry over verified factorizations
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 A Factorization is three bitmask graphs whose product identity holds; a
 StoredWitness is the catalog's bit-row strings, unchecked until
 to_factorization rebuilds the graphs, so catalog verification can report a
-broken witness instead of crashing at parse time.  The IntMatrix views (a, b,
-c and from_matrices) serve the CLI and the exact algorithms.
+broken witness instead of crashing at parse time.  The IntMatrix views a, b
+and c serve the CLI, and from_matrices builds a witness from three matrices.
 """
 from __future__ import annotations
 

@@ -8,9 +8,7 @@ bit-string over all relabelings and are capped at order 8.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 
 from .errors import Graph6Error, ParameterError, UnsupportedSizeError
@@ -149,12 +147,6 @@ class Bipartition:
         return sum(1 << v for v in self.right)
 
 
-class AcyclicClass(Enum):
-    TREE = "tree"
-    FOREST_MULTI = "forest_multi"
-    HAS_CYCLE = "has_cycle"
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec (single-byte size form, orders 1..62)
 # ---------------------------------------------------------------------------
@@ -253,12 +245,6 @@ def decode_edge_list(text: str) -> Graph:
     return Graph.from_edges(order, edges)
 
 
-def encode_edge_list(g: Graph) -> str:
-    lines = [str(g.order)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # family generators
 # ---------------------------------------------------------------------------
@@ -282,21 +268,11 @@ def path(n: int) -> Graph:
     return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def star(n: int) -> Graph:
-    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
-
-
 def matching(n: int) -> Graph:
     """n disjoint edges {i, n+i} on 2n vertices."""
     if n < 1:
         raise ParameterError("a matching needs at least 1 edge")
     return Graph.from_edges(2 * n, [(i, n + i) for i in range(n)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    if a < 1 or b < 1:
-        raise ParameterError("complete bipartite sides must be at least 1")
-    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def disjoint_union(*graphs: Graph) -> Graph:
@@ -308,30 +284,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
         rows.extend(r << offset for r in g.rows)
         offset += g.order
     return Graph(offset, tuple(rows))
-
-
-def tree_from_pruefer(seq) -> Graph:
-    """Tree on len(seq)+2 vertices from its Pruefer sequence."""
-    seq = tuple(seq)
-    n = len(seq) + 2
-    if any(not (0 <= s < n) for s in seq):
-        raise ParameterError(f"Pruefer entries must lie in 0..{n - 1}")
-    degree = [1] * n
-    for s in seq:
-        degree[s] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for s in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, s))
-        degree[s] -= 1
-        if degree[s] == 1:
-            heapq.heappush(leaves, s)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -428,16 +380,6 @@ def is_valid_bipartition(g: Graph, parts: Bipartition) -> bool:
     return True
 
 
-def classify_acyclic(g: Graph) -> tuple[AcyclicClass, int]:
-    comps = components(g)
-    ncomp = len(comps)
-    if g.edge_count + ncomp != g.order:
-        return AcyclicClass.HAS_CYCLE, ncomp
-    if ncomp == 1:
-        return AcyclicClass.TREE, 1
-    return AcyclicClass.FOREST_MULTI, ncomp
-
-
 def contains_c4(g: Graph) -> bool:
     """True iff two distinct vertices share at least two common neighbors."""
     rows = g.rows
@@ -487,10 +429,15 @@ class _Labelling(tuple):
     """The pair (key, placement) that _canonical_order returns, carrying the
     raw end state of its search: frontier, the final placements (each a
     (placement, free mask) pair, the least first), and later, the twin
-    masks.  Only automorphism_generators turns them into permutations."""
+    masks.  Only automorphism_generators turns them into permutations.
+    A pickled labelling keeps the pair alone, so a census worker receives
+    each class graph without an end state it never reads."""
 
     frontier: list[tuple[tuple[int, ...], int]]
     later: list[int]
+
+    def __reduce__(self):
+        return _Labelling, (tuple(self),)
 
 
 def _canonical_order(g: Graph) -> _Labelling:
@@ -580,6 +527,9 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     one transposition (u w) per vertex u and its lowest twin w above it
     generate Aut(g)."""
     labelling = g._canonical
+    if not hasattr(labelling, "frontier"):
+        # Unpickled, without its end state: label g again.
+        labelling = _canonical_order(g)
     first = labelling[1]
     n = g.order
     generators = []

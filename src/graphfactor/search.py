@@ -1,20 +1,17 @@
 """Decide and enumerate matrix-product factorizations A = BC.
 
-Two routes:
-
-* factor_naive  - transcription of the definition: enumerate every pair of
-  symmetric 0-1 zero-diagonal matrices (order <= 5) and keep exact products.
-  This is the ground-truth oracle the pruned search is tested against.
-* factor_search - a root filter first: each vertex's possible
-  (deg_H, deg_K) pairs, propagated to a fixpoint, refute most graphs before
-  they are labelled; the rest get backtracking over the unknown
-  upper-triangle entries of B and C, from the rows the pairs leave, with
-  forward checking on only the entries each value can move (entry bounds,
-  zero diagonal) and on the root pairs of its two ends (degrees, and the
-  degree the two ends of a 1 share by V2).
-  A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
-  visits witnesses whose first edge in variable order lies in C, and all-mode
-  results add every mirror back, in the order the unbroken search found them.
+factor_search runs a root filter first: each vertex's possible
+(deg_H, deg_K) pairs, propagated to a fixpoint, refute most graphs before
+they are labelled.  The rest get backtracking over the unknown
+upper-triangle entries of B and C, from the rows the pairs leave, with
+forward checking on only the entries each value can move (entry bounds,
+zero diagonal) and on the root pairs of its two ends (degrees, and the
+degree the two ends of a 1 share by V2).  A = BC = CB, so each witness
+(B, C) has the mirror (C, B); the search only visits witnesses whose first
+edge in variable order lies in C, and all-mode results add every mirror
+back, in the order the unbroken search found them.  The tests check it
+against the definition transcribed over every pair of candidate matrices
+up to order 5 (tests/oracles.py).
 
 cycle_product, doubled_graph and disconnected_counterexample build the
 explicit witness families.
@@ -34,7 +31,6 @@ from .errors import (
     TheoremViolationError,
     UnsupportedSizeError,
 )
-from .exact import adjacency
 from .factorization import Factorization
 from .graphs import (
     CANONICAL_ORDER_CAP,
@@ -96,50 +92,6 @@ class FactorDecision:
     @property
     def witness(self) -> Factorization | None:
         return self.witnesses[0] if self.witnesses else None
-
-
-def fix_labeling(g: Graph):
-    """Adjacency matrix (an IntMatrix) of the canonical relabeling; every
-    isomorphic copy maps to the same matrix, so the search runs on one
-    labeling only."""
-    return adjacency(canonical_form(g))
-
-
-def factor_naive(g: Graph) -> list[Factorization]:
-    """Complete enumeration oracle: all 2^(n(n-1)/2) x 2^(n(n-1)/2) candidate
-    pairs in lexicographic order of B then C, keeping exact products."""
-    n = g.order
-    if n > 5:
-        raise UnsupportedSizeError("naive enumeration is capped at order 5")
-    cg = canonical_form(g)
-    arow = cg.rows
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    m = len(pairs)
-    candidates: list[tuple[int, ...]] = []
-    for mask in range(1 << m):
-        rows = [0] * n
-        for t, (i, j) in enumerate(pairs):
-            if mask >> t & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        candidates.append(tuple(rows))
-    rng = range(n)
-    out: list[Factorization] = []
-    for rb in candidates:
-        for rc in candidates:
-            ok = True
-            for i in rng:
-                rbi = rb[i]
-                ai = arow[i]
-                for j in rng:
-                    if (rbi & rc[j]).bit_count() != ai >> j & 1:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                out.append(Factorization(cg, Graph(n, rb), Graph(n, rc)))
-    return out
 
 
 class _LimitReached(Exception):
@@ -348,15 +300,6 @@ def _pair_tables(
     )
 
 
-def _pairs_in_ranges(table: tuple[int, ...], lo: int, hi: int, olo: int, ohi: int) -> int:
-    """P3 at one vertex: the other degrees of its pairs with own degree in
-    [lo, hi] and other degree in [olo, ohi], the committed and possible
-    degrees on each side.  P3 holds when some are left; when the variable
-    (u, w) is set to 1, V2 also needs the rows of u and w to meet, since
-    u and w then share their degree on the other side (README)."""
-    return table[lo * _STRIDE + hi] & _SPAN[olo][ohi]
-
-
 class _Engine:
     """Backtracker over the upper triangles of B and C, interleaved in
     vertex-major order with high-degree vertices of A first.
@@ -473,8 +416,9 @@ class _Engine:
         cu, cw, pu, pw = comm[u], comm[w], poss[u], poss[w]
         au, aw = self.arow[u], self.arow[w]
         bit_u, bit_w = 1 << u, 1 << w
-        # P3 as _pairs_in_ranges, inline: each value moves only the own
-        # degree ranges; the other side's ranges stay as they are here.
+        # P3 at u and w, inline (tests/oracles.py has the one-vertex form):
+        # each value moves only the own degree ranges; the other side's
+        # ranges stay as they are here.
         tab_u, tab_w = tables[u], tables[w]
         lo_u, lo_w = cu.bit_count() * _STRIDE, cw.bit_count() * _STRIDE
         ospan_u = _SPAN[ocomm[u].bit_count()][oposs[u].bit_count()]

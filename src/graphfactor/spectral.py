@@ -2,17 +2,16 @@
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
 eigenvalues that regular and bipartite graphs produce), driven by a rotation
-plan built once per order.  For the values alone (lambda_max and eigen_sym)
-at orders up to CANONICAL_ORDER_CAP, the orders the census runs, the kernel
-is one straight-line function per order, generated from the plan and
-compiled once per process, with one local variable per matrix entry; a
-sweep spells out about n**3 / 2 statements, so above the cap, and whenever
-the rotations are wanted, a loop walks the plan over one flat list instead.
-Both run every float operation of the nested-list sweep in the same order,
-so their values and rotations are bit-identical to that sweep's.
-lambda_max runs the kernel once per labelled graph.  The Perron pair comes
-from power iteration.  The module also hosts the largest-eigenvalue product
-check used to audit factorizations.
+plan built once per order.  At orders up to CANONICAL_ORDER_CAP, the
+orders the census runs, the kernel is one straight-line function per order,
+generated from the plan and compiled once per process, with one local
+variable per matrix entry; a sweep spells out about n**3 / 2 statements, so
+above the cap a loop walks the plan over one flat list instead.  Both run
+every float operation of the nested-list sweep in the same order, so their
+values are bit-identical to that sweep's.  lambda_max runs the kernel once
+per labelled graph.  The Perron pair comes from power iteration.  The
+module also hosts the largest-eigenvalue product check used to audit
+factorizations.
 
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
@@ -20,16 +19,14 @@ the paper's spectral statements are checked to.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
-from .errors import ParameterError, PreconditionError
-from .exact import IntMatrix, commute
+from .errors import PreconditionError
+from .exact import IntMatrix
 from .graphs import CANONICAL_ORDER_CAP, Graph, is_connected
 
 DEFAULT_TOL = 1e-9
-DEFAULT_SEED = 42
 
 _MAX_SWEEPS = 100
 _MAX_POWER_ITER = 200_000
@@ -65,7 +62,7 @@ def _rotation_plan(n: int):
     sums it in that order) and, for each pivot (p, q) in sweep order, the
     positions of a[p][q], a[p][p] and a[q][q], the (g, h) entry pairs that
     the rotation updates in the upper triangle (i < p, then p < i < q, then
-    q < i), and the (g, h) pairs of columns p and q of the rotation matrix.
+    q < i).
     """
     upper = tuple(i * n + j for i in range(n) for j in range(i + 1, n))
     rotations = []
@@ -76,22 +73,20 @@ def _rotation_plan(n: int):
                 + tuple((p * n + i, i * n + q) for i in range(p + 1, q))
                 + tuple((p * n + i, q * n + i) for i in range(q + 1, n))
             )
-            columns = tuple((i * n + p, i * n + q) for i in range(n))
-            rotations.append((p * n + q, p * n + p, q * n + q, pairs, columns))
+            rotations.append((p * n + q, p * n + p, q * n + q, pairs))
     return upper, tuple(rotations)
 
 
 @cache
 def _sweep(n: int):
-    """The Jacobi loop at order n >= 2, values only, as one function of
-    straight-line code, generated from _rotation_plan(n) and compiled once
-    per process.
+    """The Jacobi loop at order n >= 2 as one function of straight-line
+    code, generated from _rotation_plan(n) and compiled once per process.
 
     Matrix entry k of the flat row-major list lives in local a<k>; each
     sweep sums the off-diagonal mass and then spells out every rotation, so
     no list is indexed and no plan is walked.  The float operations are
     those of _plan_sweep, in its order.  sweep(a, tol, skip) takes the flat
-    matrix and returns (diagonal values, None)."""
+    matrix and returns the diagonal values."""
     upper, rotations = _rotation_plan(n)
     diagonal = [i * (n + 1) for i in range(n)]
     used = set(upper) | set(diagonal)
@@ -103,7 +98,7 @@ def _sweep(n: int):
         f"        if sqrt(2.0 * ({mass})) < tol:",
         "            break",
     ]
-    for pq, pp, qq, pairs, _ in rotations:
+    for pq, pp, qq, pairs in rotations:
         src += [
             # Negated so that a NaN pivot is rotated, not skipped.
             f"        if not abs(a{pq}) <= skip:",
@@ -131,37 +126,35 @@ def _sweep(n: int):
     src += [
         "    else:",
         "        raise ArithmeticError('Jacobi iteration did not converge')",
-        f"    return [{values}], None",
+        f"    return [{values}]",
     ]
     namespace = {"sqrt": math.sqrt}
     exec(compile("\n".join(src), f"<jacobi sweep, order {n}>", "exec"), namespace)
     return namespace["sweep"]
 
 
-def _jacobi(mat, tol: float, want_vectors: bool):
+def _jacobi(mat, tol: float) -> list[float]:
     """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass drops
-    below tol.  Returns (diagonal values, rotation matrix or None).
+    below tol.  Returns the diagonal values.
 
     The matrix is flattened row-major into floats for _jacobi_flat."""
-    return _jacobi_flat(len(mat), [float(x) for row in mat for x in row], tol, want_vectors)
+    return _jacobi_flat(len(mat), [float(x) for row in mat for x in row], tol)
 
 
-def _jacobi_flat(n: int, a: list[float], tol: float, want_vectors: bool):
+def _jacobi_flat(n: int, a: list[float], tol: float) -> list[float]:
     """_jacobi of the n x n matrix whose row-major float entries are a: the
-    compiled values sweep of order n (_sweep) for 2 <= n <=
-    CANONICAL_ORDER_CAP, and _plan_sweep for vectors and every other order.
-    Both keep only the upper triangle current."""
+    compiled sweep of order n (_sweep) for 2 <= n <= CANONICAL_ORDER_CAP,
+    and _plan_sweep for every other order.  Both keep only the upper
+    triangle current."""
     skip = tol / (4.0 * n * n)
-    if not want_vectors and 2 <= n <= CANONICAL_ORDER_CAP:
+    if 2 <= n <= CANONICAL_ORDER_CAP:
         return _sweep(n)(a, tol, skip)
-    return _plan_sweep(n, a, tol, skip, want_vectors)
+    return _plan_sweep(n, a, tol, skip)
 
 
-def _plan_sweep(n: int, a: list[float], tol: float, skip: float, want_vectors: bool):
+def _plan_sweep(n: int, a: list[float], tol: float, skip: float) -> list[float]:
     """The Jacobi loop of _sweep, walking _rotation_plan(n) over the flat
-    list a (updated in place) instead of compiling it, and accumulating the
-    rotations when want_vectors is set."""
-    v = [1.0 if i == j else 0.0 for i in range(n) for j in range(n)] if want_vectors else None
+    list a (updated in place) instead of compiling it."""
     upper, rotations = _rotation_plan(n)
     for _ in range(_MAX_SWEEPS):
         mass = 0.0
@@ -170,7 +163,7 @@ def _plan_sweep(n: int, a: list[float], tol: float, skip: float, want_vectors: b
             mass += x * x
         if math.sqrt(2.0 * mass) < tol:
             break
-        for pq, pp, qq, pairs, columns in rotations:
+        for pq, pp, qq, pairs in rotations:
             apq = a[pq]
             if abs(apq) <= skip:
                 continue
@@ -193,24 +186,16 @@ def _plan_sweep(n: int, a: list[float], tol: float, skip: float, want_vectors: b
                 h_ = a[hi]
                 a[gi] = g_ - s * (h_ + tau * g_)
                 a[hi] = h_ + s * (g_ - tau * h_)
-            if v is not None:
-                for gi, hi in columns:
-                    g_ = v[gi]
-                    h_ = v[hi]
-                    v[gi] = g_ - s * (h_ + tau * g_)
-                    v[hi] = h_ + s * (g_ - tau * h_)
     else:
         raise ArithmeticError("Jacobi iteration did not converge")
-    if v is not None:
-        v = [v[i * n:(i + 1) * n] for i in range(n)]
-    return a[::n + 1], v
+    return a[::n + 1]
 
 
 def eigen_sym(m: IntMatrix) -> Spectrum:
     """Full spectrum of a symmetric integer matrix, sorted descending."""
     if not m.is_symmetric():
         raise PreconditionError("eigen_sym requires a symmetric matrix")
-    values, _ = _jacobi(m.entries, DEFAULT_TOL, want_vectors=False)
+    values = _jacobi(m.entries, DEFAULT_TOL)
     return Spectrum(tuple(_descending(values, m.trace())))
 
 
@@ -239,7 +224,7 @@ def _lambda_max(order: int, rows: tuple[int, ...]) -> float:
     a: list[float] = []
     for row in rows:
         a += _row_floats(order, row)
-    values, _ = _jacobi_flat(order, a, DEFAULT_TOL, want_vectors=False)
+    values = _jacobi_flat(order, a, DEFAULT_TOL)
     return _descending(values, 0)[0]
 
 
@@ -305,62 +290,6 @@ def perron(g: Graph) -> PerronData:
     if any(x <= 0.0 for x in v):
         raise ArithmeticError("Perron vector came out non-positive")
     return PerronData(value, tuple(v))
-
-
-def common_eigenbasis(
-    a: IntMatrix,
-    b: IntMatrix,
-    c: IntMatrix,
-    seed: int = DEFAULT_SEED,
-):
-    """Orthonormal basis diagonalizing three pairwise-commuting symmetric
-    matrices, found by diagonalizing a seeded random combination of the
-    last two; None after 5 failed draws.
-
-    Returns the basis as a tuple of n vectors (each a tuple of floats).
-    """
-    n = a.order
-    if b.order != n or c.order != n:
-        raise ParameterError("matrices must share one order")
-    for name, m in (("a", a), ("b", b), ("c", c)):
-        if not m.is_symmetric():
-            raise PreconditionError(f"matrix {name} is not symmetric")
-    if not (commute(a, b) and commute(a, c) and commute(b, c)):
-        raise PreconditionError("matrices do not pairwise commute")
-    rng = random.Random(seed)
-    for _ in range(5):
-        r = rng.uniform(-2.0, 2.0)
-        s = rng.uniform(-2.0, 2.0)
-        combo = [
-            [r * b.entries[i][j] + s * c.entries[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        try:
-            _, vecs = _jacobi(combo, DEFAULT_TOL * 1e-3, want_vectors=True)
-        except ArithmeticError:
-            continue
-        if vecs is None:
-            continue
-        if all(_diagonalizes(vecs, m) for m in (a, b, c)):
-            basis = tuple(tuple(vecs[i][k] for i in range(n)) for k in range(n))
-            return basis
-    return None
-
-
-def _diagonalizes(vecs: list[list[float]], m: IntMatrix) -> bool:
-    n = m.order
-    mv = [
-        [sum(m.entries[i][t] * vecs[t][k] for t in range(n)) for k in range(n)]
-        for i in range(n)
-    ]
-    for k in range(n):
-        for l in range(n):
-            if k == l:
-                continue
-            entry = sum(vecs[i][k] * mv[i][l] for i in range(n))
-            if abs(entry) > DEFAULT_TOL:
-                return False
-    return True
 
 
 def lambda_max_product_check(g: Graph, h: Graph, k: Graph) -> ProductCheck:

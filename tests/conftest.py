@@ -2,7 +2,7 @@ import pytest
 
 from graphfactor import census as census_mod
 from graphfactor.census import enumerate_graphs, run_census
-from graphfactor.search import factor_naive
+from oracles import factor_naive
 
 
 @pytest.fixture(scope="session")

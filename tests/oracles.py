@@ -7,15 +7,24 @@ The one exception is the edge ladder, a reference for the order in which
 classes are generated, not for the labelling (which has its own
 reference below), so it keys its classes with the package's canonical_key.
 The search reference is the engine's old whole-row consistency test; it
-shares the search module's config, counters, bit table and pair predicate
-(P3).  It starts from the per-graph root filter below, or, without the
-filter, from full rows under the plain degree-product test.  The screen reference is the
-old rule-by-rule screen on the graphs module's predicates; it shares the
+shares the search module's config, counters, bit table and P3 degree
+tables, read by the pair predicate _pairs_in_ranges below.  It starts from
+the per-graph root filter below, or, without the filter, from full rows
+under the plain degree-product test.  The screen reference is the old
+rule-by-rule screen on the graphs module's predicates; it shares the
 conditions module's report types, statuses and rule texts.
+
+The module also holds what tests need and no command does: the integer
+matrix product and commutation test, the star, complete bipartite, Pruefer
+tree and edge-list generators, the acyclic classification, and
+factor_naive, the definition A = BC transcribed over every pair of
+candidate matrices (order <= 5), the ground truth for the pruned search.
 """
 from __future__ import annotations
 
+import heapq
 import math
+from enum import Enum
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
@@ -27,13 +36,14 @@ from graphfactor.conditions import (
     ConditionReport,
     RuleResult,
 )
+from graphfactor.errors import ParameterError, UnsupportedSizeError
+from graphfactor.exact import IntMatrix
 from graphfactor.factorization import Factorization
 from graphfactor.graphs import (
-    AcyclicClass,
     Graph,
     canonical_form,
     canonical_key,
-    classify_acyclic,
+    components,
     contains_c4,
     graph_from_key,
     has_isolated_vertex,
@@ -43,14 +53,140 @@ from graphfactor.search import (
     SearchConfig,
     SearchStats,
     _BITS,
+    _SPAN,
+    _STRIDE,
     _FoundEnough,
     _LimitReached,
     _pair_tables,
-    _pairs_in_ranges,
     _refuted_stats,
     _root_rows,
     _v1_pairs,
 )
+
+
+# ---------------------------------------------------------------------------
+# helpers no command needs: the integer matrix product, the test-input
+# generators, the acyclic classification, and the naive factorization
+# enumeration with the P3 range test the search inlines.
+# ---------------------------------------------------------------------------
+
+def multiply(m: IntMatrix, other: IntMatrix) -> IntMatrix:
+    n = m.order
+    if other.order != n:
+        raise ParameterError(f"order mismatch: {n} vs {other.order}")
+    cols = tuple(tuple(other.entries[k][j] for k in range(n)) for j in range(n))
+    out = []
+    for row in m.entries:
+        out.append(tuple(sum(a * b for a, b in zip(row, col)) for col in cols))
+    return IntMatrix(tuple(out))
+
+
+def commute(m: IntMatrix, other: IntMatrix) -> bool:
+    if m.order != other.order:
+        raise ParameterError(f"order mismatch: {m.order} vs {other.order}")
+    return multiply(m, other) == multiply(other, m)
+
+
+def star(n: int) -> Graph:
+    return Graph.from_edges(n, [(0, i) for i in range(1, n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    if a < 1 or b < 1:
+        raise ParameterError("complete bipartite sides must be at least 1")
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def tree_from_pruefer(seq) -> Graph:
+    """Tree on len(seq)+2 vertices from its Pruefer sequence."""
+    seq = tuple(seq)
+    n = len(seq) + 2
+    if any(not (0 <= s < n) for s in seq):
+        raise ParameterError(f"Pruefer entries must lie in 0..{n - 1}")
+    degree = [1] * n
+    for s in seq:
+        degree[s] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for s in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, s))
+        degree[s] -= 1
+        if degree[s] == 1:
+            heapq.heappush(leaves, s)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def encode_edge_list(g: Graph) -> str:
+    lines = [str(g.order)]
+    lines.extend(f"{u} {v}" for u, v in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+class AcyclicClass(Enum):
+    TREE = "tree"
+    FOREST_MULTI = "forest_multi"
+    HAS_CYCLE = "has_cycle"
+
+
+def classify_acyclic(g: Graph) -> tuple[AcyclicClass, int]:
+    comps = components(g)
+    ncomp = len(comps)
+    if g.edge_count + ncomp != g.order:
+        return AcyclicClass.HAS_CYCLE, ncomp
+    if ncomp == 1:
+        return AcyclicClass.TREE, 1
+    return AcyclicClass.FOREST_MULTI, ncomp
+
+
+def factor_naive(g: Graph) -> list[Factorization]:
+    """Complete enumeration oracle: all 2^(n(n-1)/2) x 2^(n(n-1)/2) candidate
+    pairs in lexicographic order of B then C, keeping exact products."""
+    n = g.order
+    if n > 5:
+        raise UnsupportedSizeError("naive enumeration is capped at order 5")
+    cg = canonical_form(g)
+    arow = cg.rows
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = len(pairs)
+    candidates: list[tuple[int, ...]] = []
+    for mask in range(1 << m):
+        rows = [0] * n
+        for t, (i, j) in enumerate(pairs):
+            if mask >> t & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        candidates.append(tuple(rows))
+    rng = range(n)
+    out: list[Factorization] = []
+    for rb in candidates:
+        for rc in candidates:
+            ok = True
+            for i in rng:
+                rbi = rb[i]
+                ai = arow[i]
+                for j in rng:
+                    if (rbi & rc[j]).bit_count() != ai >> j & 1:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                out.append(Factorization(cg, Graph(n, rb), Graph(n, rc)))
+    return out
+
+
+def _pairs_in_ranges(table: tuple[int, ...], lo: int, hi: int, olo: int, ohi: int) -> int:
+    """P3 at one vertex: the other degrees of its pairs with own degree in
+    [lo, hi] and other degree in [olo, ohi], the committed and possible
+    degrees on each side.  P3 holds when some are left; when the variable
+    (u, w) is set to 1, V2 also needs the rows of u and w to meet, since
+    u and w then share their degree on the other side (README)."""
+    return table[lo * _STRIDE + hi] & _SPAN[olo][ohi]
 
 
 def g6_encode(n: int, edges) -> str:
@@ -296,21 +432,6 @@ def jacobi_reference(mat, tol: float, want_vectors: bool):
     return [a[i][i] for i in range(n)], v
 
 
-def bfs_connected(g: Graph) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        m = g.rows[v]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == g.order
-
-
 # ---------------------------------------------------------------------------
 # exact eigenvalues for tiny matrices: expand det(xI - A) by cofactors,
 # split off square-free parts, and bisect with exact rational signs.
@@ -481,7 +602,7 @@ def exact_eigenvalues(entries) -> list[float]:
 
 # The plain degree-product test: some degree pair in the two ranges
 # multiplies out to d.  The unfiltered search reference runs P3 on it;
-# given the V1 pairs of d, search._pairs_in_ranges decides the same.
+# given the V1 pairs of d, _pairs_in_ranges above decides the same.
 @cache
 def _degree_range_ok(bmin: int, bmax: int, cmin: int, cmax: int, d: int) -> bool:
     """Some B-degree in [bmin, bmax] times some C-degree in [cmin, cmax]

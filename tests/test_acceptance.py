@@ -6,7 +6,6 @@ order-6 verification log.
 import hashlib
 import os
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -17,20 +16,16 @@ from graphfactor.census import (
     write_catalog,
 )
 from graphfactor.conditions import screen, validate_factorization
-from graphfactor.exact import IntMatrix, adjacency, hoffman_polynomial, multiply, primitivity_exponent, wielandt_bound
+from graphfactor.exact import IntMatrix
 from graphfactor.factorization import Factorization
 from graphfactor.graphs import (
-    AcyclicClass,
     canonical_key,
-    classify_acyclic,
     complete,
     cycle,
     decode_graph6,
     disjoint_union,
     graph_bits,
-    is_bipartite,
     is_connected,
-    is_regular,
     matching,
 )
 from graphfactor.search import (
@@ -40,6 +35,7 @@ from graphfactor.search import (
     factor_search,
 )
 from graphfactor.spectral import lambda_max
+from oracles import AcyclicClass, classify_acyclic, multiply
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -178,50 +174,6 @@ def test_criterion_06_counterexample_reproduction():
     elapsed = time.perf_counter() - t0
     ok = abs(lhs - 2.0) <= 1e-9 and abs(rhs - 4.0) <= 1e-9
     _report(6, "disconnected counterexample (2 vs 4)", ok, elapsed)
-
-
-def test_criterion_07_hoffman_equivalence_order_6():
-    t0 = time.perf_counter()
-    checked = 0
-    ok = True
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            a = adjacency(g)
-            cert = hoffman_polynomial(a)
-            expected = is_connected(g) and is_regular(g)
-            if (cert is not None) != expected:
-                ok = False
-            if cert is not None and not cert.evaluates_to_all_ones(a):
-                ok = False
-            checked += 1
-    c4 = hoffman_polynomial(adjacency(cycle(4)))
-    ok &= c4 is not None and c4.coefficients == (
-        Fraction(0),
-        Fraction(1),
-        Fraction(1, 2),
-        Fraction(0),
-    )
-    elapsed = time.perf_counter() - t0
-    ok &= checked == 208
-    _report(7, "Hoffman polynomial equivalence", ok, elapsed, f" [{checked} classes]")
-
-
-def test_criterion_08_primitivity_equivalence_order_6():
-    t0 = time.perf_counter()
-    checked = 0
-    ok = True
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            exponent = primitivity_exponent(adjacency(g))
-            expected = is_connected(g) and not is_bipartite(g)
-            if (exponent is not None) != expected:
-                ok = False
-            if exponent is not None and exponent > wielandt_bound(n):
-                ok = False
-            checked += 1
-    elapsed = time.perf_counter() - t0
-    ok &= checked == 208
-    _report(8, "primitivity exponent equivalence", ok, elapsed, f" [{checked} classes]")
 
 
 def test_criterion_09_theorem_suite_over_census(catalog_1_to_6):

@@ -18,11 +18,10 @@ from graphfactor.census import (
 )
 from graphfactor.errors import CatalogSchemaError, ParameterError, TheoremViolationError
 from graphfactor.graphs import (
-    AcyclicClass,
     Graph,
     _canonical_order,
+    canonical_form,
     canonical_key,
-    classify_acyclic,
     complete,
     cycle,
     decode_graph6,
@@ -34,9 +33,9 @@ from graphfactor.graphs import (
     matching,
 )
 from graphfactor.factorization import StoredWitness
-from graphfactor.search import SearchConfig, _degree_pairs, fix_labeling, is_factorizable
+from graphfactor.search import SearchConfig, _degree_pairs, is_factorizable
 from graphfactor.exact import adjacency
-from oracles import brute_class_reps, ladder_class_keys
+from oracles import AcyclicClass, brute_class_reps, classify_acyclic, ladder_class_keys
 
 
 CLASS_LADDER = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
@@ -187,7 +186,7 @@ def test_enumerate_ordered_by_canonical_key():
 
 def test_enumerate_representatives_are_canonical():
     for g in enumerate_graphs(5):
-        assert fix_labeling(Graph(g.order, g.rows)) == adjacency(g)
+        assert adjacency(canonical_form(Graph(g.order, g.rows))) == adjacency(g)
 
 
 def test_run_census_labels_no_class_graph(monkeypatch):

@@ -16,9 +16,10 @@ from graphfactor.census import (
 from graphfactor.errors import CatalogSchemaError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
-    canonical_key, cycle, disjoint_union, edgeless, encode_edge_list, encode_graph6, path,
+    canonical_key, cycle, disjoint_union, edgeless, encode_graph6, path,
 )
 from graphfactor.search import SearchConfig, is_factorizable
+from oracles import encode_edge_list
 
 
 C6 = encode_graph6(cycle(6))
@@ -150,7 +151,7 @@ SPECTRAL_JSON_SHA256 = {
 }
 
 
-@pytest.mark.parametrize("argv", sorted(COMMAND_JSON_SHA256))
+@pytest.mark.parametrize("argv", sorted(COMMAND_JSON_SHA256), ids=" ".join)
 def test_command_json_bytes_pinned_on_every_class_to_order_6(capsys, argv):
     command, *flags = argv
     digest = hashlib.sha256()

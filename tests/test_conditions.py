@@ -17,12 +17,11 @@ from graphfactor.conditions import (
     ViolationList,
     _rule_results,
     check_assertions,
-    evaluate_rule,
     exploratory_observations,
     screen,
     validate_factorization,
 )
-from graphfactor.errors import ParameterError, PreconditionError
+from graphfactor.errors import PreconditionError
 from graphfactor.exact import IntMatrix
 from graphfactor.factorization import Factorization
 from graphfactor.graphs import (
@@ -35,11 +34,9 @@ from graphfactor.graphs import (
     edgeless,
     matching,
     path,
-    star,
-    tree_from_pruefer,
 )
 from graphfactor.search import SearchConfig, factor_search, is_factorizable
-from oracles import screen_reference
+from oracles import screen_reference, star, tree_from_pruefer
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -95,14 +92,6 @@ def test_screen_edgeless_trivial():
     report = screen(edgeless(4))
     assert report.overall == "inconclusive"
     assert report.trivial
-
-
-def test_evaluate_rule_examples():
-    assert evaluate_rule("R1", complete(3)).status == "ruled_out"
-    assert evaluate_rule("R3", cycle(6)).status == "pass"
-    assert evaluate_rule("R2", star(5)).status == "ruled_out"
-    with pytest.raises(ParameterError):
-        evaluate_rule("R9", cycle(6))
 
 
 def test_every_rule_appears_once():

@@ -1,39 +1,21 @@
-import random
-from fractions import Fraction
-
 import pytest
 
-from graphfactor.census import enumerate_graphs
-from graphfactor.errors import ParameterError, PreconditionError
+from graphfactor.errors import ParameterError
 from graphfactor.exact import (
     IntMatrix,
     adjacency,
     as_adjacency,
-    bipartite_power_structure,
-    commute,
-    connected_by_powers,
     first_adjacency_violation,
-    hoffman_polynomial,
-    multiply,
-    positivity_profile,
-    power,
-    primitivity_exponent,
-    wielandt_bound,
 )
 from graphfactor.graphs import (
-    bipartition_of,
     canonical_key,
     complete,
     cycle,
-    disjoint_union,
     edgeless,
-    is_bipartite,
-    is_connected,
-    is_regular,
     matching,
     path,
 )
-from oracles import bfs_connected
+from oracles import commute, multiply
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -87,37 +69,6 @@ def test_as_adjacency_examples():
     assert first_adjacency_violation(multiply(k3, k3)) == (0, 0, "entry 2 is not 0 or 1")
 
 
-def test_power_examples():
-    k3 = adjacency(complete(3))
-    assert power(k3, 2).entries == ((2, 1, 1), (1, 2, 1), (1, 1, 2))
-    assert power(k3, 0) == IntMatrix.identity(3)
-    sq = power(adjacency(cycle(4)), 2)
-    assert all(sq.entries[i][i] == 2 for i in range(4))
-    with pytest.raises(ParameterError):
-        power(k3, -1)
-
-
-def test_power_additivity():
-    rng = random.Random(5)
-    for _ in range(20):
-        n = rng.randint(1, 5)
-        m = IntMatrix(
-            tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in range(n))
-        )
-        i, j = rng.randint(0, 3), rng.randint(0, 3)
-        assert power(m, i + j) == multiply(power(m, i), power(m, j))
-
-
-def test_positivity_profile():
-    j3 = IntMatrix(((1, 1, 1),) * 3)
-    assert positivity_profile(j3).all_positive
-    prof = positivity_profile(adjacency(complete(3)))
-    assert not prof.all_positive
-    assert prof.zero_rows == ()
-    iso = positivity_profile(adjacency(disjoint_union(edgeless(1), complete(2))))
-    assert iso.zero_rows == (0,)
-
-
 def test_commute_examples():
     b = IntMatrix(TRIANGLES_6)
     c = IntMatrix(MATCHING_6)
@@ -128,87 +79,3 @@ def test_commute_examples():
     assert commute(p3, other) == (multiply(p3, other) == multiply(other, p3))
     with pytest.raises(ParameterError):
         commute(p3, IntMatrix.identity(4))
-
-
-def test_connected_by_powers_examples():
-    assert connected_by_powers(adjacency(cycle(6)))
-    assert not connected_by_powers(adjacency(disjoint_union(complete(3), complete(3))))
-    assert connected_by_powers(adjacency(edgeless(1)))
-    with pytest.raises(PreconditionError):
-        connected_by_powers(IntMatrix.identity(3))
-
-
-def test_connected_by_powers_matches_bfs_on_census():
-    for n in range(1, 8):
-        for g in enumerate_graphs(n):
-            assert connected_by_powers(adjacency(g)) == bfs_connected(g)
-
-
-def test_primitivity_examples():
-    assert primitivity_exponent(adjacency(complete(3))) == 2
-    assert primitivity_exponent(adjacency(cycle(4))) is None
-    c5 = primitivity_exponent(adjacency(cycle(5)))
-    assert c5 == 4
-    assert c5 <= wielandt_bound(5)
-
-
-def test_primitivity_equivalence_order_6():
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            exponent = primitivity_exponent(adjacency(g))
-            expected = is_connected(g) and not is_bipartite(g)
-            assert (exponent is not None) == expected, canonical_key(g)
-            if exponent is not None:
-                assert exponent <= wielandt_bound(n)
-
-
-def test_hoffman_c4_certificate():
-    cert = hoffman_polynomial(adjacency(cycle(4)))
-    assert cert is not None
-    assert cert.coefficients == (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(0))
-    assert cert.evaluates_to_all_ones(adjacency(cycle(4)))
-
-
-def test_hoffman_absent_cases():
-    assert hoffman_polynomial(adjacency(path(3))) is None
-    assert hoffman_polynomial(adjacency(disjoint_union(complete(3), complete(3)))) is None
-
-
-def test_hoffman_equivalence_order_6():
-    for n in range(1, 7):
-        for g in enumerate_graphs(n):
-            a = adjacency(g)
-            cert = hoffman_polynomial(a)
-            expected = is_connected(g) and is_regular(g)
-            assert (cert is not None) == expected, canonical_key(g)
-            if cert is not None:
-                assert cert.evaluates_to_all_ones(a)
-
-
-def test_bipartite_power_structure_examples():
-    c4 = cycle(4)
-    res = bipartite_power_structure(adjacency(c4), bipartition_of(c4))
-    assert (res.even_k, res.odd_k) == (2, 1)
-    m2 = matching(2)
-    res = bipartite_power_structure(adjacency(m2), bipartition_of(m2))
-    assert (res.even_k, res.odd_k) == (None, None)
-    p4 = path(4)
-    res = bipartite_power_structure(adjacency(p4), bipartition_of(p4))
-    assert res.even_k is not None and res.odd_k is not None
-
-
-def test_bipartite_power_structure_rejects_bad_parts():
-    c4 = cycle(4)
-    with pytest.raises(PreconditionError):
-        bipartite_power_structure(adjacency(c4), bipartition_of(matching(2)))
-
-
-def test_bipartite_power_structure_presence_iff_connected():
-    for n in range(2, 7):
-        for g in enumerate_graphs(n):
-            parts = bipartition_of(g)
-            if parts is None or not parts.left or not parts.right:
-                continue
-            res = bipartite_power_structure(adjacency(g), parts)
-            both = res.even_k is not None and res.odd_k is not None
-            assert both == is_connected(g), canonical_key(g)

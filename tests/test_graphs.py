@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphfactor.census import enumerate_graphs
 from graphfactor.errors import Graph6Error, ParameterError, UnsupportedSizeError
 from graphfactor.graphs import (
-    AcyclicClass,
     Bipartition,
     Graph,
     Permutation,
@@ -18,9 +17,7 @@ from graphfactor.graphs import (
     bipartition_of,
     canonical_form,
     canonical_key,
-    classify_acyclic,
     complete,
-    complete_bipartite,
     components,
     contains_c4,
     cycle,
@@ -29,7 +26,6 @@ from graphfactor.graphs import (
     degree_sequence,
     disjoint_union,
     edgeless,
-    encode_edge_list,
     encode_graph6,
     graph_bits,
     graph6_from_key,
@@ -38,10 +34,19 @@ from graphfactor.graphs import (
     matching,
     path,
     permute,
+)
+from oracles import (
+    AcyclicClass,
+    all_labeled_graphs,
+    brute_class_reps,
+    classify_acyclic,
+    complete_bipartite,
+    encode_edge_list,
+    g6_encode,
+    lexmin_order_reference,
     star,
     tree_from_pruefer,
 )
-from oracles import all_labeled_graphs, brute_class_reps, g6_encode, lexmin_order_reference
 
 
 def random_graph(rng: random.Random, n: int) -> Graph:
@@ -454,6 +459,24 @@ def test_canonical_labelling_memoised_per_graph_and_pickled(monkeypatch):
     copy = pickle.loads(pickle.dumps(g))
     assert copy == g and canonical_key(copy) == key
     assert len(calls) == 1
+
+
+# The order-7 class graphs pickled to this many bytes (protocol 4) when each
+# memoised labelling carried its final frontier and twin masks along.
+ORDER_7_CLASSES_PICKLED_WITH_END_STATE = 140_498
+
+
+def test_pickled_labelling_keeps_key_and_placement_alone():
+    classes = enumerate_graphs(7)
+    data = pickle.dumps(classes, protocol=4)
+    assert len(data) < ORDER_7_CLASSES_PICKLED_WITH_END_STATE
+    for g, copy in zip(classes, pickle.loads(data)):
+        assert copy == g
+        labelling = vars(copy)["_canonical"]
+        assert labelling == g._canonical
+        assert not vars(labelling)
+        # automorphism_generators labels the copy afresh for the end state.
+        assert automorphism_generators(copy) == automorphism_generators(g)
 
 
 def _is_automorphism(g: Graph, images) -> bool:

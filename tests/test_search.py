@@ -10,13 +10,11 @@ from graphfactor.errors import (
     PreconditionError,
     UnsupportedSizeError,
 )
-from graphfactor.exact import IntMatrix, adjacency, commute, multiply
+from graphfactor.exact import IntMatrix, adjacency
 from graphfactor.graphs import (
-    AcyclicClass,
     Graph,
     canonical_form,
     canonical_key,
-    classify_acyclic,
     complete,
     cycle,
     decode_graph6,
@@ -35,24 +33,27 @@ from graphfactor.search import (
     _degree_pairs,
     _Engine,
     _pair_tables,
-    _pairs_in_ranges,
     _root_rows,
     _v1_pairs,
     cycle_product,
     dedup_pairs,
     disconnected_counterexample,
     doubled_graph,
-    factor_naive,
     factor_search,
-    fix_labeling,
     is_factorizable,
 )
 from graphfactor.spectral import lambda_max
 from oracles import (
+    AcyclicClass,
     _degree_range_ok,
+    _pairs_in_ranges,
     all_labeled_graphs,
     bound_violations,
+    classify_acyclic,
+    commute,
     degree_pairs_reference,
+    factor_naive,
+    multiply,
     search_reference,
 )
 from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
@@ -65,32 +66,6 @@ def witness_key(f):
 def random_graph(rng: random.Random, n: int) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
     return Graph.from_edges(n, edges)
-
-
-# ---------------------------------------------------------------------------
-# fixed labeling
-# ---------------------------------------------------------------------------
-
-def test_fix_labeling_is_relabeling_invariant():
-    g = cycle(6)
-    p = Permutation((3, 0, 4, 1, 5, 2))
-    assert fix_labeling(g) == fix_labeling(permute(g, p))
-
-
-def test_fix_labeling_k3():
-    assert fix_labeling(complete(3)) == adjacency(complete(3))
-
-
-def test_fix_labeling_matches_six_cycle_product_graph():
-    from graphfactor.exact import as_adjacency
-
-    g = as_adjacency(IntMatrix(SIX_CYCLE_PRODUCT))
-    assert fix_labeling(g) == fix_labeling(cycle(6))
-
-
-def test_fix_labeling_order_cap():
-    with pytest.raises(UnsupportedSizeError):
-        fix_labeling(edgeless(9))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +182,7 @@ def test_every_witness_is_sound():
     for _ in range(40):
         g = random_graph(rng, rng.randint(1, 6))
         found, _ = factor_search(g, SearchConfig(mode="all"))
-        a = fix_labeling(g)
+        a = adjacency(canonical_form(g))
         for f in found:
             assert multiply(f.b, f.c) == a
             assert commute(f.b, f.c)

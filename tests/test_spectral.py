@@ -6,7 +6,7 @@ import pytest
 from graphfactor import census, conditions, spectral
 from graphfactor.census import enumerate_graphs, run_census
 from graphfactor.errors import PreconditionError
-from graphfactor.exact import IntMatrix, adjacency, multiply
+from graphfactor.exact import IntMatrix, adjacency
 from graphfactor.graphs import (
     CANONICAL_ORDER_CAP,
     Graph,
@@ -22,7 +22,6 @@ from graphfactor.graphs import (
 from graphfactor.spectral import (
     DEFAULT_TOL,
     _jacobi,
-    common_eigenbasis,
     eigen_sym,
     lambda_max,
     lambda_max_product_check,
@@ -30,7 +29,6 @@ from graphfactor.spectral import (
     spectrum_is_symmetric,
 )
 from oracles import exact_eigenvalues, jacobi_reference
-from triples import MATCHING_6, SIX_CYCLE_PRODUCT, TRIANGLES_6
 
 
 def assert_close(got, want, tol=1e-9):
@@ -126,48 +124,6 @@ def test_perron_vector_within_default_tol_of_the_jacobi_eigenvector():
         assert max(abs(a - b) for a, b in zip(got, want)) <= DEFAULT_TOL, g
 
 
-def test_common_eigenbasis_six_cycle_triple():
-    b = IntMatrix(TRIANGLES_6)
-    c = IntMatrix(MATCHING_6)
-    a = IntMatrix(SIX_CYCLE_PRODUCT)
-    basis = common_eigenbasis(a, b, c)
-    assert basis is not None
-    # conjugation really is diagonal for all three
-    n = 6
-    for m in (a, b, c):
-        for k in range(n):
-            for l in range(n):
-                if k == l:
-                    continue
-                entry = sum(
-                    basis[k][i] * m.entries[i][j] * basis[l][j]
-                    for i in range(n)
-                    for j in range(n)
-                )
-                assert abs(entry) <= 1e-9
-
-
-def test_common_eigenbasis_identity_and_powers():
-    eye = IntMatrix.identity(3)
-    assert common_eigenbasis(eye, eye, eye) is not None
-    a = adjacency(cycle(6))
-    assert common_eigenbasis(a, a, multiply(a, a)) is not None
-
-
-def test_common_eigenbasis_rejects_noncommuting():
-    p3 = adjacency(path(3))
-    k3 = adjacency(complete(3))
-    with pytest.raises(PreconditionError):
-        common_eigenbasis(p3, p3, k3)
-
-
-def test_common_eigenbasis_deterministic_given_seed():
-    a = adjacency(cycle(6))
-    b1 = common_eigenbasis(a, a, multiply(a, a), seed=7)
-    b2 = common_eigenbasis(a, a, multiply(a, a), seed=7)
-    assert b1 == b2
-
-
 def test_lambda_max_product_check_six_cycle():
     chk = lambda_max_product_check(
         cycle(6), disjoint_union(complete(3), complete(3)), matching(3)
@@ -195,11 +151,10 @@ def test_lambda_max_spectrum_bound():
             assert lambda_max(g) == values[0]
 
 
-def _float_bits(values, vectors):
-    """Diagonal and rotation matrix as float.hex strings: equal iff every bit
-    (sign of zero included) is equal."""
-    rotation = None if vectors is None else [[x.hex() for x in row] for row in vectors]
-    return [x.hex() for x in values], rotation
+def _float_bits(values):
+    """Eigenvalues as float.hex strings: equal iff every bit (sign of zero
+    included) is equal."""
+    return [x.hex() for x in values]
 
 
 def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
@@ -207,22 +162,20 @@ def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             entries = adjacency(g).entries
-            for want_vectors in (False, True):
-                got = _jacobi(entries, DEFAULT_TOL, want_vectors)
-                want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
-                assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
-            assert lambda_max(g).hex() == max(want[0]).hex(), g
+            got = _jacobi(entries, DEFAULT_TOL)
+            want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
+            assert _float_bits(got) == _float_bits(want), g
+            assert lambda_max(g).hex() == max(want).hex(), g
 
 
 def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
     classes = enumerate_graphs(8)
     for g in random.Random(8).sample(classes, 150):
         entries = adjacency(g).entries
-        for want_vectors in (False, True):
-            got = _jacobi(entries, DEFAULT_TOL, want_vectors)
-            want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
-            assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
-        assert lambda_max(g).hex() == max(want[0]).hex(), g
+        got = _jacobi(entries, DEFAULT_TOL)
+        want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
+        assert _float_bits(got) == _float_bits(want), g
+        assert lambda_max(g).hex() == max(want).hex(), g
 
 
 def test_jacobi_bit_identical_to_reference_on_integer_matrices():
@@ -235,18 +188,16 @@ def test_jacobi_bit_identical_to_reference_on_integer_matrices():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.choice((0, 0, 1, 2, 3, -1, -4, 7))
-        for want_vectors in (False, True):
-            got = _jacobi(m, DEFAULT_TOL, want_vectors)
-            want = jacobi_reference(m, DEFAULT_TOL, want_vectors)
-            assert _float_bits(*got) == _float_bits(*want), (m, want_vectors)
+        got = _jacobi(m, DEFAULT_TOL)
+        want, _ = jacobi_reference(m, DEFAULT_TOL, False)
+        assert _float_bits(got) == _float_bits(want), m
         assert eigen_sym(IntMatrix(tuple(map(tuple, m)))).values == tuple(
-            sorted(want[0], reverse=True)
+            sorted(want, reverse=True)
         )
 
 
 def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
-    # The common_eigenbasis path: float entries, exact zeros, rotations kept,
-    # and its tighter tolerance.
+    # Float entries, exact zeros and a tolerance below DEFAULT_TOL.
     rng = random.Random(2024)
     for _ in range(400):
         n = rng.randint(1, 8)
@@ -255,9 +206,9 @@ def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
             for j in range(i, n):
                 if rng.random() >= 0.35:
                     m[i][j] = m[j][i] = rng.uniform(-2.0, 2.0)
-        got = _jacobi(m, DEFAULT_TOL * 1e-3, True)
-        want = jacobi_reference(m, DEFAULT_TOL * 1e-3, True)
-        assert _float_bits(*got) == _float_bits(*want), m
+        got = _jacobi(m, DEFAULT_TOL * 1e-3)
+        want, _ = jacobi_reference(m, DEFAULT_TOL * 1e-3, False)
+        assert _float_bits(got) == _float_bits(want), m
 
 
 def test_jacobi_bit_identical_to_reference_above_the_compiled_orders():
@@ -269,11 +220,10 @@ def test_jacobi_bit_identical_to_reference_above_the_compiled_orders():
                 n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
             )
             entries = adjacency(g).entries
-            for want_vectors in (False, True):
-                got = _jacobi(entries, DEFAULT_TOL, want_vectors)
-                want = jacobi_reference(entries, DEFAULT_TOL, want_vectors)
-                assert _float_bits(*got) == _float_bits(*want), (g, want_vectors)
-            assert lambda_max(g).hex() == max(want[0]).hex(), g
+            got = _jacobi(entries, DEFAULT_TOL)
+            want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
+            assert _float_bits(got) == _float_bits(want), g
+            assert lambda_max(g).hex() == max(want).hex(), g
 
 
 def test_sweep_is_compiled_only_up_to_the_canonical_cap(monkeypatch):
@@ -286,8 +236,7 @@ def test_sweep_is_compiled_only_up_to_the_canonical_cap(monkeypatch):
 
     monkeypatch.setattr(spectral, "_sweep", spy)
     for n in (3, CANONICAL_ORDER_CAP, CANONICAL_ORDER_CAP + 1, 62):
-        for want_vectors in (False, True):
-            _jacobi(adjacency(cycle(n)).entries, DEFAULT_TOL, want_vectors)
+        _jacobi(adjacency(cycle(n)).entries, DEFAULT_TOL)
     assert compiled == [3, CANONICAL_ORDER_CAP]
 
 
@@ -296,9 +245,9 @@ def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
     runs = []
     kernel = spectral._jacobi_flat
 
-    def counted(n, a, tol, want_vectors):
+    def counted(n, a, tol):
         runs.append((n, tuple(a)))
-        return kernel(n, a, tol, want_vectors)
+        return kernel(n, a, tol)
 
     monkeypatch.setattr(spectral, "_jacobi_flat", counted)
     asked = []
