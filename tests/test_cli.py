@@ -133,6 +133,25 @@ def test_construct_json_bytes_pinned(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_JSON_SHA256[args]
 
 
+# sha256 of the text of `construct --kind ...`, which prints the A, B and C
+# rows; the same kinds as CONSTRUCT_JSON_SHA256.
+CONSTRUCT_TEXT_SHA256 = {
+    ("cycle", "--n", "3"): "2611bbea4dcdf65c1794e1756f514b05764852a0ac9f9c4753baa48eb9e77ce8",
+    ("cycle", "--n", "31"): "17fd81e61fbfcd7b3ecfda7d8afeebc4514da4721ec1d8e2ac517616b76a0e12",
+    ("counterexample", "--n", "3"): (
+        "3adc051485d37c49cf9548131e4113635ca8837c6b30595c01daa369661ec1cd"
+    ),
+    ("double", "--graph6", "Bw"): "93a587aabb4267a1542e2b8dd56fbf8a9cb193b89b7b185a175787d7a0ed1162",
+}
+
+
+@pytest.mark.parametrize("args", sorted(CONSTRUCT_TEXT_SHA256))
+def test_construct_text_bytes_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, "construct", "--kind", *args)
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_TEXT_SHA256[args]
+
+
 # sha256 of the concatenated outputs of `spectral --json`, `check --json`
 # and `factor --all --json` over every class of orders 1-6 (208 graphs, in
 # enumeration order), and of `spectral --json` of graphs above the
