@@ -35,21 +35,13 @@ from .errors import (
     TheoremViolationError,
     UnsupportedSizeError,
 )
-from .exact import (
-    IntMatrix,
-    adjacency,
-    as_adjacency,
-    first_adjacency_violation,
-)
-from .factorization import Factorization, StoredWitness
+from .factorization import Factorization, IntMatrix, StoredWitness, adjacency
 from .graphs import (
     Bipartition,
     Graph,
-    Permutation,
     bipartition_of,
     canonical_form,
     canonical_key,
-    canonical_relabeling,
     complete,
     components,
     contains_c4,
@@ -67,8 +59,6 @@ from .graphs import (
     is_connected,
     is_regular,
     matching,
-    path,
-    permute,
 )
 from .search import (
     FactorDecision,

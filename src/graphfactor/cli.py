@@ -21,7 +21,6 @@ from .errors import (
     TheoremViolationError,
     UnsupportedSizeError,
 )
-from .exact import adjacency
 from .graphs import (
     GRAPH6_ORDER_CAP, Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite,
     is_connected,
@@ -49,7 +48,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         try:
             with open(args.edges, "r", encoding="utf-8") as fh:
                 return decode_edge_list(fh.read())
-        except (OSError, GraphFactorError) as exc:
+        except (OSError, UnicodeDecodeError, GraphFactorError) as exc:
             raise ParameterError(f"--edges: {exc}") from None
     raise ParameterError("provide a graph via --graph6 or --edges")
 
@@ -170,7 +169,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_spectral(args) -> int:
     g = _load_graph(args)
-    spectrum = eigen_sym(adjacency(g))
+    spectrum = eigen_sym(g)
     connected = is_connected(g)
     perron_data = perron(g) if connected else None
     if args.json:

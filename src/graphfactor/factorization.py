@@ -4,14 +4,13 @@ A Factorization is three bitmask graphs whose product identity holds; a
 StoredWitness is the catalog's bit-row strings, unchecked until
 to_factorization rebuilds the graphs, so catalog verification can report a
 broken witness instead of crashing at parse time.  The IntMatrix views a, b
-and c serve the CLI, and from_matrices builds a witness from three matrices.
+and c, the adjacency matrices as rows of ints, are what the CLI prints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import ParameterError, PreconditionError
-from .exact import IntMatrix, adjacency, as_adjacency
 from .graphs import Graph, encode_graph6, is_edgeless
 
 _NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
@@ -43,6 +42,24 @@ def _graph(n: int, rows) -> Graph:
 
 
 @dataclass(frozen=True)
+class IntMatrix:
+    """A graph's adjacency matrix as rows of ints: entries[i][j] is 1 when
+    i and j are adjacent, else 0."""
+
+    entries: tuple[tuple[int, ...], ...]
+
+    def format_rows(self) -> str:
+        return "\n".join(" ".join(str(x) for x in row) for row in self.entries)
+
+
+def adjacency(g: Graph) -> IntMatrix:
+    n = g.order
+    return IntMatrix(
+        tuple(tuple((g.rows[i] >> j) & 1 for j in range(n)) for i in range(n))
+    )
+
+
+@dataclass(frozen=True)
 class Factorization:
     """Verified witness: the adjacency matrices A, B, C of g, h, k satisfy
     B*C = A exactly, checked once by popcount when the triple is built."""
@@ -60,15 +77,6 @@ class Factorization:
             for j in range(n):
                 if (hi & rows_k[j]).bit_count() != (gi >> j & 1):
                     raise PreconditionError("product identity fails: B*C != A")
-
-    @classmethod
-    def from_matrices(cls, a: IntMatrix, b: IntMatrix, c: IntMatrix) -> "Factorization":
-        if not (a.order == b.order == c.order):
-            raise ParameterError("factorization matrices must share one order")
-        g, h, k = as_adjacency(a), as_adjacency(b), as_adjacency(c)
-        if g is None or h is None or k is None:
-            raise PreconditionError(_NOT_ADJACENCY)
-        return cls(g, h, k)
 
     @classmethod
     def from_factors(cls, h: Graph, k: Graph) -> "Factorization":

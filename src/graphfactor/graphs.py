@@ -68,22 +68,6 @@ class Graph:
             rows[v] |= 1 << u
         return cls(order, tuple(rows))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
-
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
-    def edges(self):
-        for u in range(self.order):
-            row = self.rows[u] >> (u + 1)
-            v = u + 1
-            while row:
-                if row & 1:
-                    yield (u, v)
-                row >>= 1
-                v += 1
-
     @property
     def edge_count(self) -> int:
         return sum(map(int.bit_count, self.rows)) >> 1
@@ -92,34 +76,6 @@ class Graph:
     def _canonical(self) -> "_Labelling":
         """_canonical_order of this graph, computed at most once per object."""
         return _canonical_order(self)
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """Vertex relabeling; images[old] = new."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ParameterError("permutation images must be a bijection on 0..n-1")
-
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @property
-    def order(self) -> int:
-        return len(self.images)
-
-    def __call__(self, v: int) -> int:
-        return self.images[v]
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for old, new in enumerate(self.images):
-            inv[new] = old
-        return Permutation(tuple(inv))
 
 
 @dataclass(frozen=True)
@@ -264,10 +220,6 @@ def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def path(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def matching(n: int) -> Graph:
     """n disjoint edges {i, n+i} on 2n vertices."""
     if n < 1:
@@ -406,21 +358,6 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return Graph(len(verts), tuple(rows))
 
 
-def permute(g: Graph, p: Permutation) -> Graph:
-    """Relabeled copy: edge {i,j} in the result iff {p^-1(i), p^-1(j)} in g."""
-    if p.order != g.order:
-        raise ParameterError("permutation order does not match graph order")
-    n = g.order
-    rows = [0] * n
-    for old, new in enumerate(p.images):
-        m = g.rows[old]
-        while m:
-            w = (m & -m).bit_length() - 1
-            m &= m - 1
-            rows[new] |= 1 << p.images[w]
-    return Graph(n, tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # canonical forms (exhaustive over relabelings, order <= 8)
 # ---------------------------------------------------------------------------
@@ -552,17 +489,10 @@ def canonical_key(g: Graph) -> str:
     return g._canonical[0]
 
 
-def canonical_relabeling(g: Graph) -> Permutation:
-    """Permutation carrying g onto its canonical form."""
-    _, placement = g._canonical
-    images = [0] * g.order
-    for new, old in enumerate(placement):
-        images[old] = new
-    return Permutation(tuple(images))
-
-
 def canonical_form(g: Graph) -> Graph:
-    return permute(g, canonical_relabeling(g))
+    """g relabelled by its canonical placement, so that its column-major
+    upper-triangle bit-string is the canonical key."""
+    return graph_from_key(g.order, g._canonical[0])
 
 
 def graph_bits(g: Graph) -> str:

@@ -37,7 +37,6 @@ from .graphs import (
     Graph,
     canonical_form,
     canonical_key,
-    canonical_relabeling,
     components,
     cycle,
     degree_sequence,
@@ -525,9 +524,9 @@ def factor_search(
     if pairs is None:
         return [], _refuted_stats()
     cg = canonical_form(g)
-    images = canonical_relabeling(g).images
-    placed = sorted(range(g.order), key=images.__getitem__)
-    return _Engine(cg, cfg, [pairs[v] for v in placed]).run()
+    # canonical_form labelled g; vertex k of cg is vertex placement[k] of g.
+    placement = g._canonical[1]
+    return _Engine(cg, cfg, [pairs[v] for v in placement]).run()
 
 
 def _refuted_stats() -> SearchStats:

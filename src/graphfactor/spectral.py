@@ -1,4 +1,4 @@
-"""Floating-point spectra of symmetric integer matrices.
+"""Floating-point spectra of graphs' adjacency matrices.
 
 Eigenvalues come from cyclic Jacobi sweeps (robust on the repeated
 eigenvalues that regular and bipartite graphs produce), driven by a rotation
@@ -8,10 +8,11 @@ generated from the plan and compiled once per process, with one local
 variable per matrix entry; a sweep spells out about n**3 / 2 statements, so
 above the cap a loop walks the plan over one flat list instead.  Both run
 every float operation of the nested-list sweep in the same order, so their
-values are bit-identical to that sweep's.  lambda_max runs the kernel once
-per labelled graph.  The Perron pair comes from power iteration.  The
-module also hosts the largest-eigenvalue product check used to audit
-factorizations.
+values are bit-identical to that sweep's.  The kernel reads a graph's
+bitmask rows as 0.0/1.0 floats; eigen_sym runs it for the spectrum the CLI
+prints, and lambda_max once per labelled graph.  The Perron pair comes from
+power iteration.  The module also hosts the largest-eigenvalue product
+check used to audit factorizations.
 
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import PreconditionError
-from .exact import IntMatrix
 from .graphs import CANONICAL_ORDER_CAP, Graph, is_connected
 
 DEFAULT_TOL = 1e-9
@@ -133,19 +133,12 @@ def _sweep(n: int):
     return namespace["sweep"]
 
 
-def _jacobi(mat, tol: float) -> list[float]:
-    """Cyclic Jacobi sweeps until the off-diagonal Frobenius mass drops
-    below tol.  Returns the diagonal values.
-
-    The matrix is flattened row-major into floats for _jacobi_flat."""
-    return _jacobi_flat(len(mat), [float(x) for row in mat for x in row], tol)
-
-
 def _jacobi_flat(n: int, a: list[float], tol: float) -> list[float]:
-    """_jacobi of the n x n matrix whose row-major float entries are a: the
-    compiled sweep of order n (_sweep) for 2 <= n <= CANONICAL_ORDER_CAP,
-    and _plan_sweep for every other order.  Both keep only the upper
-    triangle current."""
+    """Cyclic Jacobi sweeps on the n x n symmetric matrix whose row-major
+    float entries are a, until the off-diagonal Frobenius mass drops below
+    tol; returns the diagonal values.  It runs the compiled sweep of order
+    n (_sweep) for 2 <= n <= CANONICAL_ORDER_CAP, and _plan_sweep for every
+    other order.  Both keep only the upper triangle current."""
     skip = tol / (4.0 * n * n)
     if 2 <= n <= CANONICAL_ORDER_CAP:
         return _sweep(n)(a, tol, skip)
@@ -191,21 +184,9 @@ def _plan_sweep(n: int, a: list[float], tol: float, skip: float) -> list[float]:
     return a[::n + 1]
 
 
-def eigen_sym(m: IntMatrix) -> Spectrum:
-    """Full spectrum of a symmetric integer matrix, sorted descending."""
-    if not m.is_symmetric():
-        raise PreconditionError("eigen_sym requires a symmetric matrix")
-    values = _jacobi(m.entries, DEFAULT_TOL)
-    return Spectrum(tuple(_descending(values, m.trace())))
-
-
-def _descending(values: list[float], trace: int) -> list[float]:
-    """The eigenvalues sorted in descending order, once their sum is checked
-    against the matrix trace."""
-    values.sort(reverse=True)
-    if abs(sum(values) - trace) > max(DEFAULT_TOL, 1e-12 * len(values) * (1 + abs(trace))):
-        raise ArithmeticError("eigenvalue sum drifted from the trace")
-    return values
+def eigen_sym(g: Graph) -> Spectrum:
+    """Full adjacency spectrum of g, sorted descending."""
+    return Spectrum(tuple(_eigenvalues(g.order, g.rows)))
 
 
 def lambda_max(g: Graph) -> float:
@@ -218,14 +199,23 @@ def lambda_max(g: Graph) -> float:
 def _lambda_max(order: int, rows: tuple[int, ...]) -> float:
     """The memo behind lambda_max.  It is keyed on the plain (order, rows),
     so it keeps no Graph, and no memoised labelling, alive; 2**15 entries
-    hold every labelled graph of the order-8 census (12,691).  The rows'
-    0/1 entries go straight to the kernel as floats, one memoised tuple per
-    row: a graph's matrix is symmetric with zero trace."""
+    hold every labelled graph of the order-8 census (12,691)."""
+    return _eigenvalues(order, rows)[0]
+
+
+def _eigenvalues(order: int, rows: tuple[int, ...]) -> list[float]:
+    """The eigenvalues of the graph with these row masks, sorted in
+    descending order.  The rows' 0/1 entries go straight to the kernel as
+    floats, one memoised tuple per row; the values must sum to the trace,
+    which is zero."""
     a: list[float] = []
     for row in rows:
         a += _row_floats(order, row)
     values = _jacobi_flat(order, a, DEFAULT_TOL)
-    return _descending(values, 0)[0]
+    values.sort(reverse=True)
+    if abs(sum(values)) > max(DEFAULT_TOL, 1e-12 * len(values)):
+        raise ArithmeticError("eigenvalue sum drifted from the trace")
+    return values
 
 
 @lru_cache(maxsize=1 << 12)

@@ -15,8 +15,10 @@ rule-by-rule screen on the graphs module's predicates; it shares the
 conditions module's report types, statuses and rule texts.
 
 The module also holds what tests need and no command does: the integer
-matrix product and commutation test, the star, complete bipartite, Pruefer
-tree and edge-list generators, the acyclic classification, and
+matrix product, identity and commutation test, the matrix-to-graph and
+matrix-to-witness conversions, edge lists and relabelled copies of
+graphs, the path, star, complete bipartite, Pruefer tree and edge-list
+generators, the acyclic classification, and
 factor_naive, the definition A = BC transcribed over every pair of
 candidate matrices (order <= 5), the ground truth for the pruned search.
 """
@@ -36,9 +38,8 @@ from graphfactor.conditions import (
     ConditionReport,
     RuleResult,
 )
-from graphfactor.errors import ParameterError, UnsupportedSizeError
-from graphfactor.exact import IntMatrix
-from graphfactor.factorization import Factorization
+from graphfactor.errors import ParameterError, PreconditionError, UnsupportedSizeError
+from graphfactor.factorization import Factorization, IntMatrix
 from graphfactor.graphs import (
     Graph,
     canonical_form,
@@ -71,9 +72,9 @@ from graphfactor.search import (
 # ---------------------------------------------------------------------------
 
 def multiply(m: IntMatrix, other: IntMatrix) -> IntMatrix:
-    n = m.order
-    if other.order != n:
-        raise ParameterError(f"order mismatch: {n} vs {other.order}")
+    n = len(m.entries)
+    if len(other.entries) != n:
+        raise ParameterError(f"order mismatch: {n} vs {len(other.entries)}")
     cols = tuple(tuple(other.entries[k][j] for k in range(n)) for j in range(n))
     out = []
     for row in m.entries:
@@ -82,9 +83,59 @@ def multiply(m: IntMatrix, other: IntMatrix) -> IntMatrix:
 
 
 def commute(m: IntMatrix, other: IntMatrix) -> bool:
-    if m.order != other.order:
-        raise ParameterError(f"order mismatch: {m.order} vs {other.order}")
+    if len(m.entries) != len(other.entries):
+        raise ParameterError(f"order mismatch: {len(m.entries)} vs {len(other.entries)}")
     return multiply(m, other) == multiply(other, m)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+
+
+def first_adjacency_violation(m: IntMatrix) -> tuple[int, int, str] | None:
+    """First entry (row-major) stopping m from being an adjacency matrix."""
+    n = len(m.entries)
+    for i in range(n):
+        for j in range(n):
+            x = m.entries[i][j]
+            if x not in (0, 1):
+                return (i, j, f"entry {x} is not 0 or 1")
+            if i == j and x:
+                return (i, j, "nonzero diagonal entry")
+            if j < i and x != m.entries[j][i]:
+                return (i, j, "not symmetric")
+    return None
+
+
+def as_adjacency(m: IntMatrix) -> Graph | None:
+    if first_adjacency_violation(m) is not None:
+        return None
+    return Graph(len(m.entries), tuple(sum(x << j for j, x in enumerate(row)) for row in m.entries))
+
+
+def factorization_from_matrices(a: IntMatrix, b: IntMatrix, c: IntMatrix) -> Factorization:
+    """The witness whose adjacency matrices are a, b and c; PreconditionError
+    unless all three are adjacency matrices and b*c = a."""
+    if not (len(a.entries) == len(b.entries) == len(c.entries)):
+        raise ParameterError("factorization matrices must share one order")
+    g, h, k = as_adjacency(a), as_adjacency(b), as_adjacency(c)
+    if g is None or h is None or k is None:
+        raise PreconditionError("factorization matrices must be adjacency matrices")
+    return Factorization(g, h, k)
+
+
+def edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges (u, v), u < v, in row-major order."""
+    return [(u, v) for u in range(g.order) for v in range(u + 1, g.order) if g.rows[u] >> v & 1]
+
+
+def permute(g: Graph, images) -> Graph:
+    """Relabelled copy of g: vertex v becomes images[v]."""
+    return Graph.from_edges(g.order, [(images[u], images[v]) for u, v in edges(g)])
+
+
+def path(n: int) -> Graph:
+    return Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def star(n: int) -> Graph:
@@ -123,7 +174,7 @@ def tree_from_pruefer(seq) -> Graph:
 
 def encode_edge_list(g: Graph) -> str:
     lines = [str(g.order)]
-    lines.extend(f"{u} {v}" for u, v in g.edges())
+    lines.extend(f"{u} {v}" for u, v in edges(g))
     return "\n".join(lines) + "\n"
 
 
@@ -347,7 +398,7 @@ def ladder_class_keys(n: int) -> list[str]:
         for g in level:
             for u in range(n):
                 for v in range(u + 1, n):
-                    if g.has_edge(u, v):
+                    if g.rows[u] >> v & 1:
                         continue
                     rows = list(g.rows)
                     rows[u] |= 1 << v
@@ -377,7 +428,8 @@ def jacobi_reference(mat, tol: float, want_vectors: bool):
     """Cyclic Jacobi sweeps on nested row lists, one float operation at a
     time, until the off-diagonal Frobenius mass drops below tol.  Returns
     (diagonal values, rotation matrix or None).  The reference for
-    spectral._jacobi, which must reproduce every bit of both."""
+    spectral._jacobi_flat, which must reproduce every bit of the values;
+    the rotation matrix serves the Perron vector test."""
     n = len(mat)
     a = [[float(x) for x in row] for row in mat]
     v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)] if want_vectors else None

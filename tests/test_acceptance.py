@@ -16,8 +16,7 @@ from graphfactor.census import (
     write_catalog,
 )
 from graphfactor.conditions import screen, validate_factorization
-from graphfactor.exact import IntMatrix
-from graphfactor.factorization import Factorization
+from graphfactor.factorization import IntMatrix
 from graphfactor.graphs import (
     canonical_key,
     complete,
@@ -35,7 +34,7 @@ from graphfactor.search import (
     factor_search,
 )
 from graphfactor.spectral import lambda_max
-from oracles import AcyclicClass, classify_acyclic, multiply
+from oracles import AcyclicClass, classify_acyclic, factorization_from_matrices, multiply
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -66,12 +65,12 @@ def _report(num: int, name: str, ok: bool, elapsed: float, extra: str = "") -> N
 def test_criterion_01_figure_exact_products():
     t0 = time.perf_counter()
     ok = True
-    six = Factorization.from_matrices(
+    six = factorization_from_matrices(
         IntMatrix(SIX_CYCLE_PRODUCT), IntMatrix(TRIANGLES_6), IntMatrix(MATCHING_6)
     )
     ok &= multiply(six.b, six.c) == six.a
     ok &= validate_factorization(six).empty
-    eight = Factorization.from_matrices(
+    eight = factorization_from_matrices(
         IntMatrix(TWO_C4_PRODUCT), IntMatrix(C4_PLUS_EDGES_8), IntMatrix(EDGES_PLUS_C4_8)
     )
     ok &= multiply(eight.b, eight.c) == eight.a

@@ -16,10 +16,10 @@ from graphfactor.census import (
 from graphfactor.errors import CatalogSchemaError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
-    canonical_key, cycle, disjoint_union, edgeless, encode_graph6, path,
+    canonical_key, cycle, disjoint_union, edgeless, encode_graph6,
 )
 from graphfactor.search import SearchConfig, is_factorizable
-from oracles import encode_edge_list
+from oracles import encode_edge_list, path
 
 
 C6 = encode_graph6(cycle(6))
@@ -370,6 +370,18 @@ def test_verify_missing_catalog_is_a_usage_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", "--catalog", str(tmp_path / "missing.jsonl"))
     assert code == 2
     assert err.startswith("error: --catalog: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["factor"], ["check"], ["spectral"], ["construct", "--kind", "double"],
+], ids=" ".join)
+def test_non_utf8_edges_file_is_a_usage_error(tmp_path, capsys, argv):
+    f = tmp_path / "g.txt"
+    f.write_bytes(b"0 1\n\xff\n")
+    code, out, err = run_cli(capsys, *argv, "--edges", str(f))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --edges: ") and err.count("\n") == 1
 
 
 def test_verify_non_utf8_catalog_is_a_schema_error(tmp_path, capsys):

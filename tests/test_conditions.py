@@ -22,8 +22,7 @@ from graphfactor.conditions import (
     validate_factorization,
 )
 from graphfactor.errors import PreconditionError
-from graphfactor.exact import IntMatrix
-from graphfactor.factorization import Factorization
+from graphfactor.factorization import Factorization, IntMatrix
 from graphfactor.graphs import (
     Graph,
     canonical_key,
@@ -33,10 +32,9 @@ from graphfactor.graphs import (
     disjoint_union,
     edgeless,
     matching,
-    path,
 )
 from graphfactor.search import SearchConfig, factor_search, is_factorizable
-from oracles import screen_reference, star, tree_from_pruefer
+from oracles import factorization_from_matrices, path, screen_reference, star, tree_from_pruefer
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -48,13 +46,13 @@ from triples import (
 
 
 def six_cycle_factorization() -> Factorization:
-    return Factorization.from_matrices(
+    return factorization_from_matrices(
         IntMatrix(SIX_CYCLE_PRODUCT), IntMatrix(TRIANGLES_6), IntMatrix(MATCHING_6)
     )
 
 
 def two_c4_factorization() -> Factorization:
-    return Factorization.from_matrices(
+    return factorization_from_matrices(
         IntMatrix(TWO_C4_PRODUCT), IntMatrix(C4_PLUS_EDGES_8), IntMatrix(EDGES_PLUS_C4_8)
     )
 
@@ -272,7 +270,7 @@ def test_mutated_witness_fails_product_precondition():
     mutated[0][1] = 1
     mutated[1][0] = 1
     with pytest.raises(PreconditionError):
-        Factorization.from_matrices(
+        factorization_from_matrices(
             IntMatrix(SIX_CYCLE_PRODUCT),
             IntMatrix(TRIANGLES_6),
             IntMatrix(tuple(tuple(row) for row in mutated)),

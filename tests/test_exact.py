@@ -1,21 +1,22 @@
 import pytest
 
 from graphfactor.errors import ParameterError
-from graphfactor.exact import (
-    IntMatrix,
-    adjacency,
-    as_adjacency,
-    first_adjacency_violation,
-)
+from graphfactor.factorization import IntMatrix, adjacency
 from graphfactor.graphs import (
     canonical_key,
     complete,
     cycle,
     edgeless,
     matching,
+)
+from oracles import (
+    as_adjacency,
+    commute,
+    first_adjacency_violation,
+    identity,
+    multiply,
     path,
 )
-from oracles import commute, multiply
 from triples import (
     C4_PLUS_EDGES_8,
     EDGES_PLUS_C4_8,
@@ -51,19 +52,19 @@ def test_multiply_two_c4_triple_bit_exact():
 
 def test_multiply_identity():
     m = adjacency(cycle(5))
-    assert multiply(m, IntMatrix.identity(5)) == m
+    assert multiply(m, identity(5)) == m
 
 
 def test_multiply_size_mismatch():
     with pytest.raises(ParameterError):
-        multiply(IntMatrix.identity(2), IntMatrix.identity(3))
+        multiply(identity(2), identity(3))
 
 
 def test_as_adjacency_examples():
     g = as_adjacency(IntMatrix(SIX_CYCLE_PRODUCT))
     assert g is not None
     assert canonical_key(g) == canonical_key(cycle(6))
-    assert as_adjacency(IntMatrix.identity(3)) is None
+    assert as_adjacency(identity(3)) is None
     k3 = adjacency(complete(3))
     assert as_adjacency(multiply(k3, k3)) is None
     assert first_adjacency_violation(multiply(k3, k3)) == (0, 0, "entry 2 is not 0 or 1")
@@ -73,9 +74,9 @@ def test_commute_examples():
     b = IntMatrix(TRIANGLES_6)
     c = IntMatrix(MATCHING_6)
     assert commute(b, c)
-    assert commute(b, IntMatrix.identity(6))
+    assert commute(b, identity(6))
     p3 = adjacency(path(3))
     other = adjacency(complete(3))
     assert commute(p3, other) == (multiply(p3, other) == multiply(other, p3))
     with pytest.raises(ParameterError):
-        commute(p3, IntMatrix.identity(4))
+        commute(p3, identity(4))

@@ -11,7 +11,6 @@ from graphfactor.errors import Graph6Error, ParameterError, UnsupportedSizeError
 from graphfactor.graphs import (
     Bipartition,
     Graph,
-    Permutation,
     _canonical_order,
     automorphism_generators,
     bipartition_of,
@@ -32,8 +31,6 @@ from graphfactor.graphs import (
     graph_from_key,
     induced_subgraph,
     matching,
-    path,
-    permute,
 )
 from oracles import (
     AcyclicClass,
@@ -41,9 +38,12 @@ from oracles import (
     brute_class_reps,
     classify_acyclic,
     complete_bipartite,
+    edges,
     encode_edge_list,
     g6_encode,
     lexmin_order_reference,
+    path,
+    permute,
     star,
     tree_from_pruefer,
 )
@@ -104,7 +104,7 @@ def test_degree_sum_is_twice_edge_count():
 
 def test_decode_known_strings():
     assert decode_graph6("Bw") == complete(3)
-    assert list(decode_graph6("Bg").edges()) == [(0, 1), (1, 2)]
+    assert edges(decode_graph6("Bg")) == [(0, 1), (1, 2)]
     assert decode_graph6("@") == edgeless(1)
 
 
@@ -119,14 +119,14 @@ def test_encode_known_strings():
 
 def test_encode_matches_transcribed_procedure():
     for g in enumerate_graphs(5):
-        assert encode_graph6(g) == g6_encode(g.order, g.edges())
+        assert encode_graph6(g) == g6_encode(g.order, edges(g))
 
 
 def test_codec_agrees_with_networkx():
     for g in enumerate_graphs(6):
         s = encode_graph6(g)
         nxg = nx.from_graph6_bytes(s.encode("ascii"))
-        assert set(map(frozenset, nxg.edges())) == set(map(frozenset, g.edges()))
+        assert set(map(frozenset, nxg.edges())) == set(map(frozenset, edges(g)))
         assert nx.to_graph6_bytes(nxg, header=False).decode("ascii").strip() == s
 
 
@@ -152,7 +152,7 @@ def test_graph6_from_key_packs_the_key():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             key = canonical_key(g)
-            want = g6_encode(n, graph_from_key(n, key).edges())
+            want = g6_encode(n, edges(graph_from_key(n, key)))
             assert graph6_from_key(n, key) == want == encode_graph6(g)
 
 
@@ -198,7 +198,7 @@ def test_permute_preserves_degree_multiset(n, bits, data):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     g = Graph.from_edges(n, [pairs[t] for t in range(len(pairs)) if bits >> t & 1])
     images = data.draw(st.permutations(range(n)))
-    relabeled = permute(g, Permutation(tuple(images)))
+    relabeled = permute(g, images)
     assert sorted(degree_sequence(relabeled)) == sorted(degree_sequence(g))
     assert relabeled.edge_count == g.edge_count
 
@@ -229,7 +229,7 @@ def test_edge_list_errors():
 # ---------------------------------------------------------------------------
 
 def test_matching_uses_shifted_pairs():
-    assert list(matching(3).edges()) == [(0, 3), (1, 4), (2, 5)]
+    assert edges(matching(3)) == [(0, 3), (1, 4), (2, 5)]
 
 
 def test_cycle_degrees():
@@ -316,35 +316,25 @@ def test_contains_c4_examples():
 def test_induced_subgraph():
     g = cycle(6)
     sub = induced_subgraph(g, (0, 1, 2))
-    assert list(sub.edges()) == [(0, 1), (1, 2)]
+    assert edges(sub) == [(0, 1), (1, 2)]
 
 
 # ---------------------------------------------------------------------------
 # permutations and canonical forms
 # ---------------------------------------------------------------------------
 
-def test_permutation_validation():
-    with pytest.raises(ParameterError):
-        Permutation((0, 0, 1))
-
-
 def test_permute_identity_and_inverse():
     g = cycle(6)
-    ident = Permutation.identity(6)
-    assert permute(g, ident) == g
-    p = Permutation((1, 2, 3, 4, 5, 0))
-    assert permute(permute(g, p), p.inverse()) == g
+    assert permute(g, range(6)) == g
+    p = (1, 2, 3, 4, 5, 0)
+    inverse = (5, 0, 1, 2, 3, 4)
+    assert permute(permute(g, p), inverse) == g
 
 
 def test_permute_preserves_canonical_key():
     g = cycle(6)
-    p = Permutation((1, 2, 3, 4, 5, 0))
+    p = (1, 2, 3, 4, 5, 0)
     assert canonical_key(permute(g, p)) == canonical_key(g)
-
-
-def test_permute_order_mismatch():
-    with pytest.raises(ParameterError):
-        permute(cycle(6), Permutation((0, 1, 2)))
 
 
 def test_canonical_key_separates_nonisomorphic():
@@ -376,7 +366,7 @@ def test_canonical_key_permutation_invariant_randomized():
             g = random_graph(rng, n)
             images = list(range(n))
             rng.shuffle(images)
-            assert canonical_key(permute(g, Permutation(tuple(images)))) == canonical_key(g)
+            assert canonical_key(permute(g, images)) == canonical_key(g)
 
 
 def test_canonical_form_realizes_key():
@@ -396,7 +386,7 @@ def test_canonical_order_matches_lexmin_reference():
     for g in enumerate_graphs(6):
         for u in range(6):
             for v in range(u + 1, 6):
-                if not g.has_edge(u, v):
+                if not g.rows[u] >> v & 1:
                     rows = list(g.rows)
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
@@ -452,7 +442,7 @@ def test_canonical_labelling_memoised_per_graph_and_pickled(monkeypatch):
         return real(g)
 
     monkeypatch.setattr(graphs_mod, "_canonical_order", counted)
-    g = permute(cycle(6), Permutation((3, 0, 4, 1, 5, 2)))
+    g = permute(cycle(6), (3, 0, 4, 1, 5, 2))
     key = canonical_key(g)
     assert graph_bits(canonical_form(g)) == key
     assert len(calls) == 1
@@ -505,7 +495,7 @@ def _group_order(generators, n: int) -> int:
 def _relabelled(rng: random.Random, g: Graph) -> Graph:
     images = list(range(g.order))
     rng.shuffle(images)
-    return permute(g, Permutation(tuple(images)))
+    return permute(g, images)
 
 
 def test_automorphism_generators_generate_aut_to_order_6():
@@ -532,7 +522,7 @@ def test_automorphism_generators_generate_aut_on_sampled_classes(n, size):
     for g in rng.sample(enumerate_graphs(n), size):
         h = nx.Graph()
         h.add_nodes_from(range(n))
-        h.add_edges_from(g.edges())
+        h.add_edges_from(edges(g))
         order = sum(1 for _ in GraphMatcher(h, h).isomorphisms_iter())
         for k in (g, _relabelled(rng, g)):
             generators = automorphism_generators(k)

@@ -6,7 +6,7 @@ import pytest
 from graphfactor import census, conditions, spectral
 from graphfactor.census import enumerate_graphs, run_census
 from graphfactor.errors import PreconditionError
-from graphfactor.exact import IntMatrix, adjacency
+from graphfactor.factorization import adjacency
 from graphfactor.graphs import (
     CANONICAL_ORDER_CAP,
     Graph,
@@ -17,18 +17,17 @@ from graphfactor.graphs import (
     is_bipartite,
     is_connected,
     matching,
-    path,
 )
 from graphfactor.spectral import (
     DEFAULT_TOL,
-    _jacobi,
+    _jacobi_flat,
     eigen_sym,
     lambda_max,
     lambda_max_product_check,
     perron,
     spectrum_is_symmetric,
 )
-from oracles import exact_eigenvalues, jacobi_reference
+from oracles import exact_eigenvalues, jacobi_reference, path
 
 
 def assert_close(got, want, tol=1e-9):
@@ -38,34 +37,29 @@ def assert_close(got, want, tol=1e-9):
 
 
 def test_eigen_known_spectra():
-    assert_close(eigen_sym(adjacency(cycle(6))).values, (2, 1, 1, -1, -1, -2))
-    assert_close(eigen_sym(adjacency(complete(3))).values, (2, -1, -1))
-    assert_close(eigen_sym(adjacency(matching(3))).values, (1, 1, 1, -1, -1, -1))
-
-
-def test_eigen_requires_symmetric():
-    with pytest.raises(PreconditionError):
-        eigen_sym(IntMatrix(((0, 1), (0, 0))))
+    assert_close(eigen_sym(cycle(6)).values, (2, 1, 1, -1, -1, -2))
+    assert_close(eigen_sym(complete(3)).values, (2, -1, -1))
+    assert_close(eigen_sym(matching(3)).values, (1, 1, 1, -1, -1, -1))
 
 
 def test_eigen_against_char_poly_roots_order_4():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
-            got = eigen_sym(adjacency(g)).values
+            got = eigen_sym(g).values
             want = exact_eigenvalues(adjacency(g).entries)
             assert_close(got, want, tol=1e-8)
 
 
 def test_spectrum_symmetric_examples():
-    assert spectrum_is_symmetric(eigen_sym(adjacency(cycle(6))))
-    assert not spectrum_is_symmetric(eigen_sym(adjacency(complete(3))))
-    assert spectrum_is_symmetric(eigen_sym(adjacency(path(5))))
+    assert spectrum_is_symmetric(eigen_sym(cycle(6)))
+    assert not spectrum_is_symmetric(eigen_sym(complete(3)))
+    assert spectrum_is_symmetric(eigen_sym(path(5)))
 
 
 def test_spectrum_symmetric_iff_bipartite_order_6():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            sym = spectrum_is_symmetric(eigen_sym(adjacency(g)))
+            sym = spectrum_is_symmetric(eigen_sym(g))
             assert sym == is_bipartite(g)
 
 
@@ -146,9 +140,15 @@ def test_lambda_max_product_check_disconnected_counterexample():
 def test_lambda_max_spectrum_bound():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            values = eigen_sym(adjacency(g)).values
+            values = eigen_sym(g).values
             assert all(abs(v) <= n - 1 + 1e-9 for v in values)
             assert lambda_max(g) == values[0]
+
+
+def _kernel(mat, tol):
+    """The Jacobi kernel on a matrix given as rows, flattened row-major into
+    floats as eigen_sym and lambda_max flatten a graph's rows."""
+    return _jacobi_flat(len(mat), [float(x) for row in mat for x in row], tol)
 
 
 def _float_bits(values):
@@ -162,25 +162,26 @@ def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             entries = adjacency(g).entries
-            got = _jacobi(entries, DEFAULT_TOL)
+            got = _kernel(entries, DEFAULT_TOL)
             want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
             assert _float_bits(got) == _float_bits(want), g
             assert lambda_max(g).hex() == max(want).hex(), g
+            assert _float_bits(eigen_sym(g).values) == _float_bits(sorted(want, reverse=True))
 
 
 def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
     classes = enumerate_graphs(8)
     for g in random.Random(8).sample(classes, 150):
         entries = adjacency(g).entries
-        got = _jacobi(entries, DEFAULT_TOL)
+        got = _kernel(entries, DEFAULT_TOL)
         want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
         assert _float_bits(got) == _float_bits(want), g
         assert lambda_max(g).hex() == max(want).hex(), g
 
 
 def test_jacobi_bit_identical_to_reference_on_integer_matrices():
-    # The eigen_sym path: symmetric integer entries outside {0, 1}, nonzero
-    # diagonals and negative entries, at every order up to 8.
+    # Symmetric integer entries outside {0, 1}, nonzero diagonals and
+    # negative entries, at every order up to 8.
     rng = random.Random(16)
     for _ in range(300):
         n = rng.randint(1, 8)
@@ -188,12 +189,9 @@ def test_jacobi_bit_identical_to_reference_on_integer_matrices():
         for i in range(n):
             for j in range(i, n):
                 m[i][j] = m[j][i] = rng.choice((0, 0, 1, 2, 3, -1, -4, 7))
-        got = _jacobi(m, DEFAULT_TOL)
+        got = _kernel(m, DEFAULT_TOL)
         want, _ = jacobi_reference(m, DEFAULT_TOL, False)
         assert _float_bits(got) == _float_bits(want), m
-        assert eigen_sym(IntMatrix(tuple(map(tuple, m)))).values == tuple(
-            sorted(want, reverse=True)
-        )
 
 
 def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
@@ -206,7 +204,7 @@ def test_jacobi_bit_identical_to_reference_on_random_float_matrices():
             for j in range(i, n):
                 if rng.random() >= 0.35:
                     m[i][j] = m[j][i] = rng.uniform(-2.0, 2.0)
-        got = _jacobi(m, DEFAULT_TOL * 1e-3)
+        got = _kernel(m, DEFAULT_TOL * 1e-3)
         want, _ = jacobi_reference(m, DEFAULT_TOL * 1e-3, False)
         assert _float_bits(got) == _float_bits(want), m
 
@@ -220,7 +218,7 @@ def test_jacobi_bit_identical_to_reference_above_the_compiled_orders():
                 n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
             )
             entries = adjacency(g).entries
-            got = _jacobi(entries, DEFAULT_TOL)
+            got = _kernel(entries, DEFAULT_TOL)
             want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
             assert _float_bits(got) == _float_bits(want), g
             assert lambda_max(g).hex() == max(want).hex(), g
@@ -236,7 +234,7 @@ def test_sweep_is_compiled_only_up_to_the_canonical_cap(monkeypatch):
 
     monkeypatch.setattr(spectral, "_sweep", spy)
     for n in (3, CANONICAL_ORDER_CAP, CANONICAL_ORDER_CAP + 1, 62):
-        _jacobi(adjacency(cycle(n)).entries, DEFAULT_TOL)
+        eigen_sym(cycle(n))
     assert compiled == [3, CANONICAL_ORDER_CAP]
 
 
