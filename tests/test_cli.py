@@ -152,25 +152,42 @@ def test_construct_text_bytes_pinned(capsys, args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CONSTRUCT_TEXT_SHA256[args]
 
 
-# sha256 of the concatenated outputs of `spectral --json`, `check --json`
-# and `factor --all --json` over every class of orders 1-6 (208 graphs, in
-# enumeration order), and of `spectral --json` of graphs above the
-# canonical cap, whose Jacobi sweep walks the rotation plan.
-COMMAND_JSON_SHA256 = {
+# sha256 of the concatenated outputs of `spectral`, `check` and
+# `factor --all`, as text and as --json, over every class of orders 1-6
+# (208 graphs, in enumeration order), and of `spectral` and `spectral
+# --json` of graphs above the canonical cap, whose Jacobi sweep walks the
+# rotation plan.
+COMMAND_SHA256 = {
+    ("spectral",): "a70a2e198b12cf6d7bae61490979ceeb1f6a1311723fb5be4c058dc8dc6b9810",
+    ("check",): "76cf6c428fd0186dcdf22b997917a52c97b45bdfd27bfb66f5ecfedbc3d0f576",
+    ("factor", "--all"): "42c76741d7ba4de73084854cde691109a49a0edd1151ded8419f095f571682bb",
     ("spectral", "--json"): "01bf5534f7eb210ea96cfea83826022e2842bb20f747980a75ad647dda08ac9f",
     ("check", "--json"): "6ebd9a1e1cff61eac88fae096ca618e9ae69636a5168a3f416483cc31c15d67c",
     ("factor", "--all", "--json"): (
         "116d08c75131bdad6b436ef057d101fdae8c0691b288642262eac57be9a18e69"
     ),
 }
-SPECTRAL_JSON_SHA256 = {
-    "P20": (path(20), "870958783e0d552ee326fb5c6da3707197d561cc9afe0c0680dacd198aabf29f"),
-    "C31": (cycle(31), "a899333db4207a09eee3378cf2e0d9d8bd9a75d5cc73cf547b5900b78eaefe69"),
-    "P62": (path(62), "fcf372dfb962da88525bad2736574e38bdecaff6b45ec6c27f2bed21b69376db"),
+# name: (graph, sha256 of the text, sha256 of --json)
+SPECTRAL_SHA256 = {
+    "P20": (
+        path(20),
+        "2fa2d7482dfe34c3fe4264216b3169a09203e9f5291a598033a39c5b4553cd20",
+        "870958783e0d552ee326fb5c6da3707197d561cc9afe0c0680dacd198aabf29f",
+    ),
+    "C31": (
+        cycle(31),
+        "f9630266795fb917a3c4355c86cd92ef9e6adea97b26f03d98aa9990ca5eab50",
+        "a899333db4207a09eee3378cf2e0d9d8bd9a75d5cc73cf547b5900b78eaefe69",
+    ),
+    "P62": (
+        path(62),
+        "c5c98673b73c4d533d44ecebce9b8f40148e589ccd5c21d5d5f3057834b00785",
+        "fcf372dfb962da88525bad2736574e38bdecaff6b45ec6c27f2bed21b69376db",
+    ),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(COMMAND_JSON_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", sorted(COMMAND_SHA256), ids=" ".join)
 def test_command_json_bytes_pinned_on_every_class_to_order_6(capsys, argv):
     command, *flags = argv
     digest = hashlib.sha256()
@@ -179,15 +196,16 @@ def test_command_json_bytes_pinned_on_every_class_to_order_6(capsys, argv):
             code, out, _ = run_cli(capsys, command, "--graph6", encode_graph6(g), *flags)
             assert code == 0
             digest.update(out.encode("utf-8"))
-    assert digest.hexdigest() == COMMAND_JSON_SHA256[argv]
+    assert digest.hexdigest() == COMMAND_SHA256[argv]
 
 
-@pytest.mark.parametrize("name", sorted(SPECTRAL_JSON_SHA256))
+@pytest.mark.parametrize("name", sorted(SPECTRAL_SHA256))
 def test_spectral_json_bytes_pinned_above_the_canonical_cap(capsys, name):
-    g, want = SPECTRAL_JSON_SHA256[name]
-    code, out, _ = run_cli(capsys, "spectral", "--graph6", encode_graph6(g), "--json")
-    assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
+    g, text, json_ = SPECTRAL_SHA256[name]
+    for flags, want in (((), text), (("--json",), json_)):
+        code, out, _ = run_cli(capsys, "spectral", "--graph6", encode_graph6(g), *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want
 
 
 def test_construct_double_requires_input(capsys):
