@@ -37,7 +37,6 @@ from .errors import (
 )
 from .factorization import Factorization, IntMatrix, StoredWitness, adjacency
 from .graphs import (
-    Bipartition,
     Graph,
     bipartition_of,
     canonical_form,
@@ -72,12 +71,8 @@ from .search import (
     is_factorizable,
 )
 from .spectral import (
-    PerronData,
-    ProductCheck,
-    Spectrum,
     eigen_sym,
     lambda_max,
-    lambda_max_product_check,
     perron,
     spectrum_is_symmetric,
 )

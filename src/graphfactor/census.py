@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,
+    reject_unknown_fields,
 )
 from .factorization import StoredWitness
 from .graphs import (
@@ -121,6 +122,7 @@ class CensusRecord:
                 raise ParameterError(f"field {name!r} has the wrong type")
         if "component_iso_evidence" not in obj:
             raise ParameterError("missing field 'component_iso_evidence'")
+        reject_unknown_fields(obj, (*required, "component_iso_evidence"), "record")
         iso = obj["component_iso_evidence"]
         if iso is not None and not isinstance(iso, bool):
             raise ParameterError("field 'component_iso_evidence' must be bool or null")

@@ -85,8 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--kind", required=True, choices=("cycle", "double", "counterexample")
     )
     p_con.add_argument("--n", type=int, help="size parameter for cycle/counterexample")
-    p_con.add_argument("--graph6", help="input graph for --kind double")
-    p_con.add_argument("--edges", help="edge-list input for --kind double")
+    con_src = p_con.add_mutually_exclusive_group()
+    con_src.add_argument("--graph6", help="input graph for --kind double")
+    con_src.add_argument("--edges", help="edge-list input for --kind double")
     p_con.add_argument("--json", action="store_true")
 
     p_census = sub.add_parser("census", help="run the isomorphism-class census")
@@ -171,29 +172,28 @@ def _cmd_spectral(args) -> int:
     g = _load_graph(args)
     spectrum = eigen_sym(g)
     connected = is_connected(g)
-    perron_data = perron(g) if connected else None
+    pair = perron(g) if connected else None
     if args.json:
         payload = {
             "graph6": encode_graph6(g),
-            "spectrum": list(spectrum.values),
-            "lambda_max": spectrum.values[0],
+            "spectrum": list(spectrum),
+            "lambda_max": spectrum[0],
             "spectrum_symmetric": spectrum_is_symmetric(spectrum),
             "bipartite": is_bipartite(g),
             "connected": connected,
-            "perron": None
-            if perron_data is None
-            else {"value": perron_data.value, "vector": list(perron_data.vector)},
+            "perron": None if pair is None else {"value": pair[0], "vector": list(pair[1])},
         }
         print(json.dumps(payload, indent=2))
         return 0
     print(f"graph: {encode_graph6(g)} (order {g.order}, {g.edge_count} edges)")
-    print("spectrum: " + " ".join(_fmt(v) for v in spectrum.values))
-    print(f"lambda_max: {_fmt(spectrum.values[0])}")
+    print("spectrum: " + " ".join(_fmt(v) for v in spectrum))
+    print(f"lambda_max: {_fmt(spectrum[0])}")
     print(f"bipartite: {is_bipartite(g)}")
     print(f"connected: {connected}")
-    if perron_data is not None:
-        print(f"perron value: {_fmt(perron_data.value)}")
-        print("perron vector: " + " ".join(_fmt(x) for x in perron_data.vector))
+    if pair is not None:
+        value, vector = pair
+        print(f"perron value: {_fmt(value)}")
+        print("perron vector: " + " ".join(_fmt(x) for x in vector))
     else:
         print("perron: not defined (graph disconnected)")
     return 0
@@ -241,7 +241,7 @@ def _cmd_construct(args) -> int:
             "violations": violations.to_json(),
         }
         print(json.dumps(payload, indent=2))
-        return 0
+        return 0 if violations.empty else 1
     print(f"G = {encode_graph6(f.g)} (order {f.g.order}, {f.g.edge_count} edges)")
     print(f"H = {encode_graph6(f.h)}, K = {encode_graph6(f.k)}")
     print("A =")

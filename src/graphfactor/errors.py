@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the unknown-field check
+of the catalog parsers."""
 
 
 class GraphFactorError(Exception):
@@ -27,3 +28,11 @@ class CatalogSchemaError(GraphFactorError, ValueError):
 
 class TheoremViolationError(GraphFactorError, RuntimeError):
     """A verified factorization contradicts a registered assertion."""
+
+
+def reject_unknown_fields(obj: dict, fields: tuple[str, ...], what: str) -> None:
+    """Raise ParameterError naming the first key of obj outside fields: a
+    parsed catalog object holds no field that the census does not write."""
+    for key in obj:
+        if key not in fields:
+            raise ParameterError(f"{what} has unknown field {key!r}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, reject_unknown_fields
 from .graphs import Graph, encode_graph6, is_edgeless
 
 _NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
@@ -131,9 +131,11 @@ class StoredWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
-        for field in ("a", "b", "c", "h_graph6", "k_graph6", "trivial"):
+        fields = ("a", "b", "c", "h_graph6", "k_graph6", "trivial")
+        for field in fields:
             if field not in obj:
                 raise ParameterError(f"witness is missing field {field!r}")
+        reject_unknown_fields(obj, fields, "witness")
         a = _checked_bit_rows(obj["a"], "a")
         b = _checked_bit_rows(obj["b"], "b")
         c = _checked_bit_rows(obj["c"], "c")

@@ -78,31 +78,6 @@ class Graph:
         return _canonical_order(self)
 
 
-@dataclass(frozen=True)
-class Bipartition:
-    """Split of the vertex set into two sides (sorted tuples)."""
-
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.left) + len(self.right)
-        if sorted(self.left + self.right) != list(range(n)):
-            raise ParameterError("bipartition sides must partition 0..n-1")
-        if tuple(sorted(self.left)) != self.left or tuple(sorted(self.right)) != self.right:
-            raise ParameterError("bipartition sides must be sorted")
-
-    @property
-    def order(self) -> int:
-        return len(self.left) + len(self.right)
-
-    def left_mask(self) -> int:
-        return sum(1 << v for v in self.left)
-
-    def right_mask(self) -> int:
-        return sum(1 << v for v in self.right)
-
-
 # ---------------------------------------------------------------------------
 # graph6 codec (single-byte size form, orders 1..62)
 # ---------------------------------------------------------------------------
@@ -287,9 +262,10 @@ def is_regular(g: Graph) -> bool:
     return min(degs) == max(degs)
 
 
-def bipartition_of(g: Graph) -> Bipartition | None:
-    """BFS 2-coloring, component by component; the lowest vertex of each
-    component goes on the left.  None when an odd cycle exists."""
+def bipartition_of(g: Graph) -> int | None:
+    """BFS 2-coloring, component by component, with the lowest vertex of
+    each component on the left: the left side's vertex mask, or None when
+    an odd cycle exists."""
     n = g.order
     color = [-1] * n
     for start in range(n):
@@ -308,28 +284,11 @@ def bipartition_of(g: Graph) -> Bipartition | None:
                     queue.append(w)
                 elif color[w] == color[v]:
                     return None
-    left = tuple(v for v in range(n) if color[v] == 0)
-    right = tuple(v for v in range(n) if color[v] == 1)
-    return Bipartition(left, right)
+    return sum(1 << v for v in range(n) if color[v] == 0)
 
 
 def is_bipartite(g: Graph) -> bool:
     return bipartition_of(g) is not None
-
-
-def is_valid_bipartition(g: Graph, parts: Bipartition) -> bool:
-    """True when parts covers g's vertices and no edge lies inside a side."""
-    if parts.order != g.order:
-        return False
-    lm = parts.left_mask()
-    rm = parts.right_mask()
-    for v in parts.left:
-        if g.rows[v] & lm:
-            return False
-    for v in parts.right:
-        if g.rows[v] & rm:
-            return False
-    return True
 
 
 def contains_c4(g: Graph) -> bool:

@@ -11,8 +11,7 @@ every float operation of the nested-list sweep in the same order, so their
 values are bit-identical to that sweep's.  The kernel reads a graph's
 bitmask rows as 0.0/1.0 floats; eigen_sym runs it for the spectrum the CLI
 prints, and lambda_max once per labelled graph.  The Perron pair comes from
-power iteration.  The module also hosts the largest-eigenvalue product
-check used to audit factorizations.
+power iteration.
 
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
@@ -20,7 +19,6 @@ the paper's spectral statements are checked to.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, lru_cache
 
 from .errors import PreconditionError
@@ -30,28 +28,6 @@ DEFAULT_TOL = 1e-9
 
 _MAX_SWEEPS = 100
 _MAX_POWER_ITER = 200_000
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted in descending order."""
-
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class PerronData:
-    """Largest eigenvalue and its positive unit eigenvector."""
-
-    value: float
-    vector: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ProductCheck:
-    lhs: float
-    rhs: float
-    holds: bool
 
 
 @cache
@@ -184,9 +160,9 @@ def _plan_sweep(n: int, a: list[float], tol: float, skip: float) -> list[float]:
     return a[::n + 1]
 
 
-def eigen_sym(g: Graph) -> Spectrum:
+def eigen_sym(g: Graph) -> tuple[float, ...]:
     """Full adjacency spectrum of g, sorted descending."""
-    return Spectrum(tuple(_eigenvalues(g.order, g.rows)))
+    return tuple(_eigenvalues(g.order, g.rows))
 
 
 def lambda_max(g: Graph) -> float:
@@ -225,18 +201,18 @@ def _row_floats(order: int, row: int) -> tuple[float, ...]:
     return tuple(float(row >> j & 1) for j in range(order))
 
 
-def spectrum_is_symmetric(s: Spectrum) -> bool:
-    """True iff the spectrum is symmetric about zero (within 2*DEFAULT_TOL)."""
-    n = len(s.values)
-    return all(
-        abs(s.values[i] + s.values[n - 1 - i]) <= 2.0 * DEFAULT_TOL for i in range(n)
-    )
+def spectrum_is_symmetric(values: tuple[float, ...]) -> bool:
+    """True iff the descending spectrum is symmetric about zero (within
+    2*DEFAULT_TOL)."""
+    n = len(values)
+    return all(abs(values[i] + values[n - 1 - i]) <= 2.0 * DEFAULT_TOL for i in range(n))
 
 
-def perron(g: Graph) -> PerronData:
-    """Perron value/vector of a connected graph by power iteration from the
-    all-ones vector.  The iteration runs on A + I so bipartite spectra
-    (where -lambda_max ties lambda_max in magnitude) cannot oscillate.
+def perron(g: Graph) -> tuple[float, tuple[float, ...]]:
+    """Perron value and positive unit vector of a connected graph, by power
+    iteration from the all-ones vector.  The iteration runs on A + I so
+    bipartite spectra (where -lambda_max ties lambda_max in magnitude)
+    cannot oscillate.
 
     A step that moves the vector by dist, after one that moved it by prev,
     contracts at the rate r = dist / prev and leaves an error of about
@@ -279,13 +255,4 @@ def perron(g: Graph) -> PerronData:
         value += v[i] * acc
     if any(x <= 0.0 for x in v):
         raise ArithmeticError("Perron vector came out non-positive")
-    return PerronData(value, tuple(v))
-
-
-def lambda_max_product_check(g: Graph, h: Graph, k: Graph) -> ProductCheck:
-    """Compare lambda_max(G) against lambda_max(H) * lambda_max(K), within
-    DEFAULT_TOL relative to lambda_max(G) (absolute below 1)."""
-    lhs = lambda_max(g)
-    rhs = lambda_max(h) * lambda_max(k)
-    holds = abs(lhs - rhs) <= DEFAULT_TOL * max(1.0, abs(lhs))
-    return ProductCheck(lhs, rhs, holds)
+    return value, tuple(v)

@@ -226,6 +226,36 @@ def test_construct_rejects_a_flag_its_kind_never_reads(capsys, argv, flag):
     assert err == f"error: --kind {argv[1]} does not read {flag}\n"
 
 
+def test_construct_double_refuses_graph6_and_edges_together(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "--kind", "double", "--graph6", "Bw", "--edges", "missing.txt"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "argument --edges: not allowed with argument --graph6" in captured.err
+
+
+def test_construct_reports_a_violation_of_its_witness(capsys, monkeypatch):
+    # A lambda_max that lies about the product of cycle 3 inside the spectral
+    # module, where V13 reads it, makes V13 fail; construct validates its
+    # witness once, reports the violation and exits 1.
+    from graphfactor import search, spectral
+
+    g = search.cycle_product(3).g
+    truth = spectral.lambda_max
+    monkeypatch.setattr(spectral, "lambda_max", lambda x: 3.0 if x == g else truth(x))
+    code, out, _ = run_cli(capsys, "construct", "--kind", "cycle", "--n", "3")
+    assert code == 1
+    assert out.endswith("lambda_max(G) = 2 vs lambda_max(H)*lambda_max(K) = 1*2 = 2\n"
+                        "validation: VIOLATIONS\n")
+    code, out, _ = run_cli(capsys, "construct", "--kind", "cycle", "--n", "3", "--json")
+    assert code == 1
+    items = json.loads(out)["violations"]["items"]
+    assert [v["assertion_id"] for v in items] == ["V13"]
+    assert items[0]["expected"] == "lambda_max(G) = lambda_max(H) * lambda_max(K)"
+    assert items[0]["observed"] == "3.0 vs 2.0"
+
+
 def test_census_and_verify_roundtrip(tmp_path, capsys):
     out_path = tmp_path / "n4.jsonl"
     code, out, _ = run_cli(
@@ -525,11 +555,43 @@ def test_verify_forged_catalog_report_is_the_same_at_any_jobs(
     ]
 
 
+def _unknown_field(what, pick):
+    """A catalog edit: the first record with a witness, with a field
+    'forged' added to the object pick(record); returns the line and the
+    error text naming the field."""
+    def edit(objs):
+        obj = next(obj for obj in objs if obj["witnesses"])
+        pick(obj)["forged"] = 1
+        return json.dumps(obj).encode() + b"\n", f"{what} has unknown field 'forged'"
+    return edit
+
+
+def _violation(obj):
+    obj["violations"]["items"] = [
+        {"assertion_id": "V1", "expected": "", "observed": "", "paper_ref": ""}
+    ]
+    return obj["violations"]["items"][0]
+
+
 @pytest.mark.parametrize("bad", [
     b'{"n": 6, "gr\xffph6": "E???"}\n',
     b'{"n": 6,\n',
     pytest.param(b"[" * 5000 + b"]" * 5000 + b"\n", id="nested-5000-deep"),
     pytest.param(b'{"n": 1' + b"0" * 4_400 + b"}\n", id="integer-past-the-digit-limit"),
+    pytest.param(_unknown_field("record", lambda obj: obj), id="unknown-record-field"),
+    pytest.param(_unknown_field("screen", lambda obj: obj["screen"]), id="unknown-screen-field"),
+    pytest.param(
+        _unknown_field("screen rule", lambda obj: obj["screen"]["rules"][1]),
+        id="unknown-rule-field",
+    ),
+    pytest.param(
+        _unknown_field("witness", lambda obj: obj["witnesses"][0]), id="unknown-witness-field"
+    ),
+    pytest.param(
+        _unknown_field("violations", lambda obj: obj["violations"]),
+        id="unknown-violations-field",
+    ),
+    pytest.param(_unknown_field("violation", _violation), id="unknown-violation-field"),
 ])
 def test_verify_schema_error_is_the_same_at_any_jobs(
     tmp_path, capsys, pool_of_two, order6_records, bad
@@ -537,10 +599,14 @@ def test_verify_schema_error_is_the_same_at_any_jobs(
     path = tmp_path / "n6.jsonl"
     write_catalog(order6_records, path)
     lines = path.read_bytes().splitlines(keepends=True)
+    named = ""
+    if callable(bad):
+        bad, named = bad([rec.to_json() for rec in order6_records])
     lines[70:70] = [b"\n", b"  \n", bad]
     path.write_bytes(b"".join(lines))
     with pytest.raises(CatalogSchemaError, match="^line 73: ") as caught:
         read_catalog(path)
+    assert str(caught.value).endswith(named)
     serial, parallel = verify_at_jobs_1_and_2(capsys, path)
     assert pool_of_two == [2]
     assert serial == parallel == (1, "", f"error: {caught.value}\n")

@@ -338,7 +338,7 @@ def _doubled_triangle() -> Factorization:
 # witness's graphs (named "g", "h" and "k"), which drives the checks into
 # violations no honest witness produces; the violations of the case are
 # pinned in order.  "spectral.lambda_max" lies inside the spectral module,
-# which lambda_max_product_check reads.
+# through which V13 reads it.
 _FORCED_VIOLATIONS = {
     "V1": (six_cycle_factorization, {"degree_sequence": {"g": (3, 2, 2, 2, 2, 2)}}, [
         ("V1", "deg_G(0) = deg_H(0)*deg_K(0)", "3 != 2*1"),
@@ -376,7 +376,7 @@ _FORCED_VIOLATIONS = {
         ("V7", "at most one connected factor", "both H and K connected"),
     ]),
     "V8": (six_cycle_factorization, {
-        "bipartition_of": {"g": graphs.Bipartition((0, 1, 3), (2, 4, 5))},
+        "bipartition_of": {"g": 0b001011},
     }, [
         ("V8", "one factor only across G's parts, the other with no cross edges",
          "neither role assignment fits G's bipartition"),
@@ -401,7 +401,7 @@ _FORCED_VIOLATIONS = {
     ]),
     "V10-odd-order": (_k5_factorization, {
         "is_connected": {"g": False},
-        "bipartition_of": {"h": graphs.Bipartition((0, 1, 2), (3, 4))},
+        "bipartition_of": {"h": 0b00111},
     }, [
         ("V9", "G connected", "G has 1 components"),
         ("V10", "regular bipartite cofactor, even order, two non-bipartite components",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphfactor.census import enumerate_graphs
 from graphfactor.errors import Graph6Error, ParameterError, UnsupportedSizeError
 from graphfactor.graphs import (
-    Bipartition,
     Graph,
     _canonical_order,
     automorphism_generators,
@@ -253,7 +252,7 @@ def test_star_degrees():
 def test_complete_bipartite():
     g = complete_bipartite(2, 3)
     assert g.edge_count == 6
-    assert bipartition_of(g) == Bipartition((0, 1), (2, 3, 4))
+    assert bipartition_of(g) == 0b00011  # left side 0, 1
 
 
 def test_tree_from_pruefer():
@@ -280,9 +279,9 @@ def test_components_examples():
 
 
 def test_bipartition_examples():
-    assert bipartition_of(cycle(6)) == Bipartition((0, 2, 4), (1, 3, 5))
+    assert bipartition_of(cycle(6)) == 0b010101  # left side 0, 2, 4
     assert bipartition_of(complete(3)) is None
-    assert bipartition_of(matching(3)) == Bipartition((0, 1, 2), (3, 4, 5))
+    assert bipartition_of(matching(3)) == 0b000111  # left side 0, 1, 2
 
 
 def test_bipartition_agrees_with_odd_cycle_freeness():
@@ -291,7 +290,15 @@ def test_bipartition_agrees_with_odd_cycle_freeness():
             has_odd_cycle = not nx.is_bipartite(
                 nx.from_graph6_bytes(encode_graph6(g).encode())
             )
-            assert (bipartition_of(g) is None) == has_odd_cycle
+            left = bipartition_of(g)
+            assert (left is None) == has_odd_cycle
+            if left is None:
+                continue
+            # No edge inside a side, and each component's lowest vertex left.
+            right = ((1 << n) - 1) ^ left
+            for v in range(n):
+                assert not g.rows[v] & (left if left >> v & 1 else right)
+            assert all(left >> comp[0] & 1 for comp in components(g))
 
 
 def test_classify_acyclic_examples():

@@ -23,7 +23,6 @@ from graphfactor.spectral import (
     _jacobi_flat,
     eigen_sym,
     lambda_max,
-    lambda_max_product_check,
     perron,
     spectrum_is_symmetric,
 )
@@ -37,15 +36,15 @@ def assert_close(got, want, tol=1e-9):
 
 
 def test_eigen_known_spectra():
-    assert_close(eigen_sym(cycle(6)).values, (2, 1, 1, -1, -1, -2))
-    assert_close(eigen_sym(complete(3)).values, (2, -1, -1))
-    assert_close(eigen_sym(matching(3)).values, (1, 1, 1, -1, -1, -1))
+    assert_close(eigen_sym(cycle(6)), (2, 1, 1, -1, -1, -2))
+    assert_close(eigen_sym(complete(3)), (2, -1, -1))
+    assert_close(eigen_sym(matching(3)), (1, 1, 1, -1, -1, -1))
 
 
 def test_eigen_against_char_poly_roots_order_4():
     for n in range(1, 5):
         for g in enumerate_graphs(n):
-            got = eigen_sym(g).values
+            got = eigen_sym(g)
             want = exact_eigenvalues(adjacency(g).entries)
             assert_close(got, want, tol=1e-8)
 
@@ -64,19 +63,19 @@ def test_spectrum_symmetric_iff_bipartite_order_6():
 
 
 def test_perron_regular_graphs():
-    data = perron(cycle(6))
-    assert abs(data.value - 2.0) <= 1e-9
-    for x in data.vector:
+    value, vector = perron(cycle(6))
+    assert abs(value - 2.0) <= 1e-9
+    for x in vector:
         assert abs(x - 1 / math.sqrt(6)) <= 1e-8
-    data = perron(complete(3))
-    assert abs(data.value - 2.0) <= 1e-9
+    value, _ = perron(complete(3))
+    assert abs(value - 2.0) <= 1e-9
 
 
 def test_perron_path3():
-    data = perron(path(3))
-    assert abs(data.value - math.sqrt(2)) <= 1e-8
+    value, vector = perron(path(3))
+    assert abs(value - math.sqrt(2)) <= 1e-8
     want = (0.5, math.sqrt(2) / 2, 0.5)
-    for a, b in zip(data.vector, want):
+    for a, b in zip(vector, want):
         assert abs(a - b) <= 1e-8
 
 
@@ -90,17 +89,14 @@ def test_perron_residual_on_connected_census():
         for g in enumerate_graphs(n):
             if not is_connected(g):
                 continue
-            data = perron(g)
+            value, vector = perron(g)
             a = adjacency(g)
             residual = max(
-                abs(
-                    sum(a.entries[i][j] * data.vector[j] for j in range(n))
-                    - data.value * data.vector[i]
-                )
+                abs(sum(a.entries[i][j] * vector[j] for j in range(n)) - value * vector[i])
                 for i in range(n)
             )
             assert residual <= 1e-8
-            assert all(x > 0 for x in data.vector)
+            assert all(x > 0 for x in vector)
 
 
 def test_perron_vector_within_default_tol_of_the_jacobi_eigenvector():
@@ -114,33 +110,28 @@ def test_perron_vector_within_default_tol_of_the_jacobi_eigenvector():
         want = [row[k] for row in vectors]
         if sum(want) < 0:
             want = [-x for x in want]
-        got = perron(g).vector
+        _, got = perron(g)
         assert max(abs(a - b) for a, b in zip(got, want)) <= DEFAULT_TOL, g
 
 
-def test_lambda_max_product_check_six_cycle():
-    chk = lambda_max_product_check(
-        cycle(6), disjoint_union(complete(3), complete(3)), matching(3)
-    )
-    assert chk.holds
-    assert abs(chk.lhs - 2.0) <= 1e-9
-    assert abs(chk.rhs - 2.0) <= 1e-9
+def test_lambda_max_is_multiplicative_on_the_six_cycle_triple():
+    product = lambda_max(disjoint_union(complete(3), complete(3))) * lambda_max(matching(3))
+    assert abs(lambda_max(cycle(6)) - 2.0) <= 1e-9
+    assert abs(product - 2.0) <= 1e-9
 
 
-def test_lambda_max_product_check_disconnected_counterexample():
+def test_lambda_max_is_not_multiplicative_on_the_disconnected_counterexample():
     g = disjoint_union(cycle(6), cycle(6))
     h = disjoint_union(matching(3), cycle(3), cycle(3))
     k = disjoint_union(cycle(3), cycle(3), matching(3))
-    chk = lambda_max_product_check(g, h, k)
-    assert not chk.holds
-    assert abs(chk.lhs - 2.0) <= 1e-9
-    assert abs(chk.rhs - 4.0) <= 1e-9
+    assert abs(lambda_max(g) - 2.0) <= 1e-9
+    assert abs(lambda_max(h) * lambda_max(k) - 4.0) <= 1e-9
 
 
 def test_lambda_max_spectrum_bound():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
-            values = eigen_sym(g).values
+            values = eigen_sym(g)
             assert all(abs(v) <= n - 1 + 1e-9 for v in values)
             assert lambda_max(g) == values[0]
 
@@ -166,7 +157,7 @@ def test_jacobi_bit_identical_to_reference_on_every_class_to_order_7():
             want, _ = jacobi_reference(entries, DEFAULT_TOL, False)
             assert _float_bits(got) == _float_bits(want), g
             assert lambda_max(g).hex() == max(want).hex(), g
-            assert _float_bits(eigen_sym(g).values) == _float_bits(sorted(want, reverse=True))
+            assert _float_bits(eigen_sym(g)) == _float_bits(sorted(want, reverse=True))
 
 
 def test_jacobi_bit_identical_to_reference_on_sampled_order_8_classes():
