@@ -567,6 +567,7 @@ def _unknown_field(what, pick):
 
 
 def _violation(obj):
+    """The record's one violation, after giving it one."""
     obj["violations"]["items"] = [
         {"assertion_id": "V1", "expected": "", "observed": "", "paper_ref": ""}
     ]
