@@ -664,6 +664,34 @@ def test_verify_reports_forged_record(order6_records, name):
     assert report.total_violations == 1
 
 
+# (edit of the C6 record, the field verify must report): each stores a
+# value of the wrong type, or of the wrong class, where the schema does not
+# look.
+WRONG_TYPED = {
+    "screen graph_key": (
+        lambda obj, other: obj["screen"].update(graph_key=other["canonical_key"]), "screen"
+    ),
+    "factor pair h_graph6": (
+        lambda obj, other: obj["factor_pairs"][0].update(h_graph6=5), "factor_pairs"
+    ),
+    "witness h_graph6": (lambda obj, other: obj["witnesses"][0].update(h_graph6=5), "witnesses"),
+    "rule_id": (lambda obj, other: obj["screen"]["rules"][0].update(rule_id=1), "screen"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPED))
+def test_verify_reports_wrong_typed_field_of_a_forged_catalog(order6_records, tmp_path, name):
+    edit, field_name = WRONG_TYPED[name]
+    c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
+    obj = c6.to_json()
+    edit(obj, order6_records[0].to_json())
+    path = tmp_path / "forged.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    report = verify_catalog(read_catalog(path))
+    assert report.integrity == [f"record 'EBj?': stored {field_name} mismatch"]
+    assert report.total_violations == 1
+
+
 def test_verify_reports_forged_order_without_witnesses(order6_records):
     rec = next(r for r in order6_records if not r.witnesses)
     report = verify_catalog([_forge(rec, lambda obj: obj.update(n=7))])
