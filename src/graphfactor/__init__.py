@@ -20,7 +20,6 @@ from .conditions import (
     ConditionReport,
     RuleResult,
     Violation,
-    ViolationList,
     check_assertions,
     exploratory_observations,
     screen,

@@ -16,9 +16,10 @@ from .conditions import (
     ASSERTION_REFS,
     RULE_IDS,
     ConditionReport,
-    ViolationList,
+    Violation,
     check_assertions,
     exploratory_observations,
+    overall_status,
     screen,
     validate_factorization,  # noqa: F401  unused here; bench/tracer.py wraps it
 )
@@ -29,7 +30,7 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,
-    reject_unknown_fields,
+    check_fields,
 )
 from .factorization import StoredWitness
 from .graphs import (
@@ -71,7 +72,7 @@ class CensusRecord:
     verdict: str
     factor_pairs: tuple[tuple[str, str], ...]
     lambda_max: float
-    violations: ViolationList
+    violations: tuple[Violation, ...]
     component_iso_evidence: bool | None
     witnesses: tuple[StoredWitness, ...]
 
@@ -90,65 +91,10 @@ class CensusRecord:
                 {"h_graph6": h, "k_graph6": k} for h, k in self.factor_pairs
             ],
             "lambda_max": self.lambda_max,
-            "violations": self.violations.to_json(),
+            "violations": {"items": [v.to_json() for v in self.violations]},
             "component_iso_evidence": self.component_iso_evidence,
             "witnesses": [w.to_json() for w in self.witnesses],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "CensusRecord":
-        required = {
-            "n": int,
-            "graph6": str,
-            "canonical_key": str,
-            "edge_count": int,
-            "connected": bool,
-            "bipartite": bool,
-            "regular": bool,
-            "screen": dict,
-            "verdict": str,
-            "factor_pairs": list,
-            "lambda_max": (int, float),
-            "violations": dict,
-            "witnesses": list,
-        }
-        for name, kind in required.items():
-            if name not in obj:
-                raise ParameterError(f"missing field {name!r}")
-            # A JSON true or false is a Python bool, and so an int.
-            if not isinstance(obj[name], kind) or (
-                kind is not bool and isinstance(obj[name], bool)
-            ):
-                raise ParameterError(f"field {name!r} has the wrong type")
-        if "component_iso_evidence" not in obj:
-            raise ParameterError("missing field 'component_iso_evidence'")
-        reject_unknown_fields(obj, (*required, "component_iso_evidence"), "record")
-        iso = obj["component_iso_evidence"]
-        if iso is not None and not isinstance(iso, bool):
-            raise ParameterError("field 'component_iso_evidence' must be bool or null")
-        if obj["verdict"] not in ("yes", "no", "unknown"):
-            raise ParameterError(f"invalid verdict {obj['verdict']!r}")
-        pairs = []
-        for p in obj["factor_pairs"]:
-            if not isinstance(p, dict) or set(p) != {"h_graph6", "k_graph6"}:
-                raise ParameterError("factor_pairs entries need h_graph6 and k_graph6")
-            pairs.append((str(p["h_graph6"]), str(p["k_graph6"])))
-        return cls(
-            n=obj["n"],
-            graph6=obj["graph6"],
-            canonical_key=obj["canonical_key"],
-            edge_count=obj["edge_count"],
-            connected=obj["connected"],
-            bipartite=obj["bipartite"],
-            regular=obj["regular"],
-            screen=ConditionReport.from_json(obj["screen"]),
-            verdict=obj["verdict"],
-            factor_pairs=tuple(pairs),
-            lambda_max=float(obj["lambda_max"]),
-            violations=ViolationList.from_json(obj["violations"]),
-            component_iso_evidence=iso,
-            witnesses=tuple(StoredWitness.from_json(w) for w in obj["witnesses"]),
-        )
 
 
 def _burnside_class_count(n: int) -> int:
@@ -298,9 +244,9 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
         verdict=verdict,
         factor_pairs=factor_pairs(n, witnesses),
         lambda_max=lambda_max(g),
-        violations=ViolationList(tuple(
+        violations=tuple(
             o.violation for outcomes, _ in checks for o in outcomes if o.violation is not None
-        )),
+        ),
         component_iso_evidence=(
             not any(c["non_isomorphic"] for c in isos)
             if any(c["instances"] for c in isos) else None
@@ -337,7 +283,7 @@ def run_census(
     min(jobs, cores, classes // CENSUS_CLASSES_PER_WORKER) worker
     processes, in this process if that is 1.
 
-    A nonempty ViolationList aborts the run (it indicates an implementation
+    A record with violations aborts the run (it indicates an implementation
     bug) unless keep_going is set.
     """
     cfg = SearchConfig(mode="all", node_limit=node_limit)
@@ -372,7 +318,7 @@ def _pool_map(fn, items: list, jobs: int, consume, chunksize: int = 1, per_worke
 def _collect(iterator, total: int, keep_going: bool, progress) -> list[CensusRecord]:
     records = []
     for i, rec in enumerate(iterator):
-        if not rec.violations.empty and not keep_going:
+        if rec.violations and not keep_going:
             raise TheoremViolationError(
                 "assertion violated; offending record:\n"
                 + json.dumps(rec.to_json(), indent=2)
@@ -399,8 +345,15 @@ def write_catalog(records, path) -> None:
             _write_lines(fh, records)
         return
     target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    fh = open(tmp, "x", encoding="utf-8")
+    while True:
+        # A random name, so that a temporary file a killed run left behind
+        # is never in the way; a name already taken draws again.
+        tmp = f"{target}.{os.urandom(8).hex()}.tmp"
+        try:
+            fh = open(tmp, "x", encoding="utf-8")
+            break
+        except FileExistsError:
+            pass
     try:
         with fh:
             _write_lines(fh, records)
@@ -418,14 +371,17 @@ def _write_lines(fh, records) -> None:
         fh.write("\n")
 
 
-def read_catalog(path) -> list[CensusRecord]:
+def read_catalog(path) -> list[dict]:
+    """The catalog's records as the JSON objects of its lines, each checked
+    against the census record schema."""
     with open(path, "rb") as fh:
         return _parse_lines(fh, 1)
 
 
-def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
-    """The records of raw catalog lines, the first of them line
-    first_lineno of the catalog; blank lines are skipped."""
+def _parse_lines(lines, first_lineno: int) -> list[dict]:
+    """The JSON objects of raw catalog lines, the first of them line
+    first_lineno of the catalog, each checked by _check_schema; blank
+    lines are skipped."""
     records = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         try:
@@ -442,10 +398,73 @@ def _parse_lines(lines, first_lineno: int) -> list[CensusRecord]:
         except RecursionError:
             raise CatalogSchemaError(f"line {lineno}: JSON nested too deeply") from None
         try:
-            records.append(CensusRecord.from_json(obj))
-        except (ParameterError, KeyError, TypeError, OverflowError) as exc:
+            _check_schema(obj)
+        except (ParameterError, TypeError, OverflowError) as exc:
             raise CatalogSchemaError(f"line {lineno}: {exc}") from None
+        records.append(obj)
     return records
+
+
+# The fields of a record that the schema checks by type, with their types.
+_RECORD_TYPES = {
+    "n": int,
+    "graph6": str,
+    "canonical_key": str,
+    "edge_count": int,
+    "connected": bool,
+    "bipartite": bool,
+    "regular": bool,
+    "screen": dict,
+    "verdict": str,
+    "factor_pairs": list,
+    "lambda_max": (int, float),
+    "violations": dict,
+    "witnesses": list,
+}
+
+
+def _check_schema(obj) -> None:
+    """Raise ParameterError, TypeError or OverflowError unless the parsed
+    line obj has the census record schema: each object has its fields and
+    no other, each typed field its type, and each witness its shape.  The
+    values are verify's to check against the rebuilt record."""
+    check_fields(obj, (*_RECORD_TYPES, "component_iso_evidence"), "record")
+    for name, kind in _RECORD_TYPES.items():
+        # A JSON true or false is a Python bool, and so an int.
+        if not isinstance(obj[name], kind) or (
+            kind is not bool and isinstance(obj[name], bool)
+        ):
+            raise ParameterError(f"field {name!r} has the wrong type")
+    float(obj["lambda_max"])  # OverflowError past a float's range
+    iso = obj["component_iso_evidence"]
+    if iso is not None and not isinstance(iso, bool):
+        raise ParameterError("field 'component_iso_evidence' must be bool or null")
+    if obj["verdict"] not in ("yes", "no", "unknown"):
+        raise ParameterError(f"invalid verdict {obj['verdict']!r}")
+    for p in obj["factor_pairs"]:
+        if not isinstance(p, dict) or set(p) != {"h_graph6", "k_graph6"}:
+            raise ParameterError("factor_pairs entries need h_graph6 and k_graph6")
+    screened = obj["screen"]
+    check_fields(screened, ("graph_key", "overall", "trivial", "rules"), "screen")
+    if not isinstance(screened["trivial"], bool):
+        raise ParameterError("screen field 'trivial' must be a boolean")
+    if not isinstance(screened["rules"], list):
+        raise ParameterError("screen field 'rules' must be a list")
+    for rule in screened["rules"]:
+        check_fields(rule, ("rule_id", "status", "paper_ref", "detail"), "screen rule")
+    overall = overall_status(rule["status"] for rule in screened["rules"])
+    if screened["overall"] != overall:
+        raise ParameterError(
+            f"screen field 'overall' is {screened['overall']!r} but its rules give {overall!r}"
+        )
+    check_fields(obj["violations"], ("items",), "violations")
+    items = obj["violations"]["items"]
+    if not isinstance(items, list):
+        raise ParameterError("violations field 'items' must be a list")
+    for v in items:
+        check_fields(v, ("assertion_id", "expected", "observed", "paper_ref"), "violation")
+    for w in obj["witnesses"]:
+        StoredWitness.from_json(w)
 
 
 # ---------------------------------------------------------------------------
@@ -581,9 +600,10 @@ VERIFY_CHUNKS_PER_WORKER = 4
 
 
 def verify_catalog(records) -> TheoremReport:
-    """Rebuild every record from its graph and valid witnesses as the census
-    does and report each field that differs; stored verdicts are only
-    checked against screening and witnesses, never trusted."""
+    """Rebuild every record, a catalog line's JSON object as read_catalog
+    returns it, from its graph and valid witnesses as the census does and
+    report each field that differs; stored verdicts are only checked
+    against screening and witnesses, never trusted."""
     report = TheoremReport()
     for rec in records:
         _check_record(rec, report)
@@ -618,12 +638,12 @@ def _sum_reports(reports) -> TheoremReport:
     return total
 
 
-def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
+def _check_record(rec: dict, report: TheoremReport) -> None:
     """Verify one record: add its entry and its counts to report."""
-    where = f"record {rec.graph6!r}"
+    where = f"record {rec['graph6']!r}"
     undecodable = f"{where}: graph6 does not decode to a class"
     try:
-        g = decode_graph6(rec.graph6)
+        g = decode_graph6(rec["graph6"])
     except (Graph6Error, UnsupportedSizeError) as exc:
         report.checked.append((where, None, [f"{undecodable}: {exc}"]))
         return
@@ -637,26 +657,27 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
         return
     messages: list[str] = []
     report.checked.append((where, (g.order, fresh.graph_key), messages))
+    verdict, witnesses = rec["verdict"], rec["witnesses"]
     for rule in fresh.rules:
         counts = report.rules[rule.rule_id]
         counts["instances_checked"] += 1
         if rule.status == "ruled_out":
             counts["ruled_out"] += 1
-            if rec.verdict != "no" or rec.witnesses or rec.factor_pairs:
+            if verdict != "no" or witnesses or rec["factor_pairs"]:
                 counts["violations"] += 1
-    if rec.verdict == "yes" and not (rec.factor_pairs and rec.witnesses):
+    if verdict == "yes" and not (rec["factor_pairs"] and witnesses):
         messages.append(f"{where}: verdict yes without stored witnesses")
-    if rec.verdict != "yes" and (rec.factor_pairs or rec.witnesses):
-        messages.append(f"{where}: verdict {rec.verdict} with stored witnesses")
-    if fresh.overall == "ruled_out" and rec.verdict != "no":
+    if verdict != "yes" and (rec["factor_pairs"] or witnesses):
+        messages.append(f"{where}: verdict {verdict} with stored witnesses")
+    if fresh.overall == "ruled_out" and verdict != "no":
         messages.append(f"{where}: ruled_out class without verdict no")
     product = report.assertions[PRODUCT_ASSERTION]
     valid = []
-    for idx, w in enumerate(rec.witnesses):
+    for idx, w in enumerate(witnesses):
         report.witnesses_checked += 1
         product["instances_checked"] += 1
         try:
-            f = w.to_factorization()
+            f = StoredWitness.from_json(w).to_factorization()
         except (PreconditionError, ParameterError) as exc:
             product["violations"] += 1
             messages.append(f"{where}: witness {idx}: {exc}")
@@ -666,14 +687,13 @@ def _check_record(rec: CensusRecord, report: TheoremReport) -> None:
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
-    rebuilt, checks = _describe(g, rec.verdict, fresh, valid)
-    stored = rec.to_json()
+    rebuilt, checks = _describe(g, verdict, fresh, valid)
     for name, value in rebuilt.to_json().items():
         if name == "lambda_max":
             # Scaled by the rebuilt value and negated, so NaN and inf differ.
-            differs = not abs(value - rec.lambda_max) <= DEFAULT_TOL * max(1.0, abs(value))
+            differs = not abs(value - rec[name]) <= DEFAULT_TOL * max(1.0, abs(value))
         else:
-            differs = value != stored[name]
+            differs = value != rec[name]
         if differs:
             messages.append(f"{where}: stored {name} mismatch")
     for outcomes, observed in checks:

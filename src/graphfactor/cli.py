@@ -238,10 +238,10 @@ def _cmd_construct(args) -> int:
             "lambda_max_h": lam_h,
             "lambda_max_k": lam_k,
             "lambda_product": lam_h * lam_k,
-            "violations": violations.to_json(),
+            "violations": {"items": [v.to_json() for v in violations]},
         }
         print(json.dumps(payload, indent=2))
-        return 0 if violations.empty else 1
+        return 1 if violations else 0
     print(f"G = {encode_graph6(f.g)} (order {f.g.order}, {f.g.edge_count} edges)")
     print(f"H = {encode_graph6(f.h)}, K = {encode_graph6(f.k)}")
     print("A =")
@@ -254,8 +254,8 @@ def _cmd_construct(args) -> int:
         f"lambda_max(G) = {_fmt(lam_g)} vs "
         f"lambda_max(H)*lambda_max(K) = {_fmt(lam_h)}*{_fmt(lam_k)} = {_fmt(lam_h * lam_k)}"
     )
-    print(f"validation: {'ok' if violations.empty else 'VIOLATIONS'}")
-    return 0 if violations.empty else 1
+    print(f"validation: {'VIOLATIONS' if violations else 'ok'}")
+    return 1 if violations else 0
 
 
 def _check_jobs(args) -> None:
@@ -297,7 +297,7 @@ def _cmd_census(args) -> int:
     verdicts = {"yes": 0, "no": 0, "unknown": 0}
     for rec in records:
         verdicts[rec.verdict] += 1
-    bad = sum(1 for rec in records if not rec.violations.empty)
+    bad = sum(1 for rec in records if rec.violations)
     print(f"catalog written: {args.out}")
     print(
         f"classes: {len(records)}  yes: {verdicts['yes']}  no: {verdicts['no']}  "

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import spectral
-from .errors import ParameterError, reject_unknown_fields
 from .factorization import Factorization
 from .graphs import (
     CANONICAL_ORDER_CAP,
@@ -49,11 +48,10 @@ class RuleResult:
             "detail": self.detail,
         }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RuleResult":
-        rule = cls(obj["rule_id"], obj["status"], obj["paper_ref"], obj["detail"])
-        reject_unknown_fields(obj, ("rule_id", "status", "paper_ref", "detail"), "screen rule")
-        return rule
+
+def overall_status(statuses) -> str:
+    """A screen's overall status from its rules' statuses."""
+    return STATUS_RULED_OUT if STATUS_RULED_OUT in statuses else STATUS_INCONCLUSIVE
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,9 +89,7 @@ class ConditionReport:
 
     @property
     def overall(self) -> str:
-        if any(r.status == STATUS_RULED_OUT for r in self.rules):
-            return STATUS_RULED_OUT
-        return STATUS_INCONCLUSIVE
+        return overall_status(r.status for r in self.rules)
 
     def to_json(self) -> dict:
         return {
@@ -102,23 +98,6 @@ class ConditionReport:
             "trivial": self.trivial,
             "rules": [r.to_json() for r in self.rules],
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ConditionReport":
-        if not isinstance(obj["trivial"], bool):
-            raise ParameterError("screen field 'trivial' must be a boolean")
-        report = cls(
-            obj["graph_key"],
-            tuple(RuleResult.from_json(r) for r in obj["rules"]),
-            obj["trivial"],
-        )
-        if obj["overall"] != report.overall:
-            raise ParameterError(
-                f"screen field 'overall' is {obj['overall']!r} but its rules give "
-                f"{report.overall!r}"
-            )
-        reject_unknown_fields(obj, ("graph_key", "overall", "trivial", "rules"), "screen")
-        return report
 
 
 @dataclass(frozen=True)
@@ -135,32 +114,6 @@ class Violation:
             "observed": self.observed,
             "paper_ref": self.paper_ref,
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Violation":
-        violation = cls(obj["assertion_id"], obj["expected"], obj["observed"], obj["paper_ref"])
-        reject_unknown_fields(
-            obj, ("assertion_id", "expected", "observed", "paper_ref"), "violation"
-        )
-        return violation
-
-
-@dataclass(frozen=True)
-class ViolationList:
-    items: tuple[Violation, ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.items
-
-    def to_json(self) -> dict:
-        return {"items": [v.to_json() for v in self.items]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ViolationList":
-        violations = cls(tuple(Violation.from_json(v) for v in obj["items"]))
-        reject_unknown_fields(obj, ("items",), "violations")
-        return violations
 
 
 # ---------------------------------------------------------------------------
@@ -526,10 +479,9 @@ def check_assertions(f: Factorization) -> tuple[AssertionOutcome, ...]:
     return tuple(outcomes)
 
 
-def validate_factorization(f: Factorization) -> ViolationList:
+def validate_factorization(f: Factorization) -> tuple[Violation, ...]:
     """Violations of the registered assertions on a verified witness."""
-    items = tuple(o.violation for o in check_assertions(f) if o.violation is not None)
-    return ViolationList(items)
+    return tuple(o.violation for o in check_assertions(f) if o.violation is not None)
 
 
 def exploratory_observations(f: Factorization) -> dict[str, dict[str, int]]:

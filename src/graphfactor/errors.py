@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the unknown-field check
-of the catalog parsers."""
+"""Exception types shared across the package, and the field check of the
+catalog's JSON objects."""
 
 
 class GraphFactorError(Exception):
@@ -30,9 +30,15 @@ class TheoremViolationError(GraphFactorError, RuntimeError):
     """A verified factorization contradicts a registered assertion."""
 
 
-def reject_unknown_fields(obj: dict, fields: tuple[str, ...], what: str) -> None:
-    """Raise ParameterError naming the first key of obj outside fields: a
-    parsed catalog object holds no field that the census does not write."""
+def check_fields(obj, fields: tuple[str, ...], what: str) -> None:
+    """Raise ParameterError unless obj is a JSON object with exactly the
+    given fields: a catalog object holds every field the census writes and
+    no other."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"{what} is not a JSON object")
+    for name in fields:
+        if name not in obj:
+            raise ParameterError(f"{what} is missing field {name!r}")
     for key in obj:
         if key not in fields:
             raise ParameterError(f"{what} has unknown field {key!r}")

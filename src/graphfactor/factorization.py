@@ -1,16 +1,18 @@
 """Witness triples (A, B, C) with A = BC, in their two forms.
 
 A Factorization is three bitmask graphs whose product identity holds; a
-StoredWitness is the catalog's bit-row strings, unchecked until
-to_factorization rebuilds the graphs, so catalog verification can report a
-broken witness instead of crashing at parse time.  The IntMatrix views a, b
+StoredWitness is the catalog's bit-row strings, whose shape from_json checks
+(the schema check of a catalog line runs it on each witness) but whose
+product is not trusted until to_factorization rebuilds the graphs, so
+catalog verification can report a broken witness instead of crashing at
+parse time.  The IntMatrix views a, b
 and c, the adjacency matrices as rows of ints, are what the CLI prints.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError, PreconditionError, reject_unknown_fields
+from .errors import ParameterError, PreconditionError, check_fields
 from .graphs import Graph, encode_graph6, is_edgeless
 
 _NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
@@ -131,11 +133,7 @@ class StoredWitness:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
-        fields = ("a", "b", "c", "h_graph6", "k_graph6", "trivial")
-        for field in fields:
-            if field not in obj:
-                raise ParameterError(f"witness is missing field {field!r}")
-        reject_unknown_fields(obj, fields, "witness")
+        check_fields(obj, ("a", "b", "c", "h_graph6", "k_graph6", "trivial"), "witness")
         a = _checked_bit_rows(obj["a"], "a")
         b = _checked_bit_rows(obj["b"], "b")
         c = _checked_bit_rows(obj["c"], "c")
@@ -143,7 +141,7 @@ class StoredWitness:
             raise ParameterError("witness matrices must share one order")
         if not isinstance(obj["trivial"], bool):
             raise ParameterError("witness field 'trivial' must be a boolean")
-        return cls(a, b, c, str(obj["h_graph6"]), str(obj["k_graph6"]), obj["trivial"])
+        return cls(a, b, c, obj["h_graph6"], obj["k_graph6"], obj["trivial"])
 
     def to_json(self) -> dict:
         return {

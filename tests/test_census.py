@@ -4,12 +4,12 @@ import os
 import threading
 from collections import Counter, defaultdict
 from math import factorial
+from pathlib import Path
 
 import networkx as nx
 import pytest
 
 from graphfactor.census import (
-    CensusRecord,
     enumerate_graphs,
     read_catalog,
     run_census,
@@ -309,14 +309,14 @@ def test_census_screen_soundness(order6_records):
 
 
 def test_census_all_violationlists_empty(order6_records):
-    assert all(r.violations.empty for r in order6_records)
+    assert not any(r.violations for r in order6_records)
 
 
 def test_catalog_roundtrip(tmp_path):
     records = run_census(5)
     path = tmp_path / "n5.jsonl"
     write_catalog(records, path)
-    assert read_catalog(path) == records
+    assert read_catalog(path) == [rec.to_json() for rec in records]
 
 
 def test_catalog_empty_roundtrip(tmp_path):
@@ -341,8 +341,24 @@ def test_catalog_write_error_keeps_the_previous_catalog(tmp_path):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["n4.jsonl"]
     write_catalog(records[:1], path)
-    assert read_catalog(path) == records[:1]
+    assert read_catalog(path) == [records[0].to_json()]
     assert [p.name for p in tmp_path.iterdir()] == ["n4.jsonl"]
+
+
+def test_catalog_write_passes_a_stale_temporary_file_by(tmp_path):
+    # A run killed mid-write leaves its temporary file behind, and a later
+    # process may get the same pid.
+    records = run_census(3)
+    path = tmp_path / "n3.jsonl"
+    stale = Path(f"{os.path.realpath(path)}.{os.getpid()}.tmp")
+    stale.write_text("stale")
+    write_catalog(records, path)
+    assert read_catalog(path) == [rec.to_json() for rec in records]
+    assert stale.read_text() == "stale"
+    assert sorted(p.name for p in stale.parent.iterdir()) == ["n3.jsonl", stale.name]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 def test_catalog_written_in_place_when_not_a_regular_file(tmp_path):
@@ -355,7 +371,7 @@ def test_catalog_written_in_place_when_not_a_regular_file(tmp_path):
     reader.start()
     write_catalog(records, fifo)
     reader.join(10)
-    assert done == [records]
+    assert done == [[rec.to_json() for rec in records]]
     assert fifo.is_fifo()
 
 
@@ -493,11 +509,13 @@ def test_verify_caps_the_worker_count(
     SerialPool.sizes = []
     main(["verify", "--catalog", str(path), "--json", "--jobs", str(jobs)])
     assert SerialPool.sizes == ([] if workers is None else [workers])
-    assert json.loads(capsys.readouterr().out) == verify_catalog(records).to_json()
+    assert json.loads(capsys.readouterr().out) == verify_catalog(
+        [rec.to_json() for rec in records]
+    ).to_json()
 
 
 def test_verify_full_order_6_clean(order6_records):
-    report = verify_catalog(order6_records)
+    report = verify_catalog([rec.to_json() for rec in order6_records])
     assert report.total_violations == 0
     assert report.records_checked == len(order6_records)
     # soundness tallies cover every record for every rule
@@ -508,7 +526,7 @@ def test_verify_full_order_6_clean(order6_records):
 def test_verify_c6_only_catalog(order6_records):
     key = canonical_key(cycle(6))
     rec = next(r for r in order6_records if r.canonical_key == key)
-    report = verify_catalog([rec])
+    report = verify_catalog([rec.to_json()])
     assert report.total_violations == 0
     fired = {aid for aid, c in report.assertions.items() if c["instances_checked"]}
     assert {"W0", "V1", "V2", "V3", "V5", "V6", "V7", "V8", "V13", "S1"} <= fired
@@ -533,7 +551,7 @@ def test_verify_reports_corrupted_witness(order6_records, tmp_path):
 def _forge(rec, edit):
     obj = rec.to_json()
     edit(obj)
-    return CensusRecord.from_json(obj)
+    return obj
 
 
 def _flip(matrix, *cells):
@@ -570,24 +588,27 @@ def test_verify_names_a_broken_witness(order6_records, name):
     assert report.total_violations == 3
 
 
-# (edit of the C6 record's first witness, the schema error it raises)
+# (the C6 record's first witness -> the witness stored instead, the schema
+# error it raises)
 MALFORMED_WITNESSES = {
     "non-bit character": (
-        lambda w: w["b"].__setitem__(0, "0002" + w["b"][0][4:]),
+        lambda w: {**w, "b": ["0002" + w["b"][0][4:], *w["b"][1:]]},
         "b: row 0 is not a length-6 bit-string",
     ),
     "ragged row": (
-        lambda w: w["c"].__setitem__(2, w["c"][2][:-1]),
+        lambda w: {**w, "c": [*w["c"][:2], w["c"][2][:-1], *w["c"][3:]]},
         "c: row 2 is not a length-6 bit-string",
     ),
-    "empty matrix": (lambda w: w.update(a=[]), "matrix order must be at least 1"),
+    "empty matrix": (lambda w: {**w, "a": []}, "matrix order must be at least 1"),
     "two orders": (
-        lambda w: w.update(c=[row[:5] for row in w["c"][:5]]),
+        lambda w: {**w, "c": [row[:5] for row in w["c"][:5]]},
         "witness matrices must share one order",
     ),
     "non-boolean trivial": (
-        lambda w: w.update(trivial=0), "witness field 'trivial' must be a boolean"
+        lambda w: {**w, "trivial": 0}, "witness field 'trivial' must be a boolean"
     ),
+    # Each of "a", "b" and "c" is a substring of it.
+    "a string": (lambda w: "abc", "witness is not a JSON object"),
 }
 
 
@@ -596,7 +617,7 @@ def test_catalog_schema_error_names_a_malformed_witness(order6_records, tmp_path
     edit, message = MALFORMED_WITNESSES[name]
     c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
     obj = c6.to_json()
-    edit(obj["witnesses"][0])
+    obj["witnesses"][0] = edit(obj["witnesses"][0])
     path = tmp_path / "malformed.jsonl"
     path.write_text(json.dumps(order6_records[0].to_json()) + "\n" + json.dumps(obj) + "\n")
     with pytest.raises(CatalogSchemaError) as exc:
@@ -716,9 +737,9 @@ def test_verify_rejects_witness_of_another_graph(order6_records):
 def test_verify_reports_duplicated_class(order6_records):
     # Any record order verifies clean, so catalogs of several orders may be
     # concatenated; a class listed twice does not.
-    records = list(reversed(order6_records))
+    records = [rec.to_json() for rec in reversed(order6_records)]
     assert verify_catalog(records).total_violations == 0
-    report = verify_catalog(records + [order6_records[40]])
+    report = verify_catalog(records + [order6_records[40].to_json()])
     assert report.integrity == [
         f"record {order6_records[40].graph6!r}: class listed more than once"
     ]
@@ -727,10 +748,7 @@ def test_verify_reports_duplicated_class(order6_records):
 def test_verify_reports_a_record_above_the_canonical_cap(order6_records):
     rec = order6_records[0]
     big = encode_graph6(cycle(9))
-    forged = CensusRecord(
-        **{**{f: getattr(rec, f) for f in rec.__dataclass_fields__}, "graph6": big}
-    )
-    report = verify_catalog([forged, rec])
+    report = verify_catalog([_forge(rec, lambda obj: obj.update(graph6=big)), rec.to_json()])
     assert report.records_checked == 2
     assert report.integrity == [
         f"record {big!r}: graph6 does not decode to a class: "
@@ -741,12 +759,7 @@ def test_verify_reports_a_record_above_the_canonical_cap(order6_records):
 def test_census_keep_going_surfaces_violations_instead_of_raising(order6_records):
     # A crafted record with a bad verdict shows up as integrity evidence.
     rec = order6_records[0]
-    tampered = CensusRecord(
-        **{
-            **{f: getattr(rec, f) for f in rec.__dataclass_fields__},
-            "verdict": "yes" if rec.verdict == "no" else "no",
-        }
-    )
+    tampered = _forge(rec, lambda obj: obj.update(verdict="yes" if rec.verdict == "no" else "no"))
     report = verify_catalog([tampered])
     assert report.total_violations >= 1
 
@@ -784,12 +797,13 @@ def test_run_census_aborts_with_offending_record(monkeypatch):
     assert '"V1"' in str(exc.value)
     # keep_going downgrades the abort to reporting
     records = run_census(3, keep_going=True)
-    assert any(not r.violations.empty for r in records)
+    assert any(r.violations for r in records)
 
 
-def test_record_json_roundtrip(order6_records):
-    for rec in order6_records[:10]:
-        assert CensusRecord.from_json(rec.to_json()) == rec
+def test_read_catalog_returns_each_record_as_its_json(order6_records, tmp_path):
+    path = tmp_path / "n6.jsonl"
+    write_catalog(order6_records, path)
+    assert read_catalog(path) == [rec.to_json() for rec in order6_records]
 
 
 # sha256 of write_catalog(run_census(n)); any change to a catalog byte is a
@@ -833,6 +847,6 @@ def test_verify_catalog_labels_each_record_graph_once(order6_records, monkeypatc
 
     monkeypatch.setattr(census_mod, "decode_graph6", decode)
     monkeypatch.setattr(graphs_mod, "_canonical_order", order)
-    assert verify_catalog(order6_records).total_violations == 0
+    assert verify_catalog([rec.to_json() for rec in order6_records]).total_violations == 0
     assert len(decoded) == len(order6_records)
     assert [labelled[id(g)] for g in decoded] == [1] * len(decoded)

@@ -461,7 +461,8 @@ def test_verify_order_6_report_is_the_same_at_any_jobs(
     assert pool_of_two == [2]
     assert serial == parallel
     assert serial[0] == 0
-    assert serial[1] == json.dumps(verify_catalog(order6_records).to_json(), indent=2) + "\n"
+    expected = verify_catalog([rec.to_json() for rec in order6_records]).to_json()
+    assert serial[1] == json.dumps(expected, indent=2) + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -632,6 +633,55 @@ def _violation(obj):
     pytest.param(
         _edited(lambda obj: obj.update(connected=1), "field 'connected' has the wrong type"),
         id="integer-connected",
+    ),
+    pytest.param(lambda objs: (b"5\n", "record is not a JSON object"), id="number-line"),
+    pytest.param(lambda objs: (b"null\n", "record is not a JSON object"), id="null-line"),
+    pytest.param(
+        _edited(lambda obj: obj.pop("n"), "record is missing field 'n'"), id="record-without-n"
+    ),
+    pytest.param(
+        _edited(lambda obj: obj["screen"].pop("graph_key"), "screen is missing field 'graph_key'"),
+        id="screen-without-graph-key",
+    ),
+    pytest.param(
+        _edited(lambda obj: obj["screen"].update(rules=5), "screen field 'rules' must be a list"),
+        id="rules-not-a-list",
+    ),
+    pytest.param(
+        _edited(
+            lambda obj: obj["screen"]["rules"][1].pop("detail"),
+            "screen rule is missing field 'detail'",
+        ),
+        id="rule-without-detail",
+    ),
+    pytest.param(
+        _edited(
+            lambda obj: obj["screen"]["rules"].__setitem__(1, "R2"),
+            "screen rule is not a JSON object",
+        ),
+        id="rule-as-a-string",
+    ),
+    pytest.param(
+        _edited(lambda obj: obj["violations"].pop("items"), "violations is missing field 'items'"),
+        id="violations-without-items",
+    ),
+    pytest.param(
+        _edited(
+            lambda obj: obj["violations"].update(items=5), "violations field 'items' must be a list"
+        ),
+        id="items-not-a-list",
+    ),
+    pytest.param(
+        _edited(
+            lambda obj: obj["violations"]["items"].append("V1"), "violation is not a JSON object"
+        ),
+        id="violation-as-a-string",
+    ),
+    pytest.param(
+        _edited(
+            lambda obj: obj["witnesses"].__setitem__(0, "abc"), "witness is not a JSON object"
+        ),
+        id="witness-as-a-string",
     ),
 ])
 def test_verify_schema_error_is_the_same_at_any_jobs(

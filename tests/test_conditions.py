@@ -14,7 +14,6 @@ from graphfactor.conditions import (
     RULE_IDS,
     ConditionReport,
     Violation,
-    ViolationList,
     _rule_results,
     check_assertions,
     exploratory_observations,
@@ -111,11 +110,6 @@ def test_screen_soundness_small_orders(naive_witnesses):
         assert stats.exhausted and witnesses == []
 
 
-def test_condition_report_json_roundtrip():
-    report = screen(cycle(6))
-    assert ConditionReport.from_json(report.to_json()) == report
-
-
 def test_deciding_a_ruled_out_graph_labels_nothing(monkeypatch):
     labelled = []
     original = graphs._canonical_order
@@ -143,7 +137,6 @@ def test_condition_report_key_is_lazy_but_compares_as_stored():
     # A pickled report carries the key string, not the graph.
     assert pickle.loads(pickle.dumps(screen(g))).key_source == eager.graph_key
     lazy = screen(Graph(g.order, g.rows))
-    assert ConditionReport.from_json(lazy.to_json()) == lazy
     assert lazy.to_json() == eager.to_json()
     with pytest.raises(dataclasses.FrozenInstanceError):
         lazy.rules = ()
@@ -256,13 +249,11 @@ def test_r3_and_r4_never_rule_a_graph_out_alone():
 # ---------------------------------------------------------------------------
 
 def test_six_cycle_triple_validates_clean():
-    violations = validate_factorization(six_cycle_factorization())
-    assert violations.empty
+    assert validate_factorization(six_cycle_factorization()) == ()
 
 
 def test_two_c4_triple_validates_clean():
-    violations = validate_factorization(two_c4_factorization())
-    assert violations.empty
+    assert validate_factorization(two_c4_factorization()) == ()
 
 
 def test_mutated_witness_fails_product_precondition():
@@ -307,17 +298,12 @@ def test_degree_product_sums_to_twice_edges(naive_witnesses):
 def test_all_small_witnesses_validate_clean(naive_witnesses):
     for g, witnesses in naive_witnesses:
         for f in witnesses:
-            assert validate_factorization(f).empty, (g.order, f.to_json())
+            assert validate_factorization(f) == (), (g.order, f.to_json())
 
 
 def test_assertion_registry_complete():
     outcomes = check_assertions(six_cycle_factorization())
     assert tuple(o.assertion_id for o in outcomes) == ASSERTION_IDS
-
-
-def test_violation_list_json_roundtrip():
-    violations = validate_factorization(six_cycle_factorization())
-    assert ViolationList.from_json(violations.to_json()) == violations
 
 
 def _k5_factorization() -> Factorization:
@@ -460,7 +446,7 @@ def test_forced_violation_texts(monkeypatch, case):
     # from other answers.
     conditions._context.cache_clear()
     try:
-        found = validate_factorization(f).items
+        found = validate_factorization(f)
     finally:
         conditions._context.cache_clear()
     assert found == tuple(

@@ -519,7 +519,7 @@ def test_cycle_product_3_reproduces_worked_triple():
     f = cycle_product(3)
     assert f.a == IntMatrix(SIX_CYCLE_PRODUCT)
     assert {f.b, f.c} == {IntMatrix(TRIANGLES_6), IntMatrix(MATCHING_6)}
-    assert validate_factorization(f).empty
+    assert validate_factorization(f) == ()
 
 
 def test_cycle_product_general():
@@ -544,7 +544,7 @@ def test_doubled_graph_k3():
             assert f.a.entries[i][3 + j] == 0
     assert is_connected(f.h)
     assert canonical_key(f.k) == canonical_key(matching(3))
-    assert validate_factorization(f).empty
+    assert validate_factorization(f) == ()
     assert abs(lambda_max(f.h) * lambda_max(f.k) - lambda_max(f.g)) <= 1e-9
 
 
@@ -560,7 +560,7 @@ def test_disconnected_counterexample_3():
     assert lambda_max(f.g) == pytest.approx(2.0, abs=1e-9)
     product = lambda_max(f.h) * lambda_max(f.k)
     assert product == pytest.approx(4.0, abs=1e-9)
-    assert validate_factorization(f).empty
+    assert validate_factorization(f) == ()
     with pytest.raises(ParameterError):
         disconnected_counterexample(2)
 
