@@ -5,8 +5,8 @@ StoredWitness is the catalog's bit-row strings, whose shape from_json checks
 (the schema check of a catalog line runs it on each witness) but whose
 product is not trusted until to_factorization rebuilds the graphs, so
 catalog verification can report a broken witness instead of crashing at
-parse time.  The IntMatrix views a, b
-and c, the adjacency matrices as rows of ints, are what the CLI prints.
+parse time.  The IntMatrix views a, b and c, the adjacency matrices as rows
+of ints, are what the CLI prints.
 """
 from __future__ import annotations
 
