@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedSizeError,
     check_fields,
 )
-from .factorization import StoredWitness
+from .factorization import Factorization, StoredWitness
 from .graphs import (
     CANONICAL_ORDER_CAP,
     Graph,
@@ -74,7 +74,7 @@ class CensusRecord:
     lambda_max: float
     violations: tuple[Violation, ...]
     component_iso_evidence: bool | None
-    witnesses: tuple[StoredWitness, ...]
+    witnesses: tuple[Factorization, ...]
 
     def to_json(self) -> dict:
         return {
@@ -85,7 +85,7 @@ class CensusRecord:
             "connected": self.connected,
             "bipartite": self.bipartite,
             "regular": self.regular,
-            "screen": self.screen.to_json(),
+            "screen": self.screen.to_json(self.canonical_key),
             "verdict": self.verdict,
             "factor_pairs": [
                 {"h_graph6": h, "k_graph6": k} for h, k in self.factor_pairs
@@ -225,17 +225,18 @@ def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
-    """The record of class graph g, derived from g, its screening report and
-    its witnesses, plus each witness's assertion outcomes and observations.
-    The census writes the record; verify rebuilds it and diffs the two."""
+def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witnesses):
+    """The record of class graph g, derived from g, its canonical key, its
+    screening report and its witnesses, plus each witness's assertion
+    outcomes and observations.  The census writes the record; verify
+    rebuilds it and diffs the two."""
     n = g.order
     checks = tuple((check_assertions(f), exploratory_observations(f)) for f in witnesses)
     isos = [obs["component_isomorphism"] for _, obs in checks]
     record = CensusRecord(
         n=n,
-        graph6=graph6_from_key(n, report.graph_key),
-        canonical_key=report.graph_key,
+        graph6=graph6_from_key(n, key),
+        canonical_key=key,
         edge_count=g.edge_count,
         connected=is_connected(g),
         bipartite=is_bipartite(g),
@@ -251,7 +252,7 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
             not any(c["non_isomorphic"] for c in isos)
             if any(c["instances"] for c in isos) else None
         ),
-        witnesses=tuple(StoredWitness.from_factorization(f) for f in witnesses),
+        witnesses=tuple(witnesses),
     )
     return record, checks
 
@@ -259,7 +260,9 @@ def _describe(g: Graph, verdict: str, report: ConditionReport, witnesses):
 def _build_record(args: tuple) -> CensusRecord:
     g, cfg = args
     decision = is_factorizable(g, cfg)
-    return _describe(g, decision.verdict, decision.report, decision.witnesses)[0]
+    return _describe(
+        g, canonical_key(g), decision.verdict, decision.report, decision.witnesses
+    )[0]
 
 
 # Classes per census worker, the 128 items a worker verify asks for
@@ -647,16 +650,17 @@ def _check_record(rec: dict, report: TheoremReport) -> None:
     except (Graph6Error, UnsupportedSizeError) as exc:
         report.checked.append((where, None, [f"{undecodable}: {exc}"]))
         return
-    # The class is the fresh report's key, which the rebuilt record stores
-    # too, so each record's graph is labelled once.
-    fresh = screen(g)
-    if fresh.graph_key is None:
+    if g.order > CANONICAL_ORDER_CAP:
         report.checked.append((where, None, [
             f"{undecodable}: canonical forms are capped at order {CANONICAL_ORDER_CAP}"
         ]))
         return
+    # The class's key is also the one the rebuilt record stores, so each
+    # record's graph is labelled once.
+    key = canonical_key(g)
+    fresh = screen(g)
     messages: list[str] = []
-    report.checked.append((where, (g.order, fresh.graph_key), messages))
+    report.checked.append((where, (g.order, key), messages))
     verdict, witnesses = rec["verdict"], rec["witnesses"]
     for rule in fresh.rules:
         counts = report.rules[rule.rule_id]
@@ -687,7 +691,7 @@ def _check_record(rec: dict, report: TheoremReport) -> None:
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
-    rebuilt, checks = _describe(g, verdict, fresh, valid)
+    rebuilt, checks = _describe(g, key, verdict, fresh, valid)
     for name, value in rebuilt.to_json().items():
         if name == "lambda_max":
             # Scaled by the rebuilt value and negated, so NaN and inf differ.

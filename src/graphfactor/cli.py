@@ -6,6 +6,7 @@ Exit status: 0 success, 1 violation or verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -22,8 +23,8 @@ from .errors import (
     UnsupportedSizeError,
 )
 from .graphs import (
-    GRAPH6_ORDER_CAP, Graph, decode_edge_list, decode_graph6, encode_graph6, is_bipartite,
-    is_connected,
+    CANONICAL_ORDER_CAP, GRAPH6_ORDER_CAP, Graph, canonical_key, decode_edge_list, decode_graph6,
+    encode_graph6, is_bipartite, is_connected,
 )
 from .search import (
     DEFAULT_NODE_LIMIT, SearchConfig, cycle_product, disconnected_counterexample, doubled_graph,
@@ -51,6 +52,11 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         except (OSError, UnicodeDecodeError, GraphFactorError) as exc:
             raise ParameterError(f"--edges: {exc}") from None
     raise ParameterError("provide a graph via --graph6 or --edges")
+
+
+def _graph_key(g: Graph) -> str | None:
+    """g's canonical key, or None above the canonical cap."""
+    return canonical_key(g) if g.order <= CANONICAL_ORDER_CAP else None
 
 
 def _add_graph_input(p: argparse.ArgumentParser) -> None:
@@ -123,17 +129,10 @@ def _cmd_factor(args) -> int:
         payload = {
             "graph6": encode_graph6(g),
             "verdict": decision.verdict,
-            "screen": report.to_json(),
+            "screen": report.to_json(_graph_key(g)),
             "factor_pairs": [{"h_graph6": h, "k_graph6": k} for h, k in pair_g6],
             "witnesses": [f.to_json() for f in witnesses],
-            "stats": None
-            if stats is None
-            else {
-                "nodes_expanded": stats.nodes_expanded,
-                "prunes_by_rule": stats.prunes_by_rule,
-                "witnesses_found": stats.witnesses_found,
-                "exhausted": stats.exhausted,
-            },
+            "stats": None if stats is None else dataclasses.asdict(stats),
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -159,7 +158,7 @@ def _cmd_check(args) -> int:
     g = _load_graph(args)
     report = screen(g)
     if args.json:
-        print(json.dumps(report.to_json(), indent=2))
+        print(json.dumps(report.to_json(_graph_key(g)), indent=2))
         return 0
     print(f"graph: {encode_graph6(g)} (order {g.order}, {g.edge_count} edges)")
     print(f"overall: {report.overall}" + (" (trivially factorizable)" if report.trivial else ""))
@@ -269,6 +268,10 @@ def _cmd_census(args) -> int:
         raise ParameterError(
             "--order 8 enumerates 12346 classes; pass --allow-order-8 to confirm"
         )
+    # Made absolute, an empty path would name the current directory, and
+    # one ending in a separator the directory it names.
+    if not args.out or args.out[-1] in (os.sep, os.altsep):
+        raise ParameterError(f"--out: not a file path: {args.out!r}")
     out_dir = os.path.dirname(os.path.abspath(args.out))
     if not os.path.isdir(out_dir):
         raise ParameterError(f"--out: no such directory: {out_dir!r}")
@@ -341,10 +344,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CatalogSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except TheoremViolationError as exc:
+    except (CatalogSchemaError, TheoremViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

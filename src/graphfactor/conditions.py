@@ -8,12 +8,11 @@ means an implementation bug, since each assertion is a proved statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import spectral
 from .factorization import Factorization
 from .graphs import (
-    CANONICAL_ORDER_CAP,
     Graph,
     bipartition_of,
     canonical_key,
@@ -54,46 +53,22 @@ def overall_status(statuses) -> str:
     return STATUS_RULED_OUT if STATUS_RULED_OUT in statuses else STATUS_INCONCLUSIVE
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ConditionReport:
-    """The rules' results for one graph, plus its canonical key (None above
-    the canonical cap).  key_source is the key itself or, from screen(),
-    the graph, which is labelled only when graph_key is first read: a graph
-    that a rule rules out is never labelled unless its key is asked for.
-    Equality, hashing and pickling go by graph_key."""
+    """The rules' results for one graph, and whether it is edgeless."""
 
-    key_source: str | Graph | None
     rules: tuple[RuleResult, ...]
     trivial: bool
-
-    @cached_property
-    def graph_key(self) -> str | None:
-        source = self.key_source
-        if not isinstance(source, Graph):
-            return source
-        return canonical_key(source) if source.order <= CANONICAL_ORDER_CAP else None
-
-    def _fields(self) -> tuple:
-        return (self.graph_key, self.rules, self.trivial)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConditionReport):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return (ConditionReport, self._fields())
 
     @property
     def overall(self) -> str:
         return overall_status(r.status for r in self.rules)
 
-    def to_json(self) -> dict:
+    def to_json(self, graph_key: str | None) -> dict:
+        """The report as stored, under the screened graph's canonical key
+        (None above the canonical cap), which the caller supplies."""
         return {
-            "graph_key": self.graph_key,
+            "graph_key": graph_key,
             "overall": self.overall,
             "trivial": self.trivial,
             "rules": [r.to_json() for r in self.rules],
@@ -176,9 +151,8 @@ def screen(g: Graph) -> ConditionReport:
     exactly when e + components = n.  The rules' results come from a memo
     keyed on those invariants.
     Edgeless graphs survive and are flagged trivial: the zero matrix
-    factors as zero times zero.  The rules need no labelling, so the report
-    labels g only when its graph key is read; above the canonical cap the
-    key is None.
+    factors as zero times zero.  The rules need no labelling, and g is not
+    labelled.
     """
     n = g.order
     e = g.edge_count
@@ -188,7 +162,7 @@ def screen(g: Graph) -> ConditionReport:
         if e + ncomp == n:
             forest_ncomp = ncomp
     rules = _rule_results(n, e, has_isolated_vertex(g), contains_c4(g), forest_ncomp)
-    return ConditionReport(g, rules, trivial=e == 0)
+    return ConditionReport(rules, trivial=e == 0)
 
 
 # ---------------------------------------------------------------------------

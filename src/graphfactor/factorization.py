@@ -1,9 +1,10 @@
 """Witness triples (A, B, C) with A = BC, in their two forms.
 
-A Factorization is three bitmask graphs whose product identity holds; a
-StoredWitness is the catalog's bit-row strings, whose shape from_json checks
-(the schema check of a catalog line runs it on each witness) but whose
-product is not trusted until to_factorization rebuilds the graphs, so
+A Factorization is three bitmask graphs whose product identity holds, and
+its to_json writes the witness as the catalog stores it, as bit-row
+strings.  A StoredWitness only reads that form back: from_json checks its
+shape (the schema check of a catalog line runs it on each witness), but
+the product is not trusted until to_factorization rebuilds the graphs, so
 catalog verification can report a broken witness instead of crashing at
 parse time.  The IntMatrix views a, b and c, the adjacency matrices as rows
 of ints, are what the CLI prints.
@@ -18,10 +19,10 @@ from .graphs import Graph, encode_graph6, is_edgeless
 _NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
 
 
-def _bit_rows(g: Graph) -> tuple[str, ...]:
+def _bit_rows(g: Graph) -> list[str]:
     """The rows of g's adjacency matrix; character j of row i is entry (i, j)."""
     width = f"0{g.order}b"
-    return tuple(format(row, width)[::-1] for row in g.rows)
+    return [format(row, width)[::-1] for row in g.rows]
 
 
 def _checked_bit_rows(rows, what: str) -> tuple[str, ...]:
@@ -109,13 +110,22 @@ class Factorization:
         return is_edgeless(self.h) or is_edgeless(self.k)
 
     def to_json(self) -> dict:
-        return StoredWitness.from_factorization(self).to_json()
+        """The witness as the catalog stores it: the bit rows of A, B and C,
+        character j of row i being entry (i, j), and the factors' graph6."""
+        return {
+            "a": _bit_rows(self.g),
+            "b": _bit_rows(self.h),
+            "c": _bit_rows(self.k),
+            "h_graph6": encode_graph6(self.h),
+            "k_graph6": encode_graph6(self.k),
+            "trivial": self.trivial,
+        }
 
 
 @dataclass(frozen=True)
 class StoredWitness:
-    """Witness as persisted: the bit rows of A, B and C, structurally valid
-    with the product not yet trusted."""
+    """Witness as read back from a catalog: the bit rows of A, B and C,
+    structurally valid with the product not yet trusted."""
 
     a: tuple[str, ...]
     b: tuple[str, ...]
@@ -123,13 +133,6 @@ class StoredWitness:
     h_graph6: str
     k_graph6: str
     trivial: bool
-
-    @classmethod
-    def from_factorization(cls, f: Factorization) -> "StoredWitness":
-        return cls(
-            _bit_rows(f.g), _bit_rows(f.h), _bit_rows(f.k),
-            encode_graph6(f.h), encode_graph6(f.k), f.trivial,
-        )
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
@@ -142,16 +145,6 @@ class StoredWitness:
         if not isinstance(obj["trivial"], bool):
             raise ParameterError("witness field 'trivial' must be a boolean")
         return cls(a, b, c, obj["h_graph6"], obj["k_graph6"], obj["trivial"])
-
-    def to_json(self) -> dict:
-        return {
-            "a": list(self.a),
-            "b": list(self.b),
-            "c": list(self.c),
-            "h_graph6": self.h_graph6,
-            "k_graph6": self.k_graph6,
-            "trivial": self.trivial,
-        }
 
     def to_factorization(self) -> Factorization:
         """Rebuild the three graphs and re-verify the product identity;

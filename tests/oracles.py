@@ -379,7 +379,7 @@ def screen_reference(g: Graph) -> ConditionReport:
     for rule_id in sorted(_RULES):
         status, detail = _RULES[rule_id](g)
         rules.append(RuleResult(rule_id, status, _RULE_REFS[rule_id], detail))
-    return ConditionReport(g, tuple(rules), trivial=is_edgeless(g))
+    return ConditionReport(tuple(rules), trivial=is_edgeless(g))
 
 
 def ladder_class_keys(n: int) -> list[str]:

@@ -201,7 +201,7 @@ def test_run_census_labels_no_class_graph(monkeypatch):
 
     monkeypatch.setattr(graphs_mod, "_canonical_order", order)
     records = run_census(5)
-    witnesses = [w.to_factorization() for rec in records for w in rec.witnesses]
+    witnesses = [f for rec in records for f in rec.witnesses]
     factors = {f.h.rows for f in witnesses} | {f.k.rows for f in witnesses}
     assert labelled, "the witness factors are labelled"
     assert all(g.rows in factors for g in labelled)
@@ -637,7 +637,7 @@ def test_stored_witness_round_trips_every_witness_to_order_7():
     for n in range(1, 8):
         for g in enumerate_graphs(n):
             for f in is_factorizable(g, SearchConfig(mode="all")).witnesses:
-                j = StoredWitness.from_factorization(f).to_json()
+                j = f.to_json()
                 assert j == {
                     "a": _matrix_rows(f.a),
                     "b": _matrix_rows(f.b),
@@ -823,6 +823,17 @@ def test_catalog_bytes_match_pinned_digests(order6_records, tmp_path):
         path = tmp_path / f"n{n}.jsonl"
         write_catalog(order6_records if n == 6 else run_census(n), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, n
+
+
+ORDER_8_CATALOG_SHA256 = "fab2db233e1be96c05205590bc6600f58601cf4d7c478f285b84bdf5f7f70e73"
+
+
+def test_order_8_catalog_bytes_match_pinned_digest(tmp_path):
+    # The classes are cached per process, so this shares its enumeration
+    # with test_enumerate_order_8_keys_pinned; two workers describe them.
+    path = tmp_path / "n8.jsonl"
+    write_catalog(run_census(8, jobs=2), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == ORDER_8_CATALOG_SHA256
 
 
 def test_verify_catalog_labels_each_record_graph_once(order6_records, monkeypatch):

@@ -733,6 +733,20 @@ def test_census_unwritable_out_exits_before_enumerating(tmp_path, capsys, monkey
     assert err.startswith("error: --out: ")
 
 
+@pytest.mark.parametrize("out", ["", "new/", "existing.jsonl/"])
+def test_census_out_naming_no_file_exits_before_enumerating(tmp_path, capsys, monkeypatch, out):
+    # Made absolute, these paths name the working directory, or a directory
+    # that the catalog would be written over as a file.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing.jsonl").write_text("kept\n")
+    code, out_text, err = run_cli(capsys, "census", "--order", "3", "--out", out)
+    assert code == 2
+    assert err.startswith("error: --out: ")
+    assert "classes" not in err and out_text == ""
+    assert sorted(os.listdir(tmp_path)) == ["existing.jsonl"]
+    assert (tmp_path / "existing.jsonl").read_text() == "kept\n"
+
+
 def test_census_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     from graphfactor import census as census_mod
 

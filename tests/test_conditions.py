@@ -24,7 +24,6 @@ from graphfactor.errors import PreconditionError
 from graphfactor.factorization import Factorization, IntMatrix
 from graphfactor.graphs import (
     Graph,
-    canonical_key,
     complete,
     cycle,
     degree_sequence,
@@ -124,22 +123,29 @@ def test_deciding_a_ruled_out_graph_labels_nothing(monkeypatch):
     assert decision.verdict == "no"
     assert decision.report.overall == "ruled_out"
     assert labelled == []
-    # Read later, the key is the one an eager screen stored.
-    assert decision.report.graph_key == canonical_key(Graph(g.order, g.rows))
 
 
-def test_condition_report_key_is_lazy_but_compares_as_stored():
-    g = cycle(5)
-    eager = ConditionReport(canonical_key(Graph(g.order, g.rows)), screen(g).rules, False)
-    assert screen(Graph(g.order, g.rows)) == eager
-    assert hash(screen(Graph(g.order, g.rows))) == hash(eager)
-    assert pickle.loads(pickle.dumps(screen(Graph(g.order, g.rows)))) == eager
-    # A pickled report carries the key string, not the graph.
-    assert pickle.loads(pickle.dumps(screen(g))).key_source == eager.graph_key
-    lazy = screen(Graph(g.order, g.rows))
-    assert lazy.to_json() == eager.to_json()
+def test_screen_labels_no_graph_and_its_report_is_a_plain_value(monkeypatch):
+    labelled = []
+    original = graphs._canonical_order
+
+    def counted(g):
+        labelled.append(g)
+        return original(g)
+
+    monkeypatch.setattr(graphs, "_canonical_order", counted)
+    ruled_out, survivor = path(4), cycle(6)
+    reports = {g: screen(g) for g in (ruled_out, survivor)}
+    assert [r.overall for r in reports.values()] == ["ruled_out", "inconclusive"]
+    assert labelled == []
+    for g, report in reports.items():
+        assert report == ConditionReport(screen_reference(g).rules, trivial=False)
+        again = pickle.loads(pickle.dumps(report))
+        assert again == report and hash(again) == hash(report)
+        assert again.to_json("key") == report.to_json("key")
+    assert labelled == []
     with pytest.raises(dataclasses.FrozenInstanceError):
-        lazy.rules = ()
+        reports[survivor].rules = ()
 
 
 def assert_screens_like_reference(graphs):
@@ -185,7 +191,6 @@ def test_screen_matches_reference_above_the_canonical_cap():
         for _ in range(10)
     ]
     assert_screens_like_reference(graphs)
-    assert all(screen(g).graph_key is None for g in graphs)
 
 
 def test_screen_matches_reference_on_sparse_graphs():
