@@ -46,7 +46,7 @@ from .graphs import (
     is_connected,
     is_regular,
 )
-from .search import DEFAULT_NODE_LIMIT, SearchConfig, dedup_pairs, is_factorizable
+from .search import SearchConfig, dedup_pairs, is_factorizable
 # Not called here since the census decides through is_factorizable; the
 # benchmark tracer (bench/tracer.py) still wraps census.factor_search.
 from .search import factor_search  # noqa: F401
@@ -257,9 +257,12 @@ def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witness
     return record, checks
 
 
-def _build_record(args: tuple) -> CensusRecord:
-    g, cfg = args
-    decision = is_factorizable(g, cfg)
+# The one search a census runs: every witness, at the default node limit.
+_CENSUS_SEARCH = SearchConfig(mode="all")
+
+
+def _build_record(g: Graph) -> CensusRecord:
+    decision = is_factorizable(g, _CENSUS_SEARCH)
     return _describe(
         g, canonical_key(g), decision.verdict, decision.report, decision.witnesses
     )[0]
@@ -272,28 +275,29 @@ def _build_record(args: tuple) -> CensusRecord:
 CENSUS_CLASSES_PER_WORKER = 128
 
 
-def run_census(
-    n: int,
-    *,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    jobs: int = 1,
-    keep_going: bool = False,
-    progress=None,
-) -> list[CensusRecord]:
+def run_census(n: int, *, jobs: int = 1, progress=None) -> list[CensusRecord]:
     """One record per isomorphism class at order n (1..CANONICAL_ORDER_CAP),
-    in canonical-key order; a class whose all-witness search spends
-    node_limit nodes unfinished is "unknown".  The classes are described by
-    min(jobs, cores, classes // CENSUS_CLASSES_PER_WORKER) worker
-    processes, in this process if that is 1.
+    in canonical-key order, each from an all-witness search at the default
+    node limit; progress, if given, is called with (done, total) after each
+    record.  The classes are described by min(jobs, cores,
+    classes // CENSUS_CLASSES_PER_WORKER) worker processes, in this process
+    if that is 1.
 
-    A record with violations aborts the run (it indicates an implementation
-    bug) unless keep_going is set.
+    A record with violations is returned like any other: its violations
+    field holds them, and the CLI exits 1 after writing the catalog.
     """
-    cfg = SearchConfig(mode="all", node_limit=node_limit)
-    args = [(g, cfg) for g in enumerate_graphs(n)]
+    classes = enumerate_graphs(n)
+
+    def consume(records) -> list[CensusRecord]:
+        done = []
+        for rec in records:
+            done.append(rec)
+            if progress is not None:
+                progress(len(done), len(classes))
+        return done
+
     return _pool_map(
-        _build_record, args, jobs,
-        lambda records: _collect(records, len(args), keep_going, progress),
+        _build_record, list(classes), jobs, consume,
         chunksize=8, per_worker=CENSUS_CLASSES_PER_WORKER,
     )
 
@@ -316,20 +320,6 @@ def _pool_map(fn, items: list, jobs: int, consume, chunksize: int = 1, per_worke
             # Items not yet started would only delay the error.
             pool.shutdown(cancel_futures=True)
             raise
-
-
-def _collect(iterator, total: int, keep_going: bool, progress) -> list[CensusRecord]:
-    records = []
-    for i, rec in enumerate(iterator):
-        if rec.violations and not keep_going:
-            raise TheoremViolationError(
-                "assertion violated; offending record:\n"
-                + json.dumps(rec.to_json(), indent=2)
-            )
-        records.append(rec)
-        if progress is not None:
-            progress(i + 1, total)
-    return records
 
 
 _CATALOG_ENCODER = json.JSONEncoder(separators=(",", ":"))

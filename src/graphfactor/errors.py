@@ -27,7 +27,10 @@ class CatalogSchemaError(GraphFactorError, ValueError):
 
 
 class TheoremViolationError(GraphFactorError, RuntimeError):
-    """A verified factorization contradicts a registered assertion."""
+    """A structural fact the code relies on does not hold: the census's
+    orbit-count recheck of its class enumeration, or the shape a witness
+    family builder checks of its own product.  A registered assertion never
+    raises it; its violations are recorded as values."""
 
 
 def check_fields(obj, fields: tuple[str, ...], what: str) -> None:

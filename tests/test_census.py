@@ -24,7 +24,6 @@ from graphfactor.graphs import (
     canonical_key,
     complete,
     cycle,
-    decode_graph6,
     disjoint_union,
     edgeless,
     encode_graph6,
@@ -33,7 +32,7 @@ from graphfactor.graphs import (
     matching,
 )
 from graphfactor.factorization import StoredWitness, adjacency
-from graphfactor.search import SearchConfig, _degree_pairs, is_factorizable
+from graphfactor.search import SearchConfig, is_factorizable
 from oracles import AcyclicClass, brute_class_reps, classify_acyclic, edges, ladder_class_keys
 
 
@@ -756,7 +755,7 @@ def test_verify_reports_a_record_above_the_canonical_cap(order6_records):
     ]
 
 
-def test_census_keep_going_surfaces_violations_instead_of_raising(order6_records):
+def test_verify_reports_a_flipped_verdict(order6_records):
     # A crafted record with a bad verdict shows up as integrity evidence.
     rec = order6_records[0]
     tampered = _forge(rec, lambda obj: obj.update(verdict="yes" if rec.verdict == "no" else "no"))
@@ -767,37 +766,6 @@ def test_census_keep_going_surfaces_violations_instead_of_raising(order6_records
 def test_run_census_order_cap_respected():
     with pytest.raises(ParameterError):
         run_census(9)
-
-
-def test_run_census_node_limit_leaves_searched_classes_unknown():
-    # A class the degree pairs refute at the root is "no" after one node;
-    # the others run out of nodes.
-    records = run_census(6, node_limit=1)
-    searched = [r for r in records if r.screen.overall != "ruled_out" and not r.screen.trivial]
-    refuted = [_degree_pairs(decode_graph6(r.graph6)) is None for r in searched]
-    assert 0 < sum(refuted) < len(searched)
-    for rec, no in zip(searched, refuted):
-        assert rec.verdict == ("no" if no else "unknown") and not rec.witnesses, rec.graph6
-
-
-def test_run_census_aborts_with_offending_record(monkeypatch):
-    from graphfactor import census as census_mod
-    from graphfactor.conditions import AssertionOutcome, Violation
-
-    fake = (
-        AssertionOutcome(
-            "V1", True, Violation("V1", "forced", "forced", "injected for the abort test")
-        ),
-    )
-    monkeypatch.setattr(census_mod, "check_assertions", lambda f: fake)
-    with pytest.raises(TheoremViolationError) as exc:
-        run_census(3)
-    # the offending record is printed in full, including its graph6 form
-    assert '"graph6"' in str(exc.value)
-    assert '"V1"' in str(exc.value)
-    # keep_going downgrades the abort to reporting
-    records = run_census(3, keep_going=True)
-    assert any(r.violations for r in records)
 
 
 def test_read_catalog_returns_each_record_as_its_json(order6_records, tmp_path):

@@ -812,6 +812,44 @@ def test_tol_is_not_an_option(tmp_path, capsys, command):
     assert out.exists() == (command == "verify")
 
 
+@pytest.mark.parametrize("flag", [["--keep-going"], ["--node-limit", "10"]])
+def test_census_takes_no_search_or_outcome_option(tmp_path, capsys, flag):
+    # A catalog is a function of its order alone, and a violation always
+    # fails the run.
+    out = tmp_path / "x.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--order", "3", "--out", str(out), "--jobs", "1"] + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_census_writes_a_catalog_with_violations_and_exits_1(tmp_path, capsys, monkeypatch):
+    from graphfactor.conditions import AssertionOutcome, Violation
+
+    fake = (
+        AssertionOutcome("V1", True, Violation("V1", "forced", "forced", "injected")),
+    )
+    monkeypatch.setattr(census_mod, "check_assertions", lambda f: fake)
+    out = tmp_path / "n3.jsonl"
+    code, stdout, _ = run_cli(
+        capsys, "census", "--order", "3", "--jobs", "1", "--out", str(out)
+    )
+    assert code == 1
+    assert "records with violations: 1" in stdout
+    records = read_catalog(out)
+    assert len(records) == 4
+    assert [r["violations"]["items"] for r in records if r["violations"]["items"]] == [
+        [{"assertion_id": "V1", "expected": "forced", "observed": "forced",
+          "paper_ref": "injected"}]
+    ]
+    # verify rebuilds each record with the same checks and counts the one
+    # violation the catalog stores.
+    report = verify_catalog(records)
+    assert report.assertions["V1"]["violations"] == 1
+    assert report.total_violations == 1
+
+
 def test_usage_error_bad_graph6(capsys):
     code, _, err = run_cli(capsys, "factor", "--graph6", "~~~~")
     assert code == 2

@@ -511,6 +511,22 @@ def test_is_factorizable_unknown_on_tiny_node_limit():
     assert decision.verdict == "unknown"
 
 
+def test_all_mode_node_limit_leaves_searched_classes_unknown():
+    # A class the degree pairs refute at the root is "no" after one node;
+    # the others run out of nodes.
+    cfg = SearchConfig(mode="all", node_limit=1)
+    searched = []
+    for g in enumerate_graphs(6):
+        decision = is_factorizable(g, cfg)
+        if decision.report.overall != "ruled_out" and not decision.report.trivial:
+            searched.append((g, decision))
+    refuted = [_degree_pairs(g) is None for g, _ in searched]
+    assert 0 < sum(refuted) < len(searched)
+    for (g, decision), no in zip(searched, refuted):
+        assert decision.verdict == ("no" if no else "unknown"), g
+        assert not decision.witnesses, g
+
+
 # ---------------------------------------------------------------------------
 # constructions
 # ---------------------------------------------------------------------------
