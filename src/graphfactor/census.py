@@ -231,7 +231,8 @@ def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witness
     outcomes and observations.  The census writes the record; verify
     rebuilds it and diffs the two."""
     n = g.order
-    checks = tuple((check_assertions(f), exploratory_observations(f)) for f in witnesses)
+    outcomes = [check_assertions(f) for f in witnesses]
+    checks = [(o, exploratory_observations(f, o)) for f, o in zip(witnesses, outcomes)]
     isos = [obs["component_isomorphism"] for _, obs in checks]
     record = CensusRecord(
         n=n,
@@ -246,7 +247,7 @@ def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witness
         factor_pairs=factor_pairs(n, witnesses),
         lambda_max=lambda_max(g),
         violations=tuple(
-            o.violation for outcomes, _ in checks for o in outcomes if o.violation is not None
+            o.violation for found in outcomes for o in found if o.violation is not None
         ),
         component_iso_evidence=(
             not any(c["non_isomorphic"] for c in isos)
@@ -268,56 +269,63 @@ def _build_record(g: Graph) -> CensusRecord:
     )[0]
 
 
-# Classes per census worker, the 128 items a worker verify asks for
-# (VERIFY_CHUNK_LINES * VERIFY_CHUNKS_PER_WORKER lines).  A pool costs about
-# 30 ms to start, so a census of order 6 or less (at most 156 classes) runs
+def _build_records(run: tuple[Graph, ...]) -> list[CensusRecord]:
+    return [_build_record(g) for g in run]
+
+
+# The one unit of pool work is a run of RUN_RECORDS records, census classes
+# or catalog lines, and a pool gets one worker per RUNS_PER_WORKER runs.
+# On a 2-vCPU host with Python 3.11, starting a pool costs about 30 ms in a
+# fresh interpreter (the imports and the forks) and building or verifying
+# one record about 0.3 ms, so two workers break even at about 220 records:
+# a census or a catalog of order 6 or less (at most 156 records) runs
 # faster in one process.
-CENSUS_CLASSES_PER_WORKER = 128
+RUN_RECORDS = 32
+RUNS_PER_WORKER = 4
 
 
 def run_census(n: int, *, jobs: int = 1, progress=None) -> list[CensusRecord]:
     """One record per isomorphism class at order n (1..CANONICAL_ORDER_CAP),
     in canonical-key order, each from an all-witness search at the default
     node limit; progress, if given, is called with (done, total) after each
-    record.  The classes are described by min(jobs, cores,
-    classes // CENSUS_CLASSES_PER_WORKER) worker processes, in this process
-    if that is 1.
+    record.  Runs of RUN_RECORDS classes are described by _pool_map's
+    workers, and their records kept in order.
 
     A record with violations is returned like any other: its violations
     field holds them, and the CLI exits 1 after writing the catalog.
     """
     classes = enumerate_graphs(n)
+    runs = [classes[i:i + RUN_RECORDS] for i in range(0, len(classes), RUN_RECORDS)]
 
-    def consume(records) -> list[CensusRecord]:
+    def consume(built) -> list[CensusRecord]:
         done = []
-        for rec in records:
-            done.append(rec)
-            if progress is not None:
-                progress(len(done), len(classes))
+        for records in built:
+            for rec in records:
+                done.append(rec)
+                if progress is not None:
+                    progress(len(done), len(classes))
         return done
 
-    return _pool_map(
-        _build_record, list(classes), jobs, consume,
-        chunksize=8, per_worker=CENSUS_CLASSES_PER_WORKER,
-    )
+    return _pool_map(_build_records, runs, jobs, consume)
 
 
-def _pool_map(fn, items: list, jobs: int, consume, chunksize: int = 1, per_worker: int = 1):
-    """consume(fn over items, in order), with fn run by min(jobs, cores,
-    items // per_worker) worker processes, or by the builtin map in this
-    process when that is 1.  The pool forks its workers at the first
-    submit, so it never asks for more than there are cores or items."""
-    workers = min(jobs, os.cpu_count() or 1, len(items) // per_worker)
+def _pool_map(fn, runs: list, jobs: int, consume):
+    """consume(fn over runs, in order), with fn run by min(jobs, cores,
+    runs // RUNS_PER_WORKER) worker processes, or by the builtin map in
+    this process when that is 1.  consume runs inside the pool's block, so
+    an error it raises, or one of fn's that it meets, cancels the runs not
+    yet started and joins every worker before it propagates."""
+    workers = min(jobs, os.cpu_count() or 1, len(runs) // RUNS_PER_WORKER)
     if workers <= 1:
-        return consume(map(fn, items))
+        return consume(map(fn, runs))
     # Imported here: it loads multiprocessing, which serial runs never use.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
         try:
-            return consume(pool.map(fn, items, chunksize=chunksize))
+            return consume(pool.map(fn, runs))
         except BaseException:
-            # Items not yet started would only delay the error.
+            # Runs not yet started would only delay the error.
             pool.shutdown(cancel_futures=True)
             raise
 
@@ -583,15 +591,6 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-# Catalog lines per verify work item, and work items per verify worker.
-# On a 2-vCPU host with Python 3.11, starting a pool costs about 30 ms in a
-# fresh interpreter (the imports and the forks) and verifying one record
-# about 0.3 ms, so two workers break even at about 220 lines: a catalog of
-# order 6 or less (at most 156 lines) is verified faster in one process.
-VERIFY_CHUNK_LINES = 32
-VERIFY_CHUNKS_PER_WORKER = 4
-
-
 def verify_catalog(records) -> TheoremReport:
     """Rebuild every record, a catalog line's JSON object as read_catalog
     returns it, from its graph and valid witnesses as the census does and
@@ -605,22 +604,16 @@ def verify_catalog(records) -> TheoremReport:
 
 def verify_lines(lines, jobs: int = 1) -> TheoremReport:
     """verify_catalog of the catalog whose raw lines (bytes, as read from
-    the file) are given, with the same report.  Runs of VERIFY_CHUNK_LINES
-    lines are parsed, as read_catalog parses them, and verified by
-    min(jobs, cores, runs // VERIFY_CHUNKS_PER_WORKER) worker processes,
-    and their reports are added up in catalog order.  The catalog's first
-    schema error is raised."""
-    chunks = [
-        (lines[i:i + VERIFY_CHUNK_LINES], i + 1)
-        for i in range(0, len(lines), VERIFY_CHUNK_LINES)
-    ]
-    return _pool_map(
-        _verify_chunk, chunks, jobs, _sum_reports, per_worker=VERIFY_CHUNKS_PER_WORKER
-    )
+    the file) are given, with the same report.  Runs of RUN_RECORDS lines
+    are parsed, as read_catalog parses them, and verified by _pool_map's
+    workers, and their reports are added up in catalog order.  The
+    catalog's first schema error is raised."""
+    runs = [(lines[i:i + RUN_RECORDS], i + 1) for i in range(0, len(lines), RUN_RECORDS)]
+    return _pool_map(_verify_run, runs, jobs, _sum_reports)
 
 
-def _verify_chunk(args: tuple) -> TheoremReport:
-    lines, first_lineno = args
+def _verify_run(run: tuple) -> TheoremReport:
+    lines, first_lineno = run
     return verify_catalog(_parse_lines(lines, first_lineno))
 
 

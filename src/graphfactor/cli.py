@@ -65,6 +65,16 @@ def _add_graph_input(p: argparse.ArgumentParser) -> None:
     src.add_argument("--edges", help="path to an edge-list file (one 'u v' per line)")
 
 
+def _add_jobs(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1,
+        help="worker processes (default: the core count); the work goes to them in "
+             f"runs of {census_mod.RUN_RECORDS} records (classes or catalog lines), "
+             f"at most one worker per {census_mod.RUNS_PER_WORKER} runs, and the output "
+             "is byte-identical at any count",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphfactor",
@@ -102,26 +112,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "and write one catalog record per class. Exits 1 after writing the "
                     "catalog if a record has assertion violations.",
     )
-    p_census.add_argument("--order", type=int, required=True)
+    p_census.add_argument(
+        "--order", type=int, required=True,
+        help="graph order, 1 to 8 (8 needs --allow-order-8)",
+    )
     p_census.add_argument("--out", required=True, help="catalog output path (JSON lines)")
-    p_census.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    _add_jobs(p_census)
     p_census.add_argument("--allow-order-8", action="store_true",
                           help="permit order 8 (12346 classes)")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored catalog from scratch")
     p_verify.add_argument("--catalog", required=True)
-    p_verify.add_argument(
-        "--jobs", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: the core count); the workers parse and "
-             "verify runs of catalog lines, and the report is byte-identical at "
-             "any count",
-    )
+    _add_jobs(p_verify)
     p_verify.add_argument("--json", action="store_true")
 
     return parser
 
 
 def _cmd_factor(args) -> int:
+    if args.node_limit < 1:
+        raise ParameterError("--node-limit must be at least 1")
     g = _load_graph(args)
     cfg = SearchConfig(mode="all" if args.all else "first", node_limit=args.node_limit)
     decision = is_factorizable(g, cfg)

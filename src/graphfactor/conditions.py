@@ -434,17 +434,9 @@ _CHECKS = (
 )
 
 
-@lru_cache(maxsize=1)
-def _context(f: Factorization) -> _Context:
-    """The shared facts of one witness.  check_assertions and
-    exploratory_observations run back to back on each witness, so one slot
-    builds each witness's context once."""
-    return _Context(f)
-
-
 def check_assertions(f: Factorization) -> tuple[AssertionOutcome, ...]:
     """Every registered assertion, with applied/violation status."""
-    ctx = _context(f)
+    ctx = _Context(f)
     outcomes = []
     for aid, check in zip(ASSERTION_IDS, _CHECKS, strict=True):
         result = check(ctx)
@@ -458,26 +450,29 @@ def validate_factorization(f: Factorization) -> tuple[Violation, ...]:
     return tuple(o.violation for o in check_assertions(f) if o.violation is not None)
 
 
-def exploratory_observations(f: Factorization) -> dict[str, dict[str, int]]:
+def exploratory_observations(
+    f: Factorization, outcomes: tuple[AssertionOutcome, ...]
+) -> dict[str, dict[str, int]]:
     """Logged evidence, never asserted, as counts in the shape of the verify
     report's exploratory section: the two-sided edge bound and the unguarded
     product edge bound when neither factor has an isolated vertex, and
-    whether G's two components are isomorphic when V10 fires and holds."""
-    ctx = _context(f)
-    no_isolated = not (ctx.h_isolated or ctx.k_isolated)
-    unguarded = no_isolated and ctx.n > 4
+    whether G's two components are isomorphic when V10 fires and holds in
+    outcomes, f's check_assertions outcomes."""
+    e_g, e_h, e_k = f.g.edge_count, f.h.edge_count, f.k.edge_count
+    no_isolated = not (has_isolated_vertex(f.h) or has_isolated_vertex(f.k))
+    unguarded = no_isolated and f.g.order > 4
     iso = None
-    if _check_v10(ctx) == HELD:
-        first, second = (canonical_key(induced_subgraph(f.g, comp)) for comp in ctx.g_comps)
+    if any(o.assertion_id == "V10" and o.applied and o.violation is None for o in outcomes):
+        first, second = (canonical_key(induced_subgraph(f.g, comp)) for comp in components(f.g))
         iso = first == second
     return {
         "stronger_edge_bound": {
             "instances": int(no_isolated),
-            "failures": int(no_isolated and ctx.e_g < max(ctx.e_h, ctx.e_k)),
+            "failures": int(no_isolated and e_g < max(e_h, e_k)),
         },
         "unguarded_product_bound": {
             "instances": int(unguarded),
-            "failures": int(unguarded and 2 * ctx.e_g > ctx.e_h * ctx.e_k),
+            "failures": int(unguarded and 2 * e_g > e_h * e_k),
         },
         "component_isomorphism": {
             "instances": int(iso is not None),

@@ -20,8 +20,9 @@ def naive_witnesses():
 @pytest.fixture
 def pool_of_two(monkeypatch):
     """census and verify at --jobs 2 start a real pool of 2 workers on any
-    input of two or more classes or runs of lines; the fixture lists the
-    pool sizes asked for."""
+    input of two or more runs of records; the fixture lists the pool sizes
+    asked for, and checks after the test that every worker was joined."""
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     class CountedPool(ProcessPoolExecutor):
@@ -34,7 +35,7 @@ def pool_of_two(monkeypatch):
     import concurrent.futures
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(census_mod, "CENSUS_CLASSES_PER_WORKER", 1)
-    monkeypatch.setattr(census_mod, "VERIFY_CHUNKS_PER_WORKER", 1)
+    monkeypatch.setattr(census_mod, "RUNS_PER_WORKER", 1)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: 2)
-    return CountedPool.sizes
+    yield CountedPool.sizes
+    assert multiprocessing.active_children() == []

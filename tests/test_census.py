@@ -218,7 +218,6 @@ def test_census_builds_one_assertion_context_per_witness(monkeypatch):
             super().__init__(f)
 
     monkeypatch.setattr(conditions, "_Context", Counted)
-    conditions._context.cache_clear()
     records = run_census(6)
     witnesses = sum(len(rec.witnesses) for rec in records)
     assert witnesses > 0
@@ -429,7 +428,7 @@ class SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, iterable, chunksize=1):
+    def map(self, fn, iterable):
         return map(fn, iterable)
 
 
@@ -460,11 +459,12 @@ def census_pool_sizes(monkeypatch, n, jobs, cores):
     ],
 )
 def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
-    # With one class a worker, as the pool tests force it; the minimum of
-    # CENSUS_CLASSES_PER_WORKER is tested below.
+    # With one class a worker, as runs of one class and one run a worker
+    # give it; the minimum of RUN_RECORDS * RUNS_PER_WORKER is tested below.
     from graphfactor import census as census_mod
 
-    monkeypatch.setattr(census_mod, "CENSUS_CLASSES_PER_WORKER", 1)
+    monkeypatch.setattr(census_mod, "RUN_RECORDS", 1)
+    monkeypatch.setattr(census_mod, "RUNS_PER_WORKER", 1)
     sizes = census_pool_sizes(monkeypatch, n, jobs, cores)
     assert sizes == ([] if workers is None else [workers])
 

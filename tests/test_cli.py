@@ -13,7 +13,7 @@ from graphfactor.cli import main
 from graphfactor.census import (
     enumerate_graphs, read_catalog, run_census, verify_catalog, write_catalog,
 )
-from graphfactor.errors import CatalogSchemaError
+from graphfactor.errors import CatalogSchemaError, TheoremViolationError
 from graphfactor.factorization import StoredWitness
 from graphfactor.graphs import (
     canonical_key, cycle, disjoint_union, edgeless, encode_graph6,
@@ -537,7 +537,7 @@ def test_verify_forged_catalog_report_is_the_same_at_any_jobs(
     objs[yes[-1]]["witnesses"][0] = objs[yes[-2]]["witnesses"][0]
     objs[100]["lambda_max"] += 1.0
     objs.append(objs[5])  # line 157 repeats line 6, four runs of lines later
-    assert len(objs) > 4 * census_mod.VERIFY_CHUNK_LINES
+    assert len(objs) > 4 * census_mod.RUN_RECORDS
     path = tmp_path / "forged.jsonl"
     path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
     serial, parallel = verify_at_jobs_1_and_2(capsys, path)
@@ -759,23 +759,50 @@ def test_census_write_error_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "error: --out: " in err and "No space left" in err
 
 
-@pytest.mark.parametrize("command", ["census", "verify"])
+@pytest.mark.parametrize("command", ["census", "verify", "factor"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, jobs):
+    # factor's --node-limit is a count like --jobs, and is named the same way.
+    from graphfactor import cli
+
     def never(*args, **kwargs):
-        raise AssertionError("ran with --jobs below 1")
+        raise AssertionError("ran with a count below 1")
 
     monkeypatch.setattr(census_mod, "run_census", never)
     monkeypatch.setattr(census_mod, "verify_lines", never)
+    monkeypatch.setattr(cli, "is_factorizable", never)
     out = tmp_path / "x.jsonl"
     out.write_text("")
-    argv = {
-        "census": ["census", "--order", "3", "--out", str(out)],
-        "verify": ["verify", "--catalog", str(out)],
+    argv, flag = {
+        "census": (["census", "--order", "3", "--out", str(out)], "--jobs"),
+        "verify": (["verify", "--catalog", str(out)], "--jobs"),
+        "factor": (["factor", "--graph6", "A_"], "--node-limit"),
     }[command]
-    code, stdout, err = run_cli(capsys, *argv, "--jobs", jobs)
-    assert (code, stdout, err) == (2, "", "error: --jobs must be at least 1\n")
+    code, stdout, err = run_cli(capsys, *argv, flag, jobs)
+    assert (code, stdout, err) == (2, "", f"error: {flag} must be at least 1\n")
     assert out.read_text() == ""
+
+
+# The --jobs help of census and verify, which states the one work-splitting
+# rule, and census's --order help, as one line each.
+JOBS_HELP = (
+    "--jobs JOBS worker processes (default: the core count); the work goes to them "
+    "in runs of 32 records (classes or catalog lines), at most one worker per 4 "
+    "runs, and the output is byte-identical at any count"
+)
+ORDER_HELP = "--order ORDER graph order, 1 to 8 (8 needs --allow-order-8)"
+
+
+@pytest.mark.parametrize("command", ["census", "verify"])
+def test_census_and_verify_help_state_the_jobs_rule(capsys, monkeypatch, command):
+    # Wide enough that argparse wraps no line, so a hyphen is never split.
+    monkeypatch.setenv("COLUMNS", "1000")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert JOBS_HELP in text
+    assert (ORDER_HELP in text) == (command == "census")
 
 
 def test_census_order_8_needs_flag(tmp_path, capsys):
@@ -848,6 +875,31 @@ def test_census_writes_a_catalog_with_violations_and_exits_1(tmp_path, capsys, m
     report = verify_catalog(records)
     assert report.assertions["V1"]["violations"] == 1
     assert report.total_violations == 1
+
+
+def test_a_failing_census_worker_fails_the_run_and_keeps_the_catalog(
+    tmp_path, capsys, monkeypatch, pool_of_two
+):
+    # One class of the first of order 5's two runs fails to build; the pool
+    # fixture checks that no worker outlives the error.
+    real = census_mod._build_record
+    failing_class = enumerate_graphs(5)[10]
+
+    def build(g):
+        if g == failing_class:
+            raise TheoremViolationError("forced failure")
+        return real(g)
+
+    monkeypatch.setattr(census_mod, "_build_record", build)
+    out = tmp_path / "n5.jsonl"
+    out.write_bytes(b"kept\n")
+    serial, parallel = (
+        run_cli(capsys, "census", "--order", "5", "--jobs", jobs, "--out", str(out))
+        for jobs in ("1", "2")
+    )
+    assert pool_of_two == [2]
+    assert serial == parallel == (1, "", "error: forced failure\n")
+    assert out.read_bytes() == b"kept\n"
 
 
 def test_usage_error_bad_graph6(capsys):

@@ -447,13 +447,7 @@ def test_forced_violation_texts(monkeypatch, case):
             return truth(x)
 
         monkeypatch.setattr(module, attr, lying)
-    # The one-slot context memo must not serve, or keep, a context built
-    # from other answers.
-    conditions._context.cache_clear()
-    try:
-        found = validate_factorization(f)
-    finally:
-        conditions._context.cache_clear()
+    found = validate_factorization(f)
     assert found == tuple(
         Violation(aid, exp, obs, ASSERTION_REFS[aid]) for aid, exp, obs in expected
     )
@@ -461,7 +455,8 @@ def test_forced_violation_texts(monkeypatch, case):
 
 
 def test_exploratory_observations_on_six_cycle():
-    assert exploratory_observations(six_cycle_factorization()) == {
+    f = six_cycle_factorization()
+    assert exploratory_observations(f, check_assertions(f)) == {
         "stronger_edge_bound": {"instances": 1, "failures": 0},
         "unguarded_product_bound": {"instances": 1, "failures": 0},
         "component_isomorphism": {"instances": 0, "isomorphic": 0, "non_isomorphic": 0},
@@ -471,5 +466,6 @@ def test_exploratory_observations_on_six_cycle():
 def test_exploratory_component_isomorphism_fires_on_doubled_graph():
     from graphfactor.search import doubled_graph
 
-    obs = exploratory_observations(doubled_graph(complete(3)))
+    f = doubled_graph(complete(3))
+    obs = exploratory_observations(f, check_assertions(f))
     assert obs["component_isomorphism"] == {"instances": 1, "isomorphic": 1, "non_isomorphic": 0}
