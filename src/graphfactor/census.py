@@ -50,7 +50,7 @@ from .search import SearchConfig, dedup_pairs, is_factorizable
 # Not called here since the census decides through is_factorizable; the
 # benchmark tracer (bench/tracer.py) still wraps census.factor_search.
 from .search import factor_search  # noqa: F401
-from .spectral import DEFAULT_TOL, lambda_max
+from .spectral import lambda_max, lambda_max_certified
 
 # Class representatives per order, as enumerate_graphs returned them.
 _CLASS_CACHE: dict[int, tuple[Graph, ...]] = {}
@@ -71,7 +71,9 @@ class CensusRecord:
     screen: ConditionReport
     verdict: str
     factor_pairs: tuple[tuple[str, str], ...]
-    lambda_max: float
+    # None only in a record verify rebuilds, when the stored value fails
+    # its certificate.
+    lambda_max: float | None
     violations: tuple[Violation, ...]
     component_iso_evidence: bool | None
     witnesses: tuple[Factorization, ...]
@@ -225,11 +227,16 @@ def factor_pairs(n: int, witnesses) -> tuple[tuple[str, str], ...]:
     )
 
 
-def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witnesses):
+def _describe(
+    g: Graph, key: str, verdict: str, report: ConditionReport, witnesses,
+    lam: float | None,
+):
     """The record of class graph g, derived from g, its canonical key, its
     screening report and its witnesses, plus each witness's assertion
-    outcomes and observations.  The census writes the record; verify
-    rebuilds it and diffs the two."""
+    outcomes and observations.  The record's lambda_max is lam, which the
+    caller works out: the census writes the record with Jacobi's value, and
+    verify rebuilds it with the stored value if that is certified, None if
+    not, and diffs the two."""
     n = g.order
     outcomes = [check_assertions(f) for f in witnesses]
     checks = [(o, exploratory_observations(f, o)) for f, o in zip(witnesses, outcomes)]
@@ -245,7 +252,7 @@ def _describe(g: Graph, key: str, verdict: str, report: ConditionReport, witness
         screen=report,
         verdict=verdict,
         factor_pairs=factor_pairs(n, witnesses),
-        lambda_max=lambda_max(g),
+        lambda_max=lam,
         violations=tuple(
             o.violation for found in outcomes for o in found if o.violation is not None
         ),
@@ -265,7 +272,8 @@ _CENSUS_SEARCH = SearchConfig(mode="all")
 def _build_record(g: Graph) -> CensusRecord:
     decision = is_factorizable(g, _CENSUS_SEARCH)
     return _describe(
-        g, canonical_key(g), decision.verdict, decision.report, decision.witnesses
+        g, canonical_key(g), decision.verdict, decision.report, decision.witnesses,
+        lambda_max(g),
     )[0]
 
 
@@ -625,7 +633,12 @@ def _sum_reports(reports) -> TheoremReport:
 
 
 def _check_record(rec: dict, report: TheoremReport) -> None:
-    """Verify one record: add its entry and its counts to report."""
+    """Verify one record: add its entry and its counts to report.  Every
+    field of the rebuilt record is compared with the stored one by
+    equality; the stored lambda_max is rebuilt as itself when
+    spectral.lambda_max_certified proves it to be the graph's largest
+    eigenvalue, to within DEFAULT_TOL * max(1, |stored|), and as None
+    otherwise, so no Jacobi sweep runs for it."""
     where = f"record {rec['graph6']!r}"
     undecodable = f"{where}: graph6 does not decode to a class"
     try:
@@ -674,14 +687,12 @@ def _check_record(rec: dict, report: TheoremReport) -> None:
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
-    rebuilt, checks = _describe(g, key, verdict, fresh, valid)
+    lam = rec["lambda_max"]
+    rebuilt, checks = _describe(
+        g, key, verdict, fresh, valid, lam if lambda_max_certified(g, lam) else None
+    )
     for name, value in rebuilt.to_json().items():
-        if name == "lambda_max":
-            # Scaled by the rebuilt value and negated, so NaN and inf differ.
-            differs = not abs(value - rec[name]) <= DEFAULT_TOL * max(1.0, abs(value))
-        else:
-            differs = value != rec[name]
-        if differs:
+        if value != rec[name]:
             messages.append(f"{where}: stored {name} mismatch")
     for outcomes, observed in checks:
         for outcome in outcomes:

@@ -276,6 +276,8 @@ def _check_jobs(args) -> None:
 
 def _cmd_census(args) -> int:
     _check_jobs(args)
+    if not 1 <= args.order <= CANONICAL_ORDER_CAP:
+        raise ParameterError(f"--order must lie in 1..{CANONICAL_ORDER_CAP}")
     if args.order == 8 and not args.allow_order_8:
         raise ParameterError(
             "--order 8 enumerates 12346 classes; pass --allow-order-8 to confirm"

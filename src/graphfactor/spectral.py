@@ -13,6 +13,12 @@ bitmask rows as 0.0/1.0 floats; eigen_sym runs it for the spectrum the CLI
 prints, and lambda_max once per labelled graph.  The Perron pair comes from
 power iteration.
 
+lambda_max_certified checks a claimed largest eigenvalue with no
+eigensolver: a float solve proposes a positive vector, and bounds on it
+proved in integer arithmetic (Collatz-Wielandt above, the Rayleigh quotient
+below) pin the true value, so verify's check of a stored lambda_max is
+independent of the Jacobi kernel that wrote it.
+
 Every function here works to one tolerance, DEFAULT_TOL (1e-9), the one
 the paper's spectral statements are checked to.
 """
@@ -62,7 +68,16 @@ def _sweep(n: int):
     sweep sums the off-diagonal mass and then spells out every rotation, so
     no list is indexed and no plan is walked.  The float operations are
     those of _plan_sweep, in its order.  sweep(a, tol, skip) takes the flat
-    matrix and returns the diagonal values."""
+    matrix and returns the diagonal values.
+
+    Neither sweep guards theta = diff / (2 apq) against overflow, as the
+    nested-list reference does with t = apq / diff once
+    |apq| < 1e-300 |diff|, because that never happens on a graph's 0/1
+    rows, the only matrices _eigenvalues feeds them.  Rotations keep the
+    Frobenius norm, sqrt(2m) < n for m edges, so every entry stays below n
+    and |diff| < 2n <= 124 at any order up to GRAPH6_ORDER_CAP (62), the
+    largest a command reads, while a rotated pivot has
+    |apq| > skip = tol / (4 n**2) >= 6.5e-14 at DEFAULT_TOL."""
     upper, rotations = _rotation_plan(n)
     diagonal = [i * (n + 1) for i in range(n)]
     used = set(upper) | set(diagonal)
@@ -79,14 +94,10 @@ def _sweep(n: int):
             # Negated so that a NaN pivot is rotated, not skipped.
             f"        if not abs(a{pq}) <= skip:",
             f"            apq = a{pq}",
-            f"            diff = a{qq} - a{pp}",
-            "            if abs(apq) < 1e-300 * abs(diff):",
-            "                t = apq / diff",
-            "            else:",
-            "                theta = diff / (2.0 * apq)",
-            "                t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))",
-            "                if theta < 0.0:",
-            "                    t = -t",
+            f"            theta = (a{qq} - a{pp}) / (2.0 * apq)",
+            "            t = 1.0 / (abs(theta) + sqrt(theta * theta + 1.0))",
+            "            if theta < 0.0:",
+            "                t = -t",
             "            c = 1.0 / sqrt(t * t + 1.0)",
             "            s = t * c",
             "            tau = s / (1.0 + c)",
@@ -136,14 +147,10 @@ def _plan_sweep(n: int, a: list[float], tol: float, skip: float) -> list[float]:
             apq = a[pq]
             if abs(apq) <= skip:
                 continue
-            diff = a[qq] - a[pp]
-            if abs(apq) < 1e-300 * abs(diff):
-                t = apq / diff
-            else:
-                theta = diff / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
+            theta = (a[qq] - a[pp]) / (2.0 * apq)
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            if theta < 0.0:
+                t = -t
             c = 1.0 / math.sqrt(t * t + 1.0)
             s = t * c
             tau = s / (1.0 + c)
@@ -192,6 +199,86 @@ def _eigenvalues(order: int, rows: tuple[int, ...]) -> list[float]:
     if abs(sum(values)) > max(DEFAULT_TOL, 1e-12 * len(values)):
         raise ArithmeticError("eigenvalue sum drifted from the trace")
     return values
+
+
+def lambda_max_certified(g: Graph, v: float) -> bool:
+    """True iff v is proved to be lambda_max(g) to within eps =
+    DEFAULT_TOL * max(1, |v|): the proof puts lambda_max(g) in [lo, hi], the
+    floats v - eps and v + eps rounded outward.  No Jacobi sweep runs.
+
+    For the nonnegative symmetric adjacency matrix A and a positive vector
+    y, two classical bounds hold:
+    - lambda_max(A) <= max_i (Ay)_i / y_i (Collatz 1942, Wielandt 1950);
+    - lambda_max(A) >= y'Ay / y'y, the Rayleigh quotient.
+    Both are checked in integer arithmetic, on y scaled to positive
+    integers Y of 52 significant bits and on the exact ratios of lo and hi:
+    (AY)_i * hi_den <= hi_num * Y_i for every i, and
+    Y'AY * lo_den >= lo_num * Y'Y.  So no rounding lets a wrong v pass.
+
+    y comes from one float solve of (sI - A) y = 1 with s = v + eps / 2,
+    by Gaussian elimination without pivot exchanges.  When v is honest, s
+    exceeds lambda_max, so sI - A is positive definite (every pivot is
+    positive) and its inverse, the sum of A**k / s**(k+1), is entrywise
+    nonnegative with a positive diagonal: y_i >= 1 / s, and
+    (Ay)_i / y_i = s - 1 / y_i < hi.  An eigenvector of eigenvalue mu
+    enters y with weight 1 / (s - mu), so y leans on the top eigenvectors,
+    and its Rayleigh quotient falls short of lambda_max by far less than
+    eps unless another eigenvalue lies within a few eps of it.  A
+    non-positive pivot, or entry of Y, gives False: the float solve only
+    proposes Y, and rounding in it can only make an honest v fail."""
+    eps = DEFAULT_TOL * max(1.0, abs(v))
+    hi = math.nextafter(v + eps, math.inf)
+    lo = math.nextafter(v - eps, -math.inf)
+    # Also false for NaN, and for a bound past the float range.
+    if not -math.inf < lo <= hi < math.inf:
+        return False
+    n, rows = g.order, g.rows
+    s = v + eps / 2
+    # sI - A, whose upper triangle is reduced in place: the trailing block
+    # of a symmetric matrix stays symmetric under elimination.
+    m = [[-x for x in _row_floats(n, row)] for row in rows]
+    for i in range(n):
+        m[i][i] = s
+    b = [1.0] * n
+    for k in range(n):
+        mk = m[k]
+        pivot = mk[k]
+        if not pivot > 0.0:
+            return False
+        bk = b[k]
+        for i in range(k + 1, n):
+            f = mk[i] / pivot
+            if f:
+                mi = m[i]
+                for j in range(i, n):
+                    mi[j] -= f * mk[j]
+                b[i] -= f * bk
+    y = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        mi = m[i]
+        acc = b[i]
+        for j in range(i + 1, n):
+            acc -= mi[j] * y[j]
+        y[i] = acc / mi[i]
+        if not 0.0 < y[i] < math.inf:
+            return False
+    shift = 52 - math.frexp(max(y))[1]
+    ys = [int(math.ldexp(x, shift)) for x in y]
+    if min(ys) <= 0:
+        return False
+    hi_num, hi_den = hi.as_integer_ratio()
+    lo_num, lo_den = lo.as_integer_ratio()
+    quadratic = 0
+    for row, yi in zip(rows, ys):
+        ay = 0
+        while row:
+            low = row & -row
+            ay += ys[low.bit_length() - 1]
+            row ^= low
+        if ay * hi_den > hi_num * yi:
+            return False
+        quadratic += ay * yi
+    return quadratic * lo_den >= lo_num * sum(x * x for x in ys)
 
 
 @lru_cache(maxsize=1 << 12)

@@ -486,17 +486,8 @@ def jacobi_reference(mat, tol: float, want_vectors: bool):
 
 # ---------------------------------------------------------------------------
 # exact eigenvalues for tiny matrices: expand det(xI - A) by cofactors,
-# split off square-free parts, and bisect with exact rational signs.
+# split off square-free parts, and bisect with exact integer signs.
 # ---------------------------------------------------------------------------
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
 
 def _poly_add(p, q):
     out = [Fraction(0)] * max(len(p), len(q))
@@ -556,30 +547,26 @@ def _poly_eval(p, x: Fraction) -> Fraction:
 
 
 def char_poly(entries) -> list[Fraction]:
-    """det(xI - A) as coefficient list, constant term first."""
+    """det(xI - A) as coefficient list, constant term first, by cofactor
+    expansion along the top row in integers; each minor is expanded once."""
     n = len(entries)
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            i, j = rows[0], cols[0]
-            diag = [Fraction(-entries[i][j]), Fraction(1)] if i == j else None
-            return diag if diag else [Fraction(-entries[i][j])]
-        out = [Fraction(0)]
-        r = rows[0]
+    @cache
+    def det(cols):
+        # The minor of xI - A on its last len(cols) rows and these columns.
+        r = n - len(cols)
+        out = [0] * (len(cols) + 1)
         sign = 1
         for t, c in enumerate(cols):
-            entry = (
-                [Fraction(-entries[r][c]), Fraction(1)]
-                if r == c
-                else [Fraction(-entries[r][c])]
-            )
-            minor = det(rows[1:], cols[:t] + cols[t + 1 :])
-            term = _poly_mul(entry, minor)
-            out = _poly_add(out, _poly_scale(term, sign))
+            minor = det(cols[:t] + cols[t + 1:]) if len(cols) > 1 else [1]
+            for i, m in enumerate(minor):
+                out[i] -= sign * entries[r][c] * m
+                if r == c:
+                    out[i + 1] += sign * m
             sign = -sign
         return out
 
-    return det(tuple(range(n)), tuple(range(n)))
+    return [Fraction(x) for x in det(tuple(range(n)))]
 
 
 def _square_free_decomposition(p):
@@ -621,18 +608,38 @@ def _roots_square_free(p, lo: Fraction, hi: Fraction) -> list[Fraction]:
             continue
         if fb == 0 or (fa < 0) == (fb < 0):
             continue
-        for _ in range(60):
-            mid = (a + b) / 2
-            fm = _poly_eval(p, mid)
-            if fm == 0:
-                a = b = mid
-                break
-            if (fm < 0) == (fa < 0):
-                a, fa = mid, fm
-            else:
-                b = mid
-        roots.append((a + b) / 2)
+        roots.append(_bisect(p, a, b))
     return sorted(set(roots))
+
+
+def _bisect(p, a: Fraction, b: Fraction, steps: int = 60) -> Fraction:
+    """The midpoint of the bracket that halving [a, b] steps times keeps
+    around a sign change of p, or the point where p is exactly zero.  The
+    points tried are a + (b - a) * j / 2**k, so each sign is that of the
+    integer polynomial q(j) * 2**(k * degree), where q(t) is p(a + (b - a) t)
+    times a positive integer."""
+    den = math.lcm(a.denominator, b.denominator)
+    start, width = int(a * den), int((b - a) * den)
+    scale = math.lcm(*(c.denominator for c in p))
+    degree = len(p) - 1
+    # Horner's rule on x = (start + width t) / den, times den**degree; q's
+    # coefficients are listed constant term first.
+    q = [int(p[degree] * scale)]
+    for i in range(degree - 1, -1, -1):
+        shifted = [0] + [width * x for x in q]
+        q = [start * x + y for x, y in zip(q + [0], shifted)]
+        q[0] += int(p[i] * scale) * den ** (degree - i)
+    negative_at_a = q[0] < 0
+    low = 0  # the bracket is [low, low + 1] / 2**k
+    for k in range(1, steps + 1):
+        j = 2 * low + 1
+        acc = q[degree]
+        for i in range(degree - 1, -1, -1):
+            acc = acc * j + (q[i] << (k * (degree - i)))
+        if acc == 0:
+            return a + (b - a) * Fraction(j, 1 << k)
+        low = j if (acc < 0) == negative_at_a else 2 * low
+    return a + (b - a) * Fraction(2 * low + 1, 1 << (steps + 1))
 
 
 def exact_eigenvalues(entries) -> list[float]:

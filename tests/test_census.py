@@ -670,7 +670,7 @@ FORGERIES = {
         f"lambda_max={text}": (
             lambda obj, text=text: obj.update(lambda_max=json.loads(text)), "lambda_max"
         )
-        for text in ("NaN", "Infinity", "-Infinity", "99.0")
+        for text in ("NaN", "Infinity", "-Infinity", "99.0", "1e300", "-1e300", "5e-324")
     },
 }
 

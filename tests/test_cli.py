@@ -813,11 +813,13 @@ def test_census_order_8_needs_flag(tmp_path, capsys):
     assert "--allow-order-8" in err
 
 
-def test_census_order_9_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("order", ["0", "9"])
+def test_census_order_9_rejected(tmp_path, capsys, order):
     code, _, err = run_cli(
-        capsys, "census", "--order", "9", "--out", str(tmp_path / "x.jsonl")
+        capsys, "census", "--order", order, "--out", str(tmp_path / "x.jsonl")
     )
     assert code == 2
+    assert err == "error: --order must lie in 1..8\n"
 
 
 @pytest.mark.parametrize("command", ["spectral", "census", "verify"])

@@ -11,9 +11,11 @@ from graphfactor.graphs import (
     CANONICAL_ORDER_CAP,
     Graph,
     complete,
+    components,
     cycle,
     decode_graph6,
     disjoint_union,
+    induced_subgraph,
     is_bipartite,
     is_connected,
     matching,
@@ -23,6 +25,7 @@ from graphfactor.spectral import (
     _jacobi_flat,
     eigen_sym,
     lambda_max,
+    lambda_max_certified,
     perron,
     spectrum_is_symmetric,
 )
@@ -229,7 +232,9 @@ def test_sweep_is_compiled_only_up_to_the_canonical_cap(monkeypatch):
     assert compiled == [3, CANONICAL_ORDER_CAP]
 
 
-def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
+def _jacobi_runs(monkeypatch) -> list:
+    """The (order, flat matrix) of every Jacobi run from here on; the
+    lambda_max memo is emptied first so that no earlier run is reused."""
     spectral._lambda_max.cache_clear()
     runs = []
     kernel = spectral._jacobi_flat
@@ -239,6 +244,11 @@ def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
         return kernel(n, a, tol)
 
     monkeypatch.setattr(spectral, "_jacobi_flat", counted)
+    return runs
+
+
+def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
+    runs = _jacobi_runs(monkeypatch)
     asked = []
     for module in (census, conditions, spectral):
         original = module.lambda_max
@@ -252,3 +262,64 @@ def test_census_runs_jacobi_once_per_labelled_graph(monkeypatch):
     # V13 and S1 ask again for the record's graph and for repeated factors.
     assert len(asked) > len(set(asked))
     assert len(runs) == len(set(runs)) == len(set(asked))
+
+
+def test_verify_runs_jacobi_only_for_witness_graphs(order6_records, monkeypatch):
+    runs = _jacobi_runs(monkeypatch)
+    report = census.verify_catalog([rec.to_json() for rec in order6_records])
+    assert report.total_violations == 0
+    # V13 and S1 read the radii of each witness's graphs and their components;
+    # the stored lambda_max of every record is certified without a run.
+    allowed = set()
+    for rec in order6_records:
+        for f in rec.witnesses:
+            for g in (f.g, f.h, f.k):
+                for part in (g, *(induced_subgraph(g, c) for c in components(g))):
+                    entries = adjacency(part).entries
+                    allowed.add((part.order, tuple(float(x) for row in entries for x in row)))
+    assert runs and set(runs) <= allowed
+    assert len(runs) == len(set(runs)) < len(order6_records)
+
+
+def test_verify_catches_a_census_written_by_a_loose_kernel(monkeypatch):
+    # A kernel that stops at 1e6 times its tolerance writes a few wrong
+    # lambda_max values; verify must name exactly those records, though it
+    # runs the same kernel for the witness graphs.
+    kernel = spectral._jacobi_flat
+    monkeypatch.setattr(spectral, "_jacobi_flat", lambda n, a, tol: kernel(n, a, tol * 1e6))
+    spectral._lambda_max.cache_clear()
+    try:
+        objs = [rec.to_json() for rec in run_census(6)]
+        report = census.verify_catalog(objs)
+    finally:
+        monkeypatch.undo()
+        spectral._lambda_max.cache_clear()
+    wrong = [
+        obj["graph6"] for obj in objs
+        if abs(obj["lambda_max"] - lambda_max(decode_graph6(obj["graph6"])))
+        > DEFAULT_TOL * max(1.0, obj["lambda_max"])
+    ]
+    assert len(wrong) == 6
+    assert [msg for msg in report.integrity if "lambda_max" in msg] == [
+        f"record {g6!r}: stored lambda_max mismatch" for g6 in wrong
+    ]
+
+
+def test_lambda_max_certificate_is_exact_on_every_class_to_order_7():
+    # The exact largest root of the characteristic polynomial is certified,
+    # and fails once moved by twice the tolerance either way.
+    for n in range(1, 8):
+        for g in enumerate_graphs(n):
+            lam = exact_eigenvalues(adjacency(g).entries)[0]
+            eps = DEFAULT_TOL * max(1.0, abs(lam))
+            assert lambda_max_certified(g, lam), g
+            assert not lambda_max_certified(g, lam + 2.0 * eps), g
+            assert not lambda_max_certified(g, lam - 2.0 * eps), g
+
+
+def test_lambda_max_certificate_on_sampled_order_8_classes():
+    for g in random.Random(8).sample(enumerate_graphs(8), 400):
+        lam = lambda_max(g)
+        assert lambda_max_certified(g, lam), g
+        for shift in (2e-9, -2e-9):
+            assert not lambda_max_certified(g, lam + shift * max(1.0, lam)), g
