@@ -9,7 +9,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .conditions import (
     ASSERTION_IDS,
@@ -59,8 +59,7 @@ PRODUCT_ASSERTION = "W0"
 PRODUCT_REF = "witness product identity B*C = A, entrywise exact"
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     n: int
     graph6: str
     canonical_key: str
@@ -203,7 +202,9 @@ def enumerate_graphs(n: int) -> tuple[Graph, ...]:
             rows = list(parent.rows)
             rows[i] &= ~(1 << j)
             rows[j] &= ~(1 << i)
-            child = Graph(n, tuple(rows))
+            # The parent with one symmetric pair cleared: a valid graph, so
+            # its rows are not checked again.
+            child = Graph._make((n, tuple(rows)))
             child_key = key[:t] + "0" + key[t + 1:]
             if canonical_key(child) == child_key:
                 found.append((child_key, child))
@@ -493,7 +494,6 @@ def _add_counts(total: dict[str, dict[str, int]], more: dict[str, dict[str, int]
             mine[name] += value
 
 
-@dataclass
 class TheoremReport:
     """The counts of a verified catalog, or of a run of its records, each
     section in the shape of its JSON.
@@ -502,20 +502,17 @@ class TheoremReport:
     order: the class is None when the record's graph6 does not decode to
     one.  Reports of consecutive runs of records add up with absorb."""
 
-    witnesses_checked: int = 0
-    assertions: dict[str, dict[str, int]] = field(default_factory=lambda: _counts(
-        (PRODUCT_ASSERTION, *ASSERTION_IDS), "instances_checked", "violations"
-    ))
-    rules: dict[str, dict[str, int]] = field(default_factory=lambda: _counts(
-        RULE_IDS, "instances_checked", "ruled_out", "violations"
-    ))
-    exploratory: dict[str, dict[str, int]] = field(default_factory=lambda: {
-        **_counts(("stronger_edge_bound", "unguarded_product_bound"), "instances", "failures"),
-        **_counts(("component_isomorphism",), "instances", "isomorphic", "non_isomorphic"),
-    })
-    checked: list[tuple[str, tuple[int, str] | None, list[str]]] = field(
-        default_factory=list
-    )
+    def __init__(self) -> None:
+        self.witnesses_checked = 0
+        self.assertions = _counts(
+            (PRODUCT_ASSERTION, *ASSERTION_IDS), "instances_checked", "violations"
+        )
+        self.rules = _counts(RULE_IDS, "instances_checked", "ruled_out", "violations")
+        self.exploratory = {
+            **_counts(("stronger_edge_bound", "unguarded_product_bound"), "instances", "failures"),
+            **_counts(("component_isomorphism",), "instances", "isomorphic", "non_isomorphic"),
+        }
+        self.checked: list[tuple[str, tuple[int, str] | None, list[str]]] = []
 
     @property
     def records_checked(self) -> int:

@@ -1,12 +1,12 @@
 """Command-line interface.
 
 Subcommands: factor, check, spectral, construct, census, verify.
-Exit status: 0 success, 1 violation or verification failure, 2 usage error.
+Exit status: 0 success, 1 violation or verification failure, 2 usage error,
+141 standard output closed by its reader (the shell's status for SIGPIPE).
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -144,7 +144,12 @@ def _cmd_factor(args) -> int:
             "screen": report.to_json(_graph_key(g)),
             "factor_pairs": [{"h_graph6": h, "k_graph6": k} for h, k in pair_g6],
             "witnesses": [f.to_json() for f in witnesses],
-            "stats": None if stats is None else dataclasses.asdict(stats),
+            "stats": None if stats is None else {
+                "nodes_expanded": stats.nodes_expanded,
+                "prunes_by_rule": stats.prunes_by_rule,
+                "witnesses_found": stats.witnesses_found,
+                "exhausted": stats.exhausted,
+            },
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -342,13 +347,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        status = _COMMANDS[args.command](args)
+        # Flushed here, so that a reader that closed early is met below
+        # and not at interpreter exit.
+        sys.stdout.flush()
+        return status
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (CatalogSchemaError, TheoremViolationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # The output still buffered is flushed at exit; devnull takes it
+        # (the recipe of the signal module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

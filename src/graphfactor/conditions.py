@@ -7,8 +7,8 @@ means an implementation bug, since each assertion is a proved statement.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import spectral
 from .factorization import Factorization
@@ -32,8 +32,7 @@ STATUS_RULED_OUT = "ruled_out"
 STATUS_INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class RuleResult:
+class RuleResult(NamedTuple):
     rule_id: str
     status: str
     paper_ref: str
@@ -53,8 +52,7 @@ def overall_status(statuses) -> str:
     return STATUS_RULED_OUT if STATUS_RULED_OUT in statuses else STATUS_INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """The rules' results for one graph, and whether it is edgeless."""
 
     rules: tuple[RuleResult, ...]
@@ -75,8 +73,7 @@ class ConditionReport:
         }
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     assertion_id: str
     expected: str
     observed: str
@@ -189,8 +186,7 @@ ASSERTION_REFS = {
 ASSERTION_IDS = tuple(ASSERTION_REFS)
 
 
-@dataclass(frozen=True)
-class AssertionOutcome:
+class AssertionOutcome(NamedTuple):
     assertion_id: str
     applied: bool
     violation: Violation | None

@@ -8,10 +8,15 @@ the product is not trusted until to_factorization rebuilds the graphs, so
 catalog verification can report a broken witness instead of crashing at
 parse time.  The IntMatrix views a, b and c, the adjacency matrices as rows
 of ints, are what the CLI prints.
+
+All three are NamedTuples, equal and hashable by their fields and tuples
+underneath, so a witness reaches json through to_json, never directly.
+Factorization(g, h, k) checks the product identity every time; nothing
+in the package builds one without it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ParameterError, PreconditionError, check_fields
 from .graphs import Graph, encode_graph6, is_edgeless
@@ -44,8 +49,7 @@ def _graph(n: int, rows) -> Graph:
         raise PreconditionError(_NOT_ADJACENCY) from None
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple):
     """A graph's adjacency matrix as rows of ints: entries[i][j] is 1 when
     i and j are adjacent, else 0."""
 
@@ -57,29 +61,32 @@ class IntMatrix:
 
 def adjacency(g: Graph) -> IntMatrix:
     n = g.order
-    return IntMatrix(
-        tuple(tuple((g.rows[i] >> j) & 1 for j in range(n)) for i in range(n))
-    )
+    rows = g.rows
+    return IntMatrix(tuple(tuple((rows[i] >> j) & 1 for j in range(n)) for i in range(n)))
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Verified witness: the adjacency matrices A, B, C of g, h, k satisfy
-    B*C = A exactly, checked once by popcount when the triple is built."""
-
+class _FactorizationFields(NamedTuple):
     g: Graph
     h: Graph
     k: Graph
 
-    def __post_init__(self) -> None:
-        n = self.g.order
-        if not (n == self.h.order == self.k.order):
+
+class Factorization(_FactorizationFields):
+    """Verified witness: the adjacency matrices A, B, C of g, h, k satisfy
+    B*C = A exactly, checked once by popcount when the triple is built."""
+
+    __slots__ = ()
+
+    def __new__(cls, g: Graph, h: Graph, k: Graph) -> "Factorization":
+        n = g.order
+        if not (n == h.order == k.order):
             raise ParameterError("factorization graphs must share one order")
-        rows_k = self.k.rows
-        for gi, hi in zip(self.g.rows, self.h.rows):
+        rows_k = k.rows
+        for gi, hi in zip(g.rows, h.rows):
             for j in range(n):
                 if (hi & rows_k[j]).bit_count() != (gi >> j & 1):
                     raise PreconditionError("product identity fails: B*C != A")
+        return tuple.__new__(cls, (g, h, k))
 
     @classmethod
     def from_factors(cls, h: Graph, k: Graph) -> "Factorization":
@@ -122,8 +129,7 @@ class Factorization:
         }
 
 
-@dataclass(frozen=True)
-class StoredWitness:
+class StoredWitness(NamedTuple):
     """Witness as read back from a catalog: the bit rows of A, B and C,
     structurally valid with the product not yet trusted."""
 

@@ -5,11 +5,20 @@ Vertices are 0-based everywhere.  Adjacency is stored as one bitmask per
 vertex, so neighborhood intersections and degree counts are single integer
 operations.  Canonical forms minimize the column-major upper-triangle
 bit-string over all relabelings and are capped at order 8.
+
+Graph, like every immutable value type of the package, is a NamedTuple:
+equal and hashable by its fields, and a tuple underneath, so code hands
+its fields to json, never the value itself.  Graph(n, rows) validates
+its rows, as it must for input from outside the program.  Two derivations
+build rows that are symmetric, loop-free and in range by construction and
+skip the check through Graph._make: graph_from_key, which decode_graph6
+calls after its own text checks, and the orderly-generation children of
+census.enumerate_graphs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import Graph6Error, ParameterError, UnsupportedSizeError
 
@@ -19,20 +28,20 @@ GRAPH6_ORDER_CAP = 62
 _GRAPH6_HEADER = ">>graph6<<"
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Undirected simple graph: vertex count plus one adjacency bitmask per vertex."""
-
+class _GraphFields(NamedTuple):
     order: int
     rows: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        n = self.order
+
+class Graph(_GraphFields):
+    """Undirected simple graph: vertex count plus one adjacency bitmask per vertex."""
+
+    def __new__(cls, order: int, rows: tuple[int, ...]) -> "Graph":
+        n = order
         if n < 1:
             raise ParameterError("graph order must be at least 1")
-        if len(self.rows) != n:
-            raise ParameterError(f"expected {n} adjacency rows, got {len(self.rows)}")
-        rows = self.rows
+        if len(rows) != n:
+            raise ParameterError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
         for i, row in enumerate(rows):
             if row & ~full:
@@ -45,16 +54,9 @@ class Graph:
             while row:
                 low = row & -row
                 if not rows[low.bit_length() - 1] & bit:
-                    self._raise_asymmetric()
+                    _raise_asymmetric(n, rows)
                 row ^= low
-
-    def _raise_asymmetric(self) -> None:
-        """Name the first asymmetric pair (i, j), i < j, in row-major order."""
-        n = self.order
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
-                    raise ParameterError(f"adjacency not symmetric at ({i}, {j})")
+        return tuple.__new__(cls, (order, rows))
 
     @classmethod
     def from_edges(cls, order: int, edges) -> "Graph":
@@ -76,6 +78,14 @@ class Graph:
     def _canonical(self) -> "_Labelling":
         """_canonical_order of this graph, computed at most once per object."""
         return _canonical_order(self)
+
+
+def _raise_asymmetric(n: int, rows) -> None:
+    """Name the first asymmetric pair (i, j), i < j, in row-major order."""
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (rows[i] >> j & 1) != (rows[j] >> i & 1):
+                raise ParameterError(f"adjacency not symmetric at ({i}, {j})")
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +234,7 @@ def degree_sequence(g: Graph) -> tuple[int, ...]:
 def components(g: Graph) -> tuple[tuple[int, ...], ...]:
     """Connected components as sorted vertex tuples, ordered by smallest member."""
     n = g.order
+    rows = g.rows
     seen = 0
     out = []
     for start in range(n):
@@ -237,7 +248,7 @@ def components(g: Graph) -> tuple[tuple[int, ...], ...]:
             while m:
                 v = (m & -m).bit_length() - 1
                 m &= m - 1
-                nxt |= g.rows[v]
+                nxt |= rows[v]
             frontier = nxt & ~comp
             comp |= frontier
         seen |= comp
@@ -267,6 +278,7 @@ def bipartition_of(g: Graph) -> int | None:
     each component on the left: the left side's vertex mask, or None when
     an odd cycle exists."""
     n = g.order
+    rows = g.rows
     color = [-1] * n
     for start in range(n):
         if color[start] != -1:
@@ -275,7 +287,7 @@ def bipartition_of(g: Graph) -> int | None:
         queue = [start]
         while queue:
             v = queue.pop(0)
-            m = g.rows[v]
+            m = rows[v]
             while m:
                 w = (m & -m).bit_length() - 1
                 m &= m - 1
@@ -306,9 +318,10 @@ def contains_c4(g: Graph) -> bool:
 def induced_subgraph(g: Graph, vertices) -> Graph:
     verts = tuple(sorted(vertices))
     index = {v: i for i, v in enumerate(verts)}
+    g_rows = g.rows
     rows = [0] * len(verts)
     for v in verts:
-        m = g.rows[v]
+        m = g_rows[v]
         while m:
             w = (m & -m).bit_length() - 1
             m &= m - 1
@@ -456,7 +469,8 @@ def canonical_form(g: Graph) -> Graph:
 
 def graph_bits(g: Graph) -> str:
     """Column-major upper-triangle bit-string of the labeled graph."""
-    return "".join(str(g.rows[i] >> j & 1) for i, j in _pair_order(g.order))
+    rows = g.rows
+    return "".join(str(rows[i] >> j & 1) for i, j in _pair_order(g.order))
 
 
 def _check_key(n: int, key: str) -> None:
@@ -470,12 +484,16 @@ def _check_key(n: int, key: str) -> None:
 
 
 def graph_from_key(n: int, key: str) -> Graph:
-    """Rebuild a graph from an order and a column-major upper-triangle bit-string."""
+    """Rebuild a graph from an order and a column-major upper-triangle
+    bit-string.  Each 1 sets both bits of a pair i < j < n, so the rows are
+    symmetric, loop-free and in range, and Graph._make skips their check."""
     _check_key(n, key)
+    if n < 1:
+        raise ParameterError("graph order must be at least 1")
     rows = [0] * n
     for (i, j), ch in zip(_pair_order(n), key):
         if ch == "1":
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return Graph._make((n, tuple(rows)))
 

@@ -21,8 +21,8 @@ and the census both go through it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
+from typing import NamedTuple
 
 from .conditions import ConditionReport, screen
 from .errors import (
@@ -54,13 +54,17 @@ PRUNE_RULES = ("P1", "P2", "P3")
 DEFAULT_NODE_LIMIT = 100_000_000
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class _SearchConfigFields(NamedTuple):
     mode: str = "first"
     node_limit: int = DEFAULT_NODE_LIMIT
     order_cap: int = CANONICAL_ORDER_CAP
 
-    def __post_init__(self) -> None:
+
+class SearchConfig(_SearchConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "SearchConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.mode not in ("first", "all"):
             raise ParameterError(f"mode must be 'first' or 'all', got {self.mode!r}")
         if self.node_limit <= 0:
@@ -69,20 +73,20 @@ class SearchConfig:
             raise ParameterError(
                 f"order_cap must be 1..{CANONICAL_ORDER_CAP}, got {self.order_cap}"
             )
+        return self
 
 
-@dataclass
 class SearchStats:
-    nodes_expanded: int = 0
-    prunes_by_rule: dict[str, int] = field(
-        default_factory=lambda: {r: 0 for r in PRUNE_RULES}
-    )
-    witnesses_found: int = 0
-    exhausted: bool = False
+    """The counters of one search, updated as it runs."""
+
+    def __init__(self, nodes_expanded: int = 0, exhausted: bool = False) -> None:
+        self.nodes_expanded = nodes_expanded
+        self.prunes_by_rule = {r: 0 for r in PRUNE_RULES}
+        self.witnesses_found = 0
+        self.exhausted = exhausted
 
 
-@dataclass(frozen=True)
-class FactorDecision:
+class FactorDecision(NamedTuple):
     verdict: str  # "yes" | "no" | "unknown"
     witnesses: tuple[Factorization, ...]
     report: ConditionReport

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pickle
 import threading
 from collections import Counter, defaultdict
 from math import factorial
@@ -16,6 +17,7 @@ from graphfactor.census import (
     verify_catalog,
     write_catalog,
 )
+from graphfactor.conditions import Violation, check_assertions
 from graphfactor.errors import CatalogSchemaError, ParameterError, TheoremViolationError
 from graphfactor.graphs import (
     Graph,
@@ -168,6 +170,31 @@ def test_orbit_rule_skips_only_non_canonical_children(monkeypatch):
                 assert rows not in skipped, child
                 canonical.add(graph_bits(child))
         assert sorted(canonical) == [graph_bits(g) for g in classes], n
+
+
+def test_children_built_without_the_row_check_are_valid_graphs(monkeypatch):
+    # Orderly generation builds each child it labels, kept or rejected,
+    # through Graph._make; validation must accept every one of them as is.
+    from graphfactor import census as census_mod
+
+    real_make = Graph._make
+    made = []
+
+    def make(fields):
+        g = real_make(fields)
+        made.append(g)
+        return g
+
+    monkeypatch.setattr(census_mod, "_CLASS_CACHE", {})
+    monkeypatch.setattr(Graph, "_make", make)
+    for n in CLASS_LADDER:
+        made.clear()
+        classes = enumerate_graphs(n)
+        for g in made:
+            assert type(g) is Graph and Graph(g.order, g.rows) == g, (n, g.rows)
+        assert set(classes) - set(made) == {complete(n)}
+        if n == 7:
+            assert len(made) == 1281
 
 
 def test_enumerate_ordered_by_canonical_key():
@@ -829,3 +856,46 @@ def test_verify_catalog_labels_each_record_graph_once(order6_records, monkeypatc
     assert verify_catalog([rec.to_json() for rec in order6_records]).total_violations == 0
     assert len(decoded) == len(order6_records)
     assert [labelled[id(g)] for g in decoded] == [1] * len(decoded)
+
+
+IMMUTABLE_TYPES = (
+    "Graph", "RuleResult", "ConditionReport", "Violation", "AssertionOutcome", "IntMatrix",
+    "Factorization", "StoredWitness", "CensusRecord", "SearchConfig", "FactorDecision",
+)
+
+
+@pytest.mark.parametrize("name", IMMUTABLE_TYPES)
+def test_value_types_refuse_field_assignment(order6_records, name):
+    decision = is_factorizable(cycle(6), SearchConfig(mode="all"))
+    f = decision.witness
+    values = {
+        "Graph": f.g,
+        "RuleResult": decision.report.rules[0],
+        "ConditionReport": decision.report,
+        "Violation": Violation("V1", "expected", "observed", "ref"),
+        "AssertionOutcome": check_assertions(f)[0],
+        "IntMatrix": f.a,
+        "Factorization": f,
+        "StoredWitness": StoredWitness.from_json(f.to_json()),
+        "CensusRecord": order6_records[0],
+        "SearchConfig": SearchConfig(),
+        "FactorDecision": decision,
+    }
+    value = values[name]
+    assert type(value).__name__ == name
+    for field in type(value)._fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+
+def test_graph_and_census_record_hash_compare_and_pickle_by_value(order6_records):
+    g = cycle(6)
+    key = canonical_key(g)  # memoised on g
+    record = next(r for r in order6_records if r.witnesses and r.edge_count)
+    for value, other in ((g, cycle(5)), (record, order6_records[0])):
+        copy = pickle.loads(pickle.dumps(value))
+        assert type(copy) is type(value)
+        assert copy == value and hash(copy) == hash(value) and copy != other
+        assert {value: "found"}[copy] == "found"
+    assert Graph(g.order, g.rows) == g and hash(Graph(g.order, g.rows)) == hash(g)
+    assert vars(pickle.loads(pickle.dumps(g)))["_canonical"][0] == key

@@ -969,3 +969,82 @@ def test_import_cli_loads_no_process_pool(tmp_path, order6_records):
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.split("\n") == ["[]", "[]", ""]
+
+
+# The stats object closing `factor --all --json`, byte for byte: C6 reaches
+# the search, and D?K passes the screen but is refuted by the root filter.
+FACTOR_STATS_JSON = {
+    C6: (
+        '  "stats": {\n'
+        '    "nodes_expanded": 208,\n'
+        '    "prunes_by_rule": {\n'
+        '      "P1": 83,\n'
+        '      "P2": 12,\n'
+        '      "P3": 7\n'
+        "    },\n"
+        '    "witnesses_found": 2,\n'
+        '    "exhausted": true\n'
+        "  }\n"
+        "}\n"
+    ),
+    "D?K": (
+        '  "stats": {\n'
+        '    "nodes_expanded": 1,\n'
+        '    "prunes_by_rule": {\n'
+        '      "P1": 0,\n'
+        '      "P2": 0,\n'
+        '      "P3": 1\n'
+        "    },\n"
+        '    "witnesses_found": 0,\n'
+        '    "exhausted": true\n'
+        "  }\n"
+        "}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("graph6", sorted(FACTOR_STATS_JSON))
+def test_factor_json_stats_object_pinned(capsys, graph6):
+    code, out, _ = run_cli(capsys, "factor", "--graph6", graph6, "--all", "--json")
+    assert code == 0
+    assert out[out.index('  "stats": '):] == FACTOR_STATS_JSON[graph6]
+
+
+def _env_with_src() -> dict:
+    src = os.path.dirname(os.path.dirname(os.path.abspath(graphfactor.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
+def test_import_cli_loads_no_dataclasses_or_inspect():
+    # -S keeps site hooks, which may import anything, out of the count.
+    probe = (
+        "import sys\n"
+        "import graphfactor.cli\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe],
+        env=_env_with_src(), capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_without_a_traceback(unbuffered):
+    env = _env_with_src()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "graphfactor.cli",
+             "factor", "--graph6", "G]~v~w", "--all", "--json"],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 141
+    assert "BrokenPipeError" not in done.stderr
+    assert "Traceback" not in done.stderr

@@ -438,6 +438,18 @@ def test_graph_from_key_roundtrip():
         assert graph_from_key(g.order, graph_bits(g)) == g
 
 
+def test_graphs_decoded_without_the_row_check_are_valid_graphs():
+    # graph_from_key, and decode_graph6 through it, build through Graph._make;
+    # validation must accept what they build as is.
+    rng = random.Random(2024)
+    for n in range(1, 63):
+        for _ in range(3):
+            density = rng.random()
+            key = "".join("1" if rng.random() < density else "0" for _ in range(n * (n - 1) // 2))
+            for g in (graph_from_key(n, key), decode_graph6(graph6_from_key(n, key))):
+                assert type(g) is Graph and Graph(n, g.rows) == g and graph_bits(g) == key
+
+
 def test_canonical_labelling_memoised_per_graph_and_pickled(monkeypatch):
     import graphfactor.graphs as graphs_mod
 
