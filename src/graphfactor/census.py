@@ -16,6 +16,7 @@ from .conditions import (
     ASSERTION_REFS,
     RULE_IDS,
     ConditionReport,
+    RuleResult,
     Violation,
     check_assertions,
     exploratory_observations,
@@ -78,24 +79,12 @@ class CensusRecord(NamedTuple):
     witnesses: tuple[Factorization, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "graph6": self.graph6,
-            "canonical_key": self.canonical_key,
-            "edge_count": self.edge_count,
-            "connected": self.connected,
-            "bipartite": self.bipartite,
-            "regular": self.regular,
-            "screen": self.screen.to_json(self.canonical_key),
-            "verdict": self.verdict,
-            "factor_pairs": [
-                {"h_graph6": h, "k_graph6": k} for h, k in self.factor_pairs
-            ],
-            "lambda_max": self.lambda_max,
-            "violations": {"items": [v.to_json() for v in self.violations]},
-            "component_iso_evidence": self.component_iso_evidence,
-            "witnesses": [w.to_json() for w in self.witnesses],
-        }
+        obj = self._asdict()
+        obj["screen"] = self.screen.to_json(self.canonical_key)
+        obj["factor_pairs"] = [{"h_graph6": h, "k_graph6": k} for h, k in self.factor_pairs]
+        obj["violations"] = {"items": [v._asdict() for v in self.violations]}
+        obj["witnesses"] = [w.to_json() for w in self.witnesses]
+        return obj
 
 
 def _burnside_class_count(n: int) -> int:
@@ -415,7 +404,7 @@ def _parse_lines(lines, first_lineno: int) -> list[dict]:
     return records
 
 
-# The fields of a record that the schema checks by type, with their types.
+# The JSON types of the record's fields that the schema checks by type.
 _RECORD_TYPES = {
     "n": int,
     "graph6": str,
@@ -438,7 +427,7 @@ def _check_schema(obj) -> None:
     line obj has the census record schema: each object has its fields and
     no other, each typed field its type, and each witness its shape.  The
     values are verify's to check against the rebuilt record."""
-    check_fields(obj, (*_RECORD_TYPES, "component_iso_evidence"), "record")
+    check_fields(obj, CensusRecord._fields, "record")
     for name, kind in _RECORD_TYPES.items():
         # A JSON true or false is a Python bool, and so an int.
         if not isinstance(obj[name], kind) or (
@@ -461,7 +450,7 @@ def _check_schema(obj) -> None:
     if not isinstance(screened["rules"], list):
         raise ParameterError("screen field 'rules' must be a list")
     for rule in screened["rules"]:
-        check_fields(rule, ("rule_id", "status", "paper_ref", "detail"), "screen rule")
+        check_fields(rule, RuleResult._fields, "screen rule")
     overall = overall_status(rule["status"] for rule in screened["rules"])
     if screened["overall"] != overall:
         raise ParameterError(
@@ -472,7 +461,7 @@ def _check_schema(obj) -> None:
     if not isinstance(items, list):
         raise ParameterError("violations field 'items' must be a list")
     for v in items:
-        check_fields(v, ("assertion_id", "expected", "observed", "paper_ref"), "violation")
+        check_fields(v, Violation._fields, "violation")
     for w in obj["witnesses"]:
         StoredWitness.from_json(w)
 

@@ -112,14 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and write one catalog record per class. Exits 1 after writing the "
                     "catalog if a record has assertion violations.",
     )
-    p_census.add_argument(
-        "--order", type=int, required=True,
-        help="graph order, 1 to 8 (8 needs --allow-order-8)",
-    )
+    p_census.add_argument("--order", type=int, required=True, help="graph order, 1 to 8")
     p_census.add_argument("--out", required=True, help="catalog output path (JSON lines)")
     _add_jobs(p_census)
-    p_census.add_argument("--allow-order-8", action="store_true",
-                          help="permit order 8 (12346 classes)")
 
     p_verify = sub.add_parser("verify", help="re-verify a stored catalog from scratch")
     p_verify.add_argument("--catalog", required=True)
@@ -144,12 +139,7 @@ def _cmd_factor(args) -> int:
             "screen": report.to_json(_graph_key(g)),
             "factor_pairs": [{"h_graph6": h, "k_graph6": k} for h, k in pair_g6],
             "witnesses": [f.to_json() for f in witnesses],
-            "stats": None if stats is None else {
-                "nodes_expanded": stats.nodes_expanded,
-                "prunes_by_rule": stats.prunes_by_rule,
-                "witnesses_found": stats.witnesses_found,
-                "exhausted": stats.exhausted,
-            },
+            "stats": None if stats is None else vars(stats),
         }
         print(json.dumps(payload, indent=2))
         return 0
@@ -254,7 +244,7 @@ def _cmd_construct(args) -> int:
             "lambda_max_h": lam_h,
             "lambda_max_k": lam_k,
             "lambda_product": lam_h * lam_k,
-            "violations": {"items": [v.to_json() for v in violations]},
+            "violations": {"items": [v._asdict() for v in violations]},
         }
         print(json.dumps(payload, indent=2))
         return 1 if violations else 0
@@ -283,10 +273,6 @@ def _cmd_census(args) -> int:
     _check_jobs(args)
     if not 1 <= args.order <= CANONICAL_ORDER_CAP:
         raise ParameterError(f"--order must lie in 1..{CANONICAL_ORDER_CAP}")
-    if args.order == 8 and not args.allow_order_8:
-        raise ParameterError(
-            "--order 8 enumerates 12346 classes; pass --allow-order-8 to confirm"
-        )
     # Made absolute, an empty path would name the current directory, and
     # one ending in a separator the directory it names.
     if not args.out or args.out[-1] in (os.sep, os.altsep):

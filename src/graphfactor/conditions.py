@@ -38,14 +38,6 @@ class RuleResult(NamedTuple):
     paper_ref: str
     detail: str
 
-    def to_json(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "status": self.status,
-            "paper_ref": self.paper_ref,
-            "detail": self.detail,
-        }
-
 
 def overall_status(statuses) -> str:
     """A screen's overall status from its rules' statuses."""
@@ -69,7 +61,7 @@ class ConditionReport(NamedTuple):
             "graph_key": graph_key,
             "overall": self.overall,
             "trivial": self.trivial,
-            "rules": [r.to_json() for r in self.rules],
+            "rules": [r._asdict() for r in self.rules],
         }
 
 
@@ -78,14 +70,6 @@ class Violation(NamedTuple):
     expected: str
     observed: str
     paper_ref: str
-
-    def to_json(self) -> dict:
-        return {
-            "assertion_id": self.assertion_id,
-            "expected": self.expected,
-            "observed": self.observed,
-            "paper_ref": self.paper_ref,
-        }
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,7 @@ class StoredWitness(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
-        check_fields(obj, ("a", "b", "c", "h_graph6", "k_graph6", "trivial"), "witness")
+        check_fields(obj, cls._fields, "witness")
         a = _checked_bit_rows(obj["a"], "a")
         b = _checked_bit_rows(obj["b"], "b")
         c = _checked_bit_rows(obj["c"], "c")

@@ -9,11 +9,12 @@ bit-string over all relabelings and are capped at order 8.
 Graph, like every immutable value type of the package, is a NamedTuple:
 equal and hashable by its fields, and a tuple underneath, so code hands
 its fields to json, never the value itself.  Graph(n, rows) validates
-its rows, as it must for input from outside the program.  Two derivations
-build rows that are symmetric, loop-free and in range by construction and
-skip the check through Graph._make: graph_from_key, which decode_graph6
-calls after its own text checks, and the orderly-generation children of
-census.enumerate_graphs.
+its rows, as it must for input from outside the program.  Three builders
+skip the check through Graph._make: two derivations whose rows are
+symmetric, loop-free and in range by construction, graph_from_key (which
+decode_graph6 calls after its own text checks) and the orderly-generation
+children of census.enumerate_graphs, and unpickling, which rebuilds a
+graph that was valid when it was pickled.
 """
 from __future__ import annotations
 
@@ -78,6 +79,15 @@ class Graph(_GraphFields):
     def _canonical(self) -> "_Labelling":
         """_canonical_order of this graph, computed at most once per object."""
         return _canonical_order(self)
+
+    def __reduce__(self):
+        # A pickled graph was valid when it was built, so unpickling
+        # rebuilds it through _make, and keeps its memoised labelling.
+        return _unpickle_graph, tuple(self), vars(self) or None
+
+
+def _unpickle_graph(order: int, rows: tuple[int, ...]) -> Graph:
+    return Graph._make((order, rows))
 
 
 def _raise_asymmetric(n: int, rows) -> None:

@@ -33,7 +33,7 @@ from graphfactor.graphs import (
     has_isolated_vertex,
     matching,
 )
-from graphfactor.factorization import StoredWitness, adjacency
+from graphfactor.factorization import Factorization, StoredWitness, adjacency
 from graphfactor.search import SearchConfig, is_factorizable
 from oracles import AcyclicClass, brute_class_reps, classify_acyclic, edges, ladder_class_keys
 
@@ -677,6 +677,14 @@ def test_stored_witness_round_trips_every_witness_to_order_7():
     assert count == 217
 
 
+@pytest.mark.parametrize("trivial", [True, False])
+def test_witness_writer_keys_follow_the_reader_fields(trivial):
+    g = edgeless(4) if trivial else cycle(6)
+    f = is_factorizable(g, SearchConfig()).witness
+    assert f.trivial == trivial
+    assert tuple(f.to_json()) == StoredWitness._fields
+
+
 FORGED_VIOLATION = {
     "assertion_id": "V1", "expected": "x", "observed": "y", "paper_ref": "invented"
 }
@@ -899,3 +907,27 @@ def test_graph_and_census_record_hash_compare_and_pickle_by_value(order6_records
         assert {value: "found"}[copy] == "found"
     assert Graph(g.order, g.rows) == g and hash(Graph(g.order, g.rows)) == hash(g)
     assert vars(pickle.loads(pickle.dumps(g)))["_canonical"][0] == key
+
+
+def test_unpickling_runs_no_graph_check(monkeypatch, order6_records):
+    classes = enumerate_graphs(6)
+    witnesses = [f for rec in order6_records for f in rec.witnesses]
+
+    def no_getstate(self):
+        raise AttributeError("__getstate__")  # object has none before 3.11
+
+    monkeypatch.setattr(Graph, "__getstate__", no_getstate, raising=False)
+    data = pickle.dumps((classes, witnesses))
+    built = []
+    for kind in (Graph, Factorization):
+        def counted(cls, *fields, new=kind.__new__):
+            built.append(cls)
+            return new(cls, *fields)
+
+        monkeypatch.setattr(kind, "__new__", counted)
+    Graph(1, (0,))
+    assert built == [Graph]  # the count sees a direct build
+    built.clear()
+    assert pickle.loads(data) == (classes, witnesses)
+    # Each witness still checks its product; none of its graphs is checked.
+    assert built == [Factorization] * len(witnesses) and witnesses

@@ -790,7 +790,7 @@ JOBS_HELP = (
     "in runs of 32 records (classes or catalog lines), at most one worker per 4 "
     "runs, and the output is byte-identical at any count"
 )
-ORDER_HELP = "--order ORDER graph order, 1 to 8 (8 needs --allow-order-8)"
+ORDER_HELP = "--order ORDER graph order, 1 to 8"
 
 
 @pytest.mark.parametrize("command", ["census", "verify"])
@@ -805,12 +805,19 @@ def test_census_and_verify_help_state_the_jobs_rule(capsys, monkeypatch, command
     assert (ORDER_HELP in text) == (command == "census")
 
 
-def test_census_order_8_needs_flag(tmp_path, capsys):
-    code, _, err = run_cli(
-        capsys, "census", "--order", "8", "--out", str(tmp_path / "x.jsonl")
-    )
-    assert code == 2
-    assert "--allow-order-8" in err
+def test_census_order_8_needs_no_flag(tmp_path, capsys, monkeypatch):
+    # run_census is stubbed: a census of order 8 takes seconds.
+    orders = []
+
+    def stub(n, *, jobs, progress):
+        orders.append(n)
+        return []
+
+    monkeypatch.setattr(census_mod, "run_census", stub)
+    out = tmp_path / "x.jsonl"
+    code, _, _ = run_cli(capsys, "census", "--order", "8", "--out", str(out), "--jobs", "1")
+    assert (code, orders) == (0, [8])
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("order", ["0", "9"])
@@ -841,7 +848,9 @@ def test_tol_is_not_an_option(tmp_path, capsys, command):
     assert out.exists() == (command == "verify")
 
 
-@pytest.mark.parametrize("flag", [["--keep-going"], ["--node-limit", "10"]])
+@pytest.mark.parametrize(
+    "flag", [["--keep-going"], ["--node-limit", "10"], ["--allow-order-8"]]
+)
 def test_census_takes_no_search_or_outcome_option(tmp_path, capsys, flag):
     # A catalog is a function of its order alone, and a violation always
     # fails the run.
