@@ -30,6 +30,7 @@ from .errors import (
     Graph6Error,
     GraphFactorError,
     ParameterError,
+    PoolError,
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,

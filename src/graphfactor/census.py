@@ -28,6 +28,7 @@ from .errors import (
     CatalogSchemaError,
     Graph6Error,
     ParameterError,
+    PoolError,
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,
@@ -273,11 +274,12 @@ def _build_records(run: tuple[Graph, ...]) -> list[CensusRecord]:
 
 # The one unit of pool work is a run of RUN_RECORDS records, census classes
 # or catalog lines, and a pool gets one worker per RUNS_PER_WORKER runs.
-# On a 2-vCPU host with Python 3.11, starting a pool costs about 30 ms in a
-# fresh interpreter (the imports and the forks) and building or verifying
-# one record about 0.3 ms, so two workers break even at about 220 records:
-# a census or a catalog of order 6 or less (at most 156 records) runs
-# faster in one process.
+# On a 2-vCPU host with Python 3.11, a pool of two costs 8-11 ms in a
+# fresh interpreter (importing pickle and signal, one fork and its pipe,
+# the kill and the reap) and building or verifying one record about
+# 0.3 ms, so two workers should break even at about 70 records.  Yet a
+# census or a verify of order 6 (156 records) at one worker per run read
+# no faster at --jobs 2 than at 1, so order 6 or less runs in one process.
 RUN_RECORDS = 32
 RUNS_PER_WORKER = 4
 
@@ -309,23 +311,87 @@ def run_census(n: int, *, jobs: int = 1, progress=None) -> list[CensusRecord]:
 
 def _pool_map(fn, runs: list, jobs: int, consume):
     """consume(fn over runs, in order), with fn run by min(jobs, cores,
-    runs // RUNS_PER_WORKER) worker processes, or by the builtin map in
-    this process when that is 1.  consume runs inside the pool's block, so
-    an error it raises, or one of fn's that it meets, cancels the runs not
-    yet started and joins every worker before it propagates."""
+    runs // RUNS_PER_WORKER) workers, or by the builtin map in this process
+    when that is 1 or os.fork does not exist.  This process is worker 0
+    and forks the others; worker w runs fn on runs w, w + workers, ...
+    A fork inherits fn and runs, so nothing is pickled on the way in; it
+    pickles each result, or its first error, down its own pipe.  consume
+    meets the runs in order, so the error raised is the first in catalog
+    order, and every fork is killed and reaped before this returns or
+    raises."""
     workers = min(jobs, os.cpu_count() or 1, len(runs) // RUNS_PER_WORKER)
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return consume(map(fn, runs))
-    # Imported here: it loads multiprocessing, which serial runs never use.
-    from concurrent.futures import ProcessPoolExecutor
+    # Imported here, as pickle is in _serve and _gather: serial runs need neither.
+    import signal
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pids, pipes = [], []
+    try:
+        for w in range(1, workers):
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        # Without a read end of its own, a fork whose
+                        # parent died meets a broken pipe, not a full one.
+                        for pipe in pipes:
+                            pipe.close()
+                        _serve(fn, runs, w, workers, wfd)
+                    finally:
+                        os._exit(0)
+            finally:
+                os.close(wfd)
+            pids.append(pid)
+        return consume(_gather(fn, runs, workers, pipes))
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _serve(fn, runs: list, w: int, workers: int, fd: int) -> None:
+    """Worker w's part of _pool_map, in a fork: fn on each of its runs,
+    each result or the first error written to fd as one pickle."""
+    import pickle
+
+    with open(fd, "wb") as out:
+        for i in range(w, len(runs), workers):
+            try:
+                result = True, fn(runs[i])
+            except Exception as exc:  # raised again by the parent
+                result = False, exc
+            try:
+                data = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:
+                result = False, PoolError(f"run {i}: cannot send {result[1]!r:.200}: {exc}")
+                data = pickle.dumps(result)
+            out.write(data)
+            out.flush()
+            if not result[0]:
+                return
+
+
+def _gather(fn, runs: list, workers: int, pipes: list):
+    """fn over runs, in order: worker 0's runs computed here, the others
+    read from their worker's pipe."""
+    import pickle
+
+    for i, run in enumerate(runs):
+        w = i % workers
+        if w == 0:
+            yield fn(run)
+            continue
         try:
-            return consume(pool.map(fn, runs))
-        except BaseException:
-            # Runs not yet started would only delay the error.
-            pool.shutdown(cancel_futures=True)
-            raise
+            ok, value = pickle.load(pipes[w - 1])
+        except Exception as exc:
+            raise PoolError(f"worker {w} ended without the result of run {i}") from exc
+        if not ok:
+            raise value
+        yield value
 
 
 _CATALOG_ENCODER = json.JSONEncoder(separators=(",", ":"))

@@ -33,6 +33,11 @@ class TheoremViolationError(GraphFactorError, RuntimeError):
     raises it; its violations are recorded as values."""
 
 
+class PoolError(GraphFactorError, RuntimeError):
+    """A census or verify worker process ended without sending a result,
+    or with one it could not pickle."""
+
+
 def check_fields(obj, fields: tuple[str, ...], what: str) -> None:
     """Raise ParameterError unless obj is a JSON object with exactly the
     given fields: a catalog object holds every field the census writes and

@@ -14,7 +14,9 @@ skip the check through Graph._make: two derivations whose rows are
 symmetric, loop-free and in range by construction, graph_from_key (which
 decode_graph6 calls after its own text checks) and the orderly-generation
 children of census.enumerate_graphs, and unpickling, which rebuilds a
-graph that was valid when it was pickled.
+graph that was valid when it was pickled.  The census and verify workers
+inherit their input by fork, so only results are pickled: the witness
+graphs of the records a census worker sends back.
 """
 from __future__ import annotations
 
@@ -349,8 +351,9 @@ class _Labelling(tuple):
     raw end state of its search: frontier, the final placements (each a
     (placement, free mask) pair, the least first), and later, the twin
     masks.  Only automorphism_generators turns them into permutations.
-    A pickled labelling keeps the pair alone, so a census worker receives
-    each class graph without an end state it never reads."""
+    A pickled labelling keeps the pair alone, so the witness graphs of the
+    records a census worker sends back carry no end state, which the
+    parent never reads."""
 
     frontier: list[tuple[tuple[int, ...], int]]
     later: list[int]

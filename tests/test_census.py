@@ -18,7 +18,9 @@ from graphfactor.census import (
     write_catalog,
 )
 from graphfactor.conditions import Violation, check_assertions
-from graphfactor.errors import CatalogSchemaError, ParameterError, TheoremViolationError
+from graphfactor.errors import (
+    CatalogSchemaError, ParameterError, PoolError, TheoremViolationError,
+)
 from graphfactor.graphs import (
     Graph,
     _canonical_order,
@@ -440,38 +442,95 @@ def test_census_parallel_matches_serial(tmp_path, pool_of_two):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-class SerialPool:
-    """Stands in for ProcessPoolExecutor: records max_workers, starts no
-    process and maps in this one."""
+def test_a_parallel_census_pickles_nothing_in_the_parent(monkeypatch, pool_of_two):
+    # A fork inherits its runs of class graphs; only the forks pickle,
+    # and what they record stays in their own memory.
+    pickled = []
 
-    sizes: list[int] = []
+    def spy(real):
+        def pickling(*args, **kwargs):
+            pickled.append(real.__name__)
+            return real(*args, **kwargs)
+        return pickling
 
-    def __init__(self, max_workers):
-        SerialPool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, iterable):
-        return map(fn, iterable)
+    for name in ("dump", "dumps"):
+        monkeypatch.setattr(pickle, name, spy(getattr(pickle, name)))
+    monkeypatch.setattr(Graph, "__reduce__", spy(Graph.__reduce__))
+    records = run_census(7, jobs=2)
+    assert pickled == []
+    assert pool_of_two == [2]
+    assert records == list(run_census(7))
 
 
-def census_pool_sizes(monkeypatch, n, jobs, cores):
-    """The pool sizes run_census(n, jobs=jobs) asks for on that many cores;
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing, first", [((1, 2), 1), ((2, 3), 2)])
+def test_pool_raises_the_first_error_in_catalog_order(pool_of_two, failing, first):
+    # Of two workers, the parent runs the even runs and its fork the odd.
+    from graphfactor.census import _pool_map
+
+    def fn(run):
+        if run in failing:
+            raise ValueError(f"run {run}")
+        return run
+
+    with pytest.raises(ValueError, match=f"^run {first}$"):
+        _pool_map(fn, list(range(8)), 2, list)
+    assert pool_of_two == [2]
+    assert_no_child_left()
+
+
+def test_pool_names_a_worker_that_dies_without_a_result(pool_of_two):
+    import signal
+
+    from graphfactor.census import _pool_map
+
+    def fn(run):
+        if run == 3:
+            os._exit(7)
+        return run
+
+    def hung(signum, frame):
+        raise TimeoutError("the pool waits for a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(PoolError, match="^worker 1 ended without the result of run 3$"):
+            _pool_map(fn, list(range(8)), 2, list)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert pool_of_two == [2]
+    assert_no_child_left()
+
+
+def test_pool_names_an_error_a_worker_cannot_pickle(pool_of_two):
+    from graphfactor.census import _pool_map
+
+    def fn(run):
+        if run == 5:
+            raise ValueError(lambda: run)
+        return run
+
+    with pytest.raises(PoolError, match="^run 5: cannot send ValueError"):
+        _pool_map(fn, list(range(8)), 2, list)
+    assert pool_of_two == [2]
+    assert_no_child_left()
+
+
+def census_pool_sizes(monkeypatch, pool_sizes, n, jobs, cores):
+    """The pool sizes run_census(n, jobs=jobs) runs on that many cores;
     its records must equal those of a serial run."""
-    import concurrent.futures
-
     from graphfactor import census as census_mod
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
-    SerialPool.sizes = []
     records = run_census(n, jobs=jobs)
     assert [r.to_json() for r in records] == [r.to_json() for r in run_census(n)]
-    return SerialPool.sizes
+    return pool_sizes
 
 
 @pytest.mark.parametrize(
@@ -485,14 +544,14 @@ def census_pool_sizes(monkeypatch, n, jobs, cores):
         (1, 5000, 64, None),  # one class
     ],
 )
-def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
+def test_run_census_caps_the_worker_count(monkeypatch, pool_sizes, n, jobs, cores, workers):
     # With one class a worker, as runs of one class and one run a worker
     # give it; the minimum of RUN_RECORDS * RUNS_PER_WORKER is tested below.
     from graphfactor import census as census_mod
 
     monkeypatch.setattr(census_mod, "RUN_RECORDS", 1)
     monkeypatch.setattr(census_mod, "RUNS_PER_WORKER", 1)
-    sizes = census_pool_sizes(monkeypatch, n, jobs, cores)
+    sizes = census_pool_sizes(monkeypatch, pool_sizes, n, jobs, cores)
     assert sizes == ([] if workers is None else [workers])
 
 
@@ -504,8 +563,10 @@ def test_run_census_caps_the_worker_count(monkeypatch, n, jobs, cores, workers):
         (6, 5000, 64, None),  # 156 classes: one process runs them faster
     ],
 )
-def test_run_census_gives_each_worker_128_classes(monkeypatch, n, jobs, cores, workers):
-    sizes = census_pool_sizes(monkeypatch, n, jobs, cores)
+def test_run_census_gives_each_worker_128_classes(
+    monkeypatch, pool_sizes, n, jobs, cores, workers
+):
+    sizes = census_pool_sizes(monkeypatch, pool_sizes, n, jobs, cores)
     assert sizes == ([] if workers is None else [workers])
 
 
@@ -520,21 +581,17 @@ def test_run_census_gives_each_worker_128_classes(monkeypatch, n, jobs, cores, w
     ],
 )
 def test_verify_caps_the_worker_count(
-    monkeypatch, tmp_path, capsys, order6_records, copies, jobs, cores, workers
+    monkeypatch, tmp_path, capsys, pool_sizes, order6_records, copies, jobs, cores, workers
 ):
-    import concurrent.futures
-
     from graphfactor import census as census_mod
     from graphfactor.cli import main
 
     records = list(order6_records) * copies or list(order6_records[:1])
     path = tmp_path / "catalog.jsonl"
     write_catalog(records, path)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(census_mod.os, "cpu_count", lambda: cores)
-    SerialPool.sizes = []
     main(["verify", "--catalog", str(path), "--json", "--jobs", str(jobs)])
-    assert SerialPool.sizes == ([] if workers is None else [workers])
+    assert pool_sizes == ([] if workers is None else [workers])
     assert json.loads(capsys.readouterr().out) == verify_catalog(
         [rec.to_json() for rec in records]
     ).to_json()

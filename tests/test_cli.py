@@ -891,26 +891,30 @@ def test_census_writes_a_catalog_with_violations_and_exits_1(tmp_path, capsys, m
 def test_a_failing_census_worker_fails_the_run_and_keeps_the_catalog(
     tmp_path, capsys, monkeypatch, pool_of_two
 ):
-    # One class of the first of order 5's two runs fails to build; the pool
-    # fixture checks that no worker outlives the error.
+    # One class of order 5's two runs of 32 and 2 classes fails to build:
+    # class 33, in the second run, which the fork builds, then class 10, in
+    # the first, which the parent builds.  No worker outlives the error.
     real = census_mod._build_record
-    failing_class = enumerate_graphs(5)[10]
-
-    def build(g):
-        if g == failing_class:
-            raise TheoremViolationError("forced failure")
-        return real(g)
-
-    monkeypatch.setattr(census_mod, "_build_record", build)
     out = tmp_path / "n5.jsonl"
     out.write_bytes(b"kept\n")
-    serial, parallel = (
-        run_cli(capsys, "census", "--order", "5", "--jobs", jobs, "--out", str(out))
-        for jobs in ("1", "2")
-    )
-    assert pool_of_two == [2]
-    assert serial == parallel == (1, "", "error: forced failure\n")
-    assert out.read_bytes() == b"kept\n"
+    for index in (33, 10):
+        failing_class = enumerate_graphs(5)[index]
+
+        def build(g):
+            if g == failing_class:
+                raise TheoremViolationError("forced failure")
+            return real(g)
+
+        monkeypatch.setattr(census_mod, "_build_record", build)
+        serial, parallel = (
+            run_cli(capsys, "census", "--order", "5", "--jobs", jobs, "--out", str(out))
+            for jobs in ("1", "2")
+        )
+        assert serial == parallel == (1, "", "error: forced failure\n")
+        assert out.read_bytes() == b"kept\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert pool_of_two == [2, 2]
 
 
 def test_usage_error_bad_graph6(capsys):
@@ -957,27 +961,35 @@ def test_one_decision_path_for_library_cli_and_census(order6_records, capsys):
 
 
 def test_import_cli_loads_no_process_pool(tmp_path, order6_records):
-    # Only census and verify at --jobs > 1 need multiprocessing; it is
-    # imported there.  The catalog is large enough for a pool at --jobs 2.
+    # census and verify fork their own workers, so neither multiprocessing
+    # nor concurrent.futures.process is ever imported, even by a verify at
+    # --jobs 2 that forks one worker beside its own process.  The catalog
+    # is large enough for two workers.
     path = tmp_path / "n6x2.jsonl"
     write_catalog(list(order6_records) * 2, path)
     probe = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, os, sys\n"
         "from graphfactor.cli import main\n"
         "def pool_modules():\n"
         "    return sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
         " if m in sys.modules)\n"
+        "forks, real_fork = [], os.fork\n"
+        "def fork():\n"
+        "    forks.append(1)\n"
+        "    return real_fork()\n"
+        "os.fork, os.cpu_count = fork, lambda: 2\n"
         "print(pool_modules())\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    main(['verify', '--catalog', {str(path)!r}, '--jobs', '1'])\n"
-        "print(pool_modules())\n"
+        "for jobs in ('1', '2'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"        main(['verify', '--catalog', {str(path)!r}, '--jobs', jobs])\n"
+        "    print(len(forks), pool_modules())\n"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(graphfactor.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.split("\n") == ["[]", "[]", ""]
+    assert done.stdout.split("\n") == ["[]", "0 []", "1 []", ""]
 
 
 # The stats object closing `factor --all --json`, byte for byte: C6 reaches
