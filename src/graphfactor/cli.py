@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: factor, check, spectral, construct, census, verify.
-Exit status: 0 success, 1 violation or verification failure, 2 usage error,
-141 standard output closed by its reader (the shell's status for SIGPIPE).
+Exit status: 0 success, 1 violation or verification failure, or a census
+or verify worker that ended without its result, 2 usage error, 141
+standard output closed by its reader (the shell's status for SIGPIPE).
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from .errors import (
     Graph6Error,
     GraphFactorError,
     ParameterError,
+    PoolError,
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CatalogSchemaError, TheoremViolationError) as exc:
+    except (CatalogSchemaError, TheoremViolationError, PoolError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

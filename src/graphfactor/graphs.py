@@ -9,14 +9,15 @@ bit-string over all relabelings and are capped at order 8.
 Graph, like every immutable value type of the package, is a NamedTuple:
 equal and hashable by its fields, and a tuple underneath, so code hands
 its fields to json, never the value itself.  Graph(n, rows) validates
-its rows, as it must for input from outside the program.  Three builders
-skip the check through Graph._make: two derivations whose rows are
-symmetric, loop-free and in range by construction, graph_from_key (which
+its rows, as it must for input from outside the program.  Two builders
+skip the check through Graph._make, derivations whose rows are symmetric,
+loop-free and in range by construction: graph_from_key (which
 decode_graph6 calls after its own text checks) and the orderly-generation
-children of census.enumerate_graphs, and unpickling, which rebuilds a
-graph that was valid when it was pickled.  The census and verify workers
-inherit their input by fork, so only results are pickled: the witness
-graphs of the records a census worker sends back.
+children of census.enumerate_graphs.  A graph pickles as its two fields,
+without its memoised labelling, and unpickling runs the check, as for any
+other outside input.  The census and verify workers inherit their input
+by fork, so only results are pickled: the witness graphs of the records
+a census worker sends back.
 """
 from __future__ import annotations
 
@@ -78,18 +79,13 @@ class Graph(_GraphFields):
         return sum(map(int.bit_count, self.rows)) >> 1
 
     @cached_property
-    def _canonical(self) -> "_Labelling":
+    def _canonical(self) -> tuple:
         """_canonical_order of this graph, computed at most once per object."""
         return _canonical_order(self)
 
-    def __reduce__(self):
-        # A pickled graph was valid when it was built, so unpickling
-        # rebuilds it through _make, and keeps its memoised labelling.
-        return _unpickle_graph, tuple(self), vars(self) or None
-
-
-def _unpickle_graph(order: int, rows: tuple[int, ...]) -> Graph:
-    return Graph._make((order, rows))
+    def __getstate__(self) -> None:
+        # Nothing beyond the fields: the memoised labelling stays behind.
+        return None
 
 
 def _raise_asymmetric(n: int, rows) -> None:
@@ -346,25 +342,13 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
 # canonical forms (exhaustive over relabelings, order <= 8)
 # ---------------------------------------------------------------------------
 
-class _Labelling(tuple):
-    """The pair (key, placement) that _canonical_order returns, carrying the
-    raw end state of its search: frontier, the final placements (each a
-    (placement, free mask) pair, the least first), and later, the twin
-    masks.  Only automorphism_generators turns them into permutations.
-    A pickled labelling keeps the pair alone, so the witness graphs of the
-    records a census worker sends back carry no end state, which the
-    parent never reads."""
-
-    frontier: list[tuple[tuple[int, ...], int]]
-    later: list[int]
-
-    def __reduce__(self):
-        return _Labelling, (tuple(self),)
-
-
-def _canonical_order(g: Graph) -> _Labelling:
-    """Minimal column-major upper-triangle bit-string and the least placement
-    sequence realizing it (placement[k] = original vertex labeled k).
+def _canonical_order(g: Graph) -> tuple:
+    """(key, placement, frontier, later): the minimal column-major
+    upper-triangle bit-string, the least placement sequence realizing it
+    (placement[k] = original vertex labeled k), and the raw end state of
+    the search, which only automorphism_generators turns into permutations:
+    frontier, the final placements (each a (placement, free mask) pair, the
+    least first), and later, the twin masks.
 
     Level k appends the k-bit adjacency column of the next placed vertex,
     so lexicographic minimization proceeds block by block: the frontier
@@ -430,10 +414,7 @@ def _canonical_order(g: Graph) -> _Labelling:
         frontier = extended
         key = key << k | best
     width = n * (n - 1) // 2
-    labelling = _Labelling((format(key, f"0{width}b") if width else "", frontier[0][0]))
-    labelling.frontier = frontier
-    labelling.later = later
-    return labelling
+    return format(key, f"0{width}b") if width else "", frontier[0][0], frontier, later
 
 
 def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
@@ -448,19 +429,15 @@ def automorphism_generators(g: Graph) -> list[tuple[int, ...]]:
     transpositions do, gives a final placement; so those automorphisms and
     one transposition (u w) per vertex u and its lowest twin w above it
     generate Aut(g)."""
-    labelling = g._canonical
-    if not hasattr(labelling, "frontier"):
-        # Unpickled, without its end state: label g again.
-        labelling = _canonical_order(g)
-    first = labelling[1]
+    _, first, frontier, later = g._canonical
     n = g.order
     generators = []
-    for placement, _ in labelling.frontier[1:]:
+    for placement, _ in frontier[1:]:
         images = [0] * n
         for old, new in zip(first, placement):
             images[old] = new
         generators.append(tuple(images))
-    for u, twins in enumerate(labelling.later):
+    for u, twins in enumerate(later):
         if twins:
             w = (twins & -twins).bit_length() - 1
             images = list(range(n))

@@ -917,6 +917,30 @@ def test_a_failing_census_worker_fails_the_run_and_keeps_the_catalog(
     assert pool_of_two == [2, 2]
 
 
+def test_a_census_worker_that_dies_fails_the_run_without_a_traceback(
+    tmp_path, capsys, monkeypatch, pool_of_two
+):
+    # Of order 5's two runs, the fork builds the second and dies first.
+    parent = os.getpid()
+    real = census_mod._build_records
+
+    def build(run):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(run)
+
+    monkeypatch.setattr(census_mod, "_build_records", build)
+    out = tmp_path / "n5.jsonl"
+    code, stdout, err = run_cli(capsys, "census", "--order", "5", "--jobs", "2", "--out", str(out))
+    assert (code, stdout) == (1, "")
+    assert err == "error: worker 1 ended without the result of run 1\n"
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+    assert pool_of_two == [2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_usage_error_bad_graph6(capsys):
     code, _, err = run_cli(capsys, "factor", "--graph6", "~~~~")
     assert code == 2
