@@ -1,17 +1,18 @@
 """Decide and enumerate matrix-product factorizations A = BC.
 
 factor_search runs a root filter first: each vertex's possible
-(deg_H, deg_K) pairs, propagated to a fixpoint, refute most graphs before
-they are labelled.  The rest get backtracking over the unknown
-upper-triangle entries of B and C, from the rows the pairs leave, with
-forward checking on only the entries each value can move (entry bounds,
-zero diagonal) and on the root pairs of its two ends (degrees, and the
-degree the two ends of a 1 share by V2).  A = BC = CB, so each witness
-(B, C) has the mirror (C, B); the search only visits witnesses whose first
-edge in variable order lies in C, and all-mode results add every mirror
-back, in the order the unbroken search found them.  The tests check it
-against the definition transcribed over every pair of candidate matrices
-up to order 5 (tests/oracles.py).
+(deg_H, deg_K) pairs, propagated to a fixpoint by degree counts, middle
+vertices and the complete bipartite graph between each vertex's H- and
+K-neighbours, refute most graphs before they are labelled.  The rest get
+backtracking over the unknown upper-triangle entries of B and C, from the
+rows the pairs leave, with forward checking on only the entries each value
+can move (entry bounds, zero diagonal) and on the root pairs of its two
+ends (degrees, and the degree the two ends of a 1 share by V2).
+A = BC = CB, so each witness (B, C) has the mirror (C, B); the search only
+visits witnesses whose first edge in variable order lies in C, and
+all-mode results add every mirror back, in the order the unbroken search
+found them.  The tests check it against the definition transcribed over
+every pair of candidate matrices up to order 5 (tests/oracles.py).
 
 cycle_product, doubled_graph and disconnected_counterexample build the
 explicit witness families.
@@ -22,6 +23,7 @@ and the census both go through it.
 from __future__ import annotations
 
 from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 from .conditions import ConditionReport, screen
@@ -178,15 +180,20 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     * every edge ij of g has a middle vertex t, not i or j, with
       i ~_H t ~_K j, so (b_t, c_t) = (b_j, c_i);
     * N_H(i) and N_K(i) are disjoint, and by V2 lie among the other
-      vertices that can take K-degree c_i and H-degree b_i respectively.
+      vertices that can take K-degree c_i and H-degree b_i respectively;
+    * every vertex of N_H(i) is adjacent in g to every vertex of N_K(i).
     Starting from the V1 pairs, a pair (b, c) of vertex i is dropped when
     fewer than b other vertices can take K-degree c, fewer than c can take
-    H-degree b, or fewer than b + c either; or when a neighbour j has no
-    H-degree b' that some vertex other than i and j takes as (b', c).
+    H-degree b, or fewer than b + c either; when a neighbour j has no
+    H-degree b' that some vertex other than i and j takes as (b', c); or
+    (the grid drop) when g has no complete bipartite subgraph between b
+    such vertices of K-degree c and c such vertices of H-degree b.
     The drops repeat until none applies (arc consistency, Mackworth 1977);
     each keeps every witness's pairs, so None proves there is no witness.
     The count drops alone come first, once per degree sequence
-    (_count_domains); the one greatest fixpoint makes the result the same
+    (_count_domains), so the first pass here runs only the neighbour drop;
+    the grid drop, the costliest, runs only on a pass after one that
+    dropped nothing.  The one greatest fixpoint makes the result the same
     as running every drop from the V1 pairs.
     """
     n = g.order
@@ -197,9 +204,8 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     if start is None:
         return None
     doms = [list(start[d]) for d in degs]
-    changed = True
-    while changed:
-        changed = False
+    counts = grid = False
+    while True:
         # Vertex masks of who can take H-degree b, K-degree c, and the pair
         # (b, c) at index b * n + c; bvals[i] has bit b set when vertex i
         # can take H-degree b.
@@ -216,6 +222,7 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
                 bvals[i] |= 1 << b
         # middle[bvals[j] * n + c]: who can take (b', c) for a b' of j.
         middle: dict[int, int] = {}
+        changed = False
         for i, dom in enumerate(doms):
             others = full ^ (1 << i)
             kept = []
@@ -223,7 +230,9 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
                 b, c = pair
                 hs = withc[c] & others
                 ks = withb[b] & others
-                if hs.bit_count() < b or ks.bit_count() < c or (hs | ks).bit_count() < b + c:
+                if counts and (
+                    hs.bit_count() < b or ks.bit_count() < c or (hs | ks).bit_count() < b + c
+                ):
                     continue
                 for j in _BITS[rows[i]]:
                     key = bvals[j] * n + c
@@ -236,13 +245,36 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
                     if not mid & others & ~(1 << j):
                         break
                 else:
+                    if grid and not _has_grid(rows, hs, ks, b, c):
+                        continue
                     kept.append(pair)
             if len(kept) < len(dom):
                 if not kept:
                     return None
                 doms[i] = kept
                 changed = True
-    return doms
+        if changed:
+            counts, grid = True, False
+        elif grid:
+            return doms
+        else:
+            counts = grid = True
+
+
+def _has_grid(rows: tuple[int, ...], xs: int, ys: int, b: int, c: int) -> bool:
+    """Whether the graph of rows has every edge between some b vertices of
+    mask xs and some c other vertices of mask ys.  Tries each subset of the
+    smaller side; a vertex is not its own neighbour, so the common
+    neighbours of a subset lie outside it."""
+    if b > c:
+        xs, ys, b, c = ys, xs, c, b
+    for sub in combinations(_BITS[xs], b):
+        common = ys
+        for v in sub:
+            common &= rows[v]
+        if common.bit_count() >= c:
+            return True
+    return False
 
 
 def _root_rows(pairs: list[list[tuple[int, int]]]) -> tuple[list[int], list[int]]:
@@ -535,7 +567,7 @@ def factor_search(
 
 def _refuted_stats() -> SearchStats:
     """The counters of a search _degree_pairs refutes at the root: one
-    node, pruned by P3 (the pairs are degree-product reasoning)."""
+    node, pruned by P3 (the rule that reads the pairs)."""
     stats = SearchStats(nodes_expanded=1, exhausted=True)
     stats.prunes_by_rule["P3"] = 1
     return stats

@@ -29,7 +29,7 @@ import math
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 from graphfactor.conditions import (
     _RULE_REFS,
@@ -689,11 +689,15 @@ def degree_pairs_reference(g: Graph) -> list[list[tuple[int, int]]] | None:
     * every edge ij of g has a middle vertex t, not i or j, with
       i ~_H t ~_K j, so (b_t, c_t) = (b_j, c_i);
     * N_H(i) and N_K(i) are disjoint, and by V2 lie among the other
-      vertices that can take K-degree c_i and H-degree b_i respectively.
+      vertices that can take K-degree c_i and H-degree b_i respectively;
+    * every vertex of N_H(i) is adjacent in g to every vertex of N_K(i).
     Starting from the V1 pairs, a pair (b, c) of vertex i is dropped when
     fewer than b other vertices can take K-degree c, fewer than c can take
-    H-degree b, or fewer than b + c either; or when a neighbour j has no
-    H-degree b' that some vertex other than i and j takes as (b', c).
+    H-degree b, or fewer than b + c either; when a neighbour j has no
+    H-degree b' that some vertex other than i and j takes as (b', c); or
+    when no b such vertices of K-degree c and c other such vertices of
+    H-degree b have every edge between them in g (tried over every subset
+    of both sides).  Every drop runs on every pass, from the V1 pairs.
     The drops repeat until none applies (arc consistency, Mackworth 1977);
     each keeps every witness's pairs, so None proves there is no witness.
     """
@@ -741,7 +745,14 @@ def degree_pairs_reference(g: Graph) -> list[list[tuple[int, int]]] | None:
                     if not mid & others & ~(1 << j):
                         break
                 else:
-                    kept.append(pair)
+                    # No vertex is its own neighbour, so xs and ys with
+                    # every edge between them are disjoint.
+                    if any(
+                        all(rows[x] >> y & 1 for x in xs for y in ys)
+                        for xs in combinations(_BITS[hs], b)
+                        for ys in combinations(_BITS[ks], c)
+                    ):
+                        kept.append(pair)
             if len(kept) < len(dom):
                 if not kept:
                     return None

@@ -160,11 +160,11 @@ def test_construct_text_bytes_pinned(capsys, args):
 COMMAND_SHA256 = {
     ("spectral",): "a70a2e198b12cf6d7bae61490979ceeb1f6a1311723fb5be4c058dc8dc6b9810",
     ("check",): "76cf6c428fd0186dcdf22b997917a52c97b45bdfd27bfb66f5ecfedbc3d0f576",
-    ("factor", "--all"): "42c76741d7ba4de73084854cde691109a49a0edd1151ded8419f095f571682bb",
+    ("factor", "--all"): "5bc6571c82a3274ab5630d6606a1d42d14f0a3540129256da9b9cbe9fa72b923",
     ("spectral", "--json"): "01bf5534f7eb210ea96cfea83826022e2842bb20f747980a75ad647dda08ac9f",
     ("check", "--json"): "6ebd9a1e1cff61eac88fae096ca618e9ae69636a5168a3f416483cc31c15d67c",
     ("factor", "--all", "--json"): (
-        "116d08c75131bdad6b436ef057d101fdae8c0691b288642262eac57be9a18e69"
+        "7af7b3781c9edaec4c8991ed6a26d6c338f701d17d276dd9e8593acdf40cb3f7"
     ),
 }
 # name: (graph, sha256 of the text, sha256 of --json)

@@ -236,28 +236,28 @@ def summed_counters(classes):
 # per graph against the whole-row reference.
 def test_order_6_search_counters_are_pinned():
     counters, witnesses, _ = summed_counters(searched_classes([6]))
-    assert counters == (2_716, 924, 168, 223)
+    assert counters == (2_211, 744, 137, 188)
     assert witnesses == 58
 
 
 def test_order_7_search_counters_are_pinned():
-    # 485 order-7 classes reach search, and 434 of them are refuted at the
+    # 485 order-7 classes reach search, and 460 of them are refuted at the
     # root, one node and one P3 prune each.
     classes = searched_classes([7])
     assert len(classes) == 485
     counters, witnesses, _ = summed_counters(classes)
-    assert counters == (15_322, 5_257, 912, 1_497)
+    assert counters == (9_597, 3_122, 606, 1_061)
     assert witnesses == 132
 
 
 def test_order_8_search_counters_are_pinned():
-    # 6,177 of the 12,346 order-8 classes reach search, and 5,646 of those
+    # 6,177 of the 12,346 order-8 classes reach search, and 5,942 of those
     # are refuted at the root.  The classes are cached per process, so this
     # shares its enumeration with test_enumerate_order_8_keys_pinned.
     classes = searched_classes([8])
     assert len(classes) == 6_177
     counters, witnesses, yes = summed_counters(classes)
-    assert counters == (279_799, 101_581, 12_807, 26_761)
+    assert counters == (177_614, 64_735, 8_655, 17_149)
     assert (witnesses, yes) == (1_656, 80)
 
 
@@ -423,7 +423,7 @@ def test_degree_pairs_keep_every_witness_of_orders_6_and_7():
         assert stats.exhausted
         assert_filter_keeps_witnesses(canonical_form(g), witnesses)
         refuted += _degree_pairs(g) is None
-    assert refuted == 59 + 434
+    assert refuted == 64 + 460
 
 
 def test_degree_pairs_do_not_depend_on_the_labelling():
@@ -455,20 +455,68 @@ def test_masked_root_meets_every_bound():
         for x in range(g.order):
             top_b, top_c = engine.possb[x].bit_count(), engine.possc[x].bit_count()
             assert _pairs_in_ranges(tableb[x], 0, top_b, 0, top_c), (g.rows, x)
-    assert kept == 75 + 25  # of 579 classes and 300 random graphs
+    assert kept == 44 + 17  # of 579 classes and 300 random graphs
 
 
 def test_refuted_graph_costs_one_node_and_is_never_labelled(monkeypatch):
     import graphfactor.graphs as graphs_mod
 
-    g = permute(decode_graph6("F^~~w"), (3, 0, 4, 1, 5, 2, 6))
-    assert _degree_pairs(g) is None
+    graphs = [
+        permute(decode_graph6("F^~~w"), (3, 0, 4, 1, 5, 2, 6)),
+        # K4 + 3K1 and P5 + 2K1: order-7 "no" classes that pass screening
+        # and the count and neighbour drops; only the grid drop refutes them.
+        decode_graph6("F?CWw"),
+        decode_graph6("F??XO"),
+    ]
+    for g in graphs:
+        assert _degree_pairs(g) is None, g.rows
     monkeypatch.setattr(graphs_mod, "_canonical_order", lambda graph: pytest.fail("labelled"))
-    for mode in ("all", "first"):
-        found, stats = factor_search(g, SearchConfig(mode=mode))
-        assert found == [] and stats.exhausted
-        assert stats.nodes_expanded == 1
-        assert stats.prunes_by_rule == {"P1": 0, "P2": 0, "P3": 1}
+    for g in graphs:
+        for mode in ("all", "first"):
+            found, stats = factor_search(g, SearchConfig(mode=mode))
+            assert found == [] and stats.exhausted
+            assert stats.nodes_expanded == 1
+            assert stats.prunes_by_rule == {"P1": 0, "P2": 0, "P3": 1}
+
+
+def assert_grid(f):
+    """Around every vertex i of a witness, N_H(i) and N_K(i) are disjoint
+    and every vertex of one is adjacent in G to every vertex of the other."""
+    h, k, a = f.h.rows, f.k.rows, f.g.rows
+    for i in range(f.g.order):
+        assert not h[i] & k[i], (a, i)
+        for t in range(f.g.order):
+            if h[i] >> t & 1:
+                assert not k[i] & ~a[t], (a, i, t)
+
+
+def test_every_witness_has_a_complete_bipartite_graph_around_each_vertex():
+    for g in searched_classes(range(3, 8)):
+        for f in search_reference(g, SearchConfig(mode="all"), root_filter=False)[0]:
+            assert_grid(f)
+    witnesses = 0
+    for g in searched_classes([8]):
+        found, _ = factor_search(g, SearchConfig(mode="all"))
+        for f in found:
+            assert_grid(f)
+        witnesses += len(found)
+    assert witnesses == 1_656
+
+
+def test_decide_8_benchmark_batch_verdicts_are_pinned():
+    # The decide-8 batch of the benchmark at its default seed: 2,000
+    # G(8, 1/2) graphs, each a 28-bit mask over the vertex pairs in
+    # lexicographic order, decided in first-witness mode.
+    pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
+    rng = random.Random(42)
+    verdicts = []
+    for _ in range(2_000):
+        mask = rng.getrandbits(len(pairs))
+        g = Graph.from_edges(8, [e for t, e in enumerate(pairs) if mask >> t & 1])
+        verdicts.append(is_factorizable(g, SearchConfig(mode="first")).verdict[0])
+    assert hashlib.sha256("".join(verdicts).encode()).hexdigest() == (
+        "2d9913d30e3a9ab4e499c9054ea4705bd973ad446f99855afac35d1d343b8c5f"
+    )
 
 
 # ---------------------------------------------------------------------------
