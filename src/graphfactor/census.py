@@ -16,12 +16,10 @@ from .conditions import (
     ASSERTION_REFS,
     RULE_IDS,
     ConditionReport,
-    RuleResult,
     Violation,
     check_assertions,
     exploratory_observations,
-    overall_status,
-    screen,
+    screen,  # noqa: F401  unused here; bench/tracer.py wraps census.screen
     validate_factorization,  # noqa: F401  unused here; bench/tracer.py wraps it
 )
 from .errors import (
@@ -32,7 +30,6 @@ from .errors import (
     PreconditionError,
     TheoremViolationError,
     UnsupportedSizeError,
-    check_fields,
 )
 from .factorization import Factorization, StoredWitness
 from .graphs import (
@@ -227,10 +224,9 @@ def _describe(
     outcomes and observations.  The record's lambda_max is lam, which the
     caller works out: the census writes the record with Jacobi's value, and
     verify rebuilds it with the stored value if that is certified, None if
-    not, and diffs the two."""
+    not."""
     n = g.order
-    outcomes = [check_assertions(f) for f in witnesses]
-    checks = [(o, exploratory_observations(f, o)) for f, o in zip(witnesses, outcomes)]
+    checks = _witness_checks(witnesses)
     isos = [obs["component_isomorphism"] for _, obs in checks]
     record = CensusRecord(
         n=n,
@@ -245,7 +241,7 @@ def _describe(
         factor_pairs=factor_pairs(n, witnesses),
         lambda_max=lam,
         violations=tuple(
-            o.violation for found in outcomes for o in found if o.violation is not None
+            o.violation for found, _ in checks for o in found if o.violation is not None
         ),
         component_iso_evidence=(
             not any(c["non_isomorphic"] for c in isos)
@@ -254,6 +250,15 @@ def _describe(
         witnesses=tuple(witnesses),
     )
     return record, checks
+
+
+def _witness_checks(witnesses) -> list:
+    """Each witness's assertion outcomes and exploratory observations."""
+    checks = []
+    for f in witnesses:
+        outcomes = check_assertions(f)
+        checks.append((outcomes, exploratory_observations(f, outcomes)))
+    return checks
 
 
 # The one search a census runs: every witness, at the default node limit.
@@ -438,15 +443,15 @@ def _write_lines(fh, records) -> None:
 
 def read_catalog(path) -> list[dict]:
     """The catalog's records as the JSON objects of its lines, each checked
-    against the census record schema."""
+    by _check_schema."""
     with open(path, "rb") as fh:
-        return _parse_lines(fh, 1)
+        return [obj for _, obj in _parse_lines(fh, 1)]
 
 
-def _parse_lines(lines, first_lineno: int) -> list[dict]:
-    """The JSON objects of raw catalog lines, the first of them line
-    first_lineno of the catalog, each checked by _check_schema; blank
-    lines are skipped."""
+def _parse_lines(lines, first_lineno: int) -> list[tuple[str, dict]]:
+    """The text, without its newline, and the JSON object of each raw
+    catalog line, the first of them line first_lineno of the catalog, each
+    checked by _check_schema; blank lines are skipped."""
     records = []
     for lineno, raw in enumerate(lines, start=first_lineno):
         try:
@@ -464,72 +469,26 @@ def _parse_lines(lines, first_lineno: int) -> list[dict]:
             raise CatalogSchemaError(f"line {lineno}: JSON nested too deeply") from None
         try:
             _check_schema(obj)
-        except (ParameterError, TypeError, OverflowError) as exc:
+        except (ParameterError, OverflowError) as exc:
             raise CatalogSchemaError(f"line {lineno}: {exc}") from None
-        records.append(obj)
+        records.append((line.removesuffix("\n"), obj))
     return records
 
 
-# The JSON types of the record's fields that the schema checks by type.
-_RECORD_TYPES = {
-    "n": int,
-    "graph6": str,
-    "canonical_key": str,
-    "edge_count": int,
-    "connected": bool,
-    "bipartite": bool,
-    "regular": bool,
-    "screen": dict,
-    "verdict": str,
-    "factor_pairs": list,
-    "lambda_max": (int, float),
-    "violations": dict,
-    "witnesses": list,
-}
-
-
 def _check_schema(obj) -> None:
-    """Raise ParameterError, TypeError or OverflowError unless the parsed
-    line obj has the census record schema: each object has its fields and
-    no other, each typed field its type, and each witness its shape.  The
-    values are verify's to check against the rebuilt record."""
-    check_fields(obj, CensusRecord._fields, "record")
-    for name, kind in _RECORD_TYPES.items():
+    """Raise ParameterError or OverflowError unless the parsed line obj
+    holds what verify reads to rebuild its record: a JSON object with a
+    graph6 string and a numeric lambda_max that a float can hold.  Every
+    other field is compared with the rebuilt record's."""
+    if not isinstance(obj, dict):
+        raise ParameterError("record is not a JSON object")
+    for name, kind in (("graph6", str), ("lambda_max", (int, float))):
+        if name not in obj:
+            raise ParameterError(f"record is missing field {name!r}")
         # A JSON true or false is a Python bool, and so an int.
-        if not isinstance(obj[name], kind) or (
-            kind is not bool and isinstance(obj[name], bool)
-        ):
+        if not isinstance(obj[name], kind) or isinstance(obj[name], bool):
             raise ParameterError(f"field {name!r} has the wrong type")
     float(obj["lambda_max"])  # OverflowError past a float's range
-    iso = obj["component_iso_evidence"]
-    if iso is not None and not isinstance(iso, bool):
-        raise ParameterError("field 'component_iso_evidence' must be bool or null")
-    if obj["verdict"] not in ("yes", "no", "unknown"):
-        raise ParameterError(f"invalid verdict {obj['verdict']!r}")
-    for p in obj["factor_pairs"]:
-        if not isinstance(p, dict) or set(p) != {"h_graph6", "k_graph6"}:
-            raise ParameterError("factor_pairs entries need h_graph6 and k_graph6")
-    screened = obj["screen"]
-    check_fields(screened, ("graph_key", "overall", "trivial", "rules"), "screen")
-    if not isinstance(screened["trivial"], bool):
-        raise ParameterError("screen field 'trivial' must be a boolean")
-    if not isinstance(screened["rules"], list):
-        raise ParameterError("screen field 'rules' must be a list")
-    for rule in screened["rules"]:
-        check_fields(rule, RuleResult._fields, "screen rule")
-    overall = overall_status(rule["status"] for rule in screened["rules"])
-    if screened["overall"] != overall:
-        raise ParameterError(
-            f"screen field 'overall' is {screened['overall']!r} but its rules give {overall!r}"
-        )
-    check_fields(obj["violations"], ("items",), "violations")
-    items = obj["violations"]["items"]
-    if not isinstance(items, list):
-        raise ParameterError("violations field 'items' must be a list")
-    for v in items:
-        check_fields(v, Violation._fields, "violation")
-    for w in obj["witnesses"]:
-        StoredWitness.from_json(w)
 
 
 # ---------------------------------------------------------------------------
@@ -651,14 +610,19 @@ class TheoremReport:
         return "\n".join(lines)
 
 
-def verify_catalog(records) -> TheoremReport:
+def verify_catalog(records, lines=None) -> TheoremReport:
     """Rebuild every record, a catalog line's JSON object as read_catalog
-    returns it, from its graph and valid witnesses as the census does and
-    report each field that differs; stored verdicts are only checked
-    against screening and witnesses, never trusted."""
+    returns it, from its graph alone as the census builds it, and report
+    each stored field that differs.  lines, if given, are the records'
+    lines as stored, without their newlines; otherwise each record stands
+    for the line the census would write of it."""
     report = TheoremReport()
-    for rec in records:
-        _check_record(rec, report)
+    if lines is None:
+        for rec in records:
+            _check_record(rec, _CATALOG_ENCODER.encode(rec), report)
+    else:
+        for rec, line in zip(records, lines):
+            _check_record(rec, line, report)
     return report
 
 
@@ -674,7 +638,8 @@ def verify_lines(lines, jobs: int = 1) -> TheoremReport:
 
 def _verify_run(run: tuple) -> TheoremReport:
     lines, first_lineno = run
-    return verify_catalog(_parse_lines(lines, first_lineno))
+    parsed = _parse_lines(lines, first_lineno)
+    return verify_catalog([obj for _, obj in parsed], [line for line, _ in parsed])
 
 
 def _sum_reports(reports) -> TheoremReport:
@@ -684,13 +649,16 @@ def _sum_reports(reports) -> TheoremReport:
     return total
 
 
-def _check_record(rec: dict, report: TheoremReport) -> None:
-    """Verify one record: add its entry and its counts to report.  Every
-    field of the rebuilt record is compared with the stored one by
-    equality; the stored lambda_max is rebuilt as itself when
+def _check_record(rec: dict, line: str, report: TheoremReport) -> None:
+    """Verify one record, stored as line: add its entry and its counts to
+    report.  The record is rebuilt the way the census builds it: its graph
+    is labelled once and decided by is_factorizable, whose report is the
+    record's screen, and the stored lambda_max stands as itself when
     spectral.lambda_max_certified proves it to be the graph's largest
     eigenvalue, to within DEFAULT_TOL * max(1, |stored|), and as None
-    otherwise, so no Jacobi sweep runs for it."""
+    otherwise, so no Jacobi sweep runs for it.  A line equal to the
+    rebuilt line is counted as it stands; only one that differs is read
+    field by field (_diff_record)."""
     where = f"record {rec['graph6']!r}"
     undecodable = f"{where}: graph6 does not decode to a class"
     try:
@@ -706,26 +674,54 @@ def _check_record(rec: dict, report: TheoremReport) -> None:
     # The class's key is also the one the rebuilt record stores, so each
     # record's graph is labelled once.
     key = canonical_key(g)
-    fresh = screen(g)
     messages: list[str] = []
     report.checked.append((where, (g.order, key), messages))
-    verdict, witnesses = rec["verdict"], rec["witnesses"]
-    for rule in fresh.rules:
+    decision = is_factorizable(g, _CENSUS_SEARCH)
+    lam = float(rec["lambda_max"])
+    rebuilt, checks = _describe(
+        g, key, decision.verdict, decision.report, decision.witnesses,
+        lam if lambda_max_certified(g, lam) else None,
+    )
+    fresh = rebuilt.to_json()
+    if _CATALOG_ENCODER.encode(fresh) == line:
+        claims_witness = False
+        report.witnesses_checked += len(rebuilt.witnesses)
+        report.assertions[PRODUCT_ASSERTION]["instances_checked"] += len(rebuilt.witnesses)
+    else:
+        claims_witness = bool(
+            rec.get("verdict") != "no" or rec.get("witnesses") or rec.get("factor_pairs")
+        )
+        checks = _diff_record(rec, fresh, g, where, report, messages)
+    for rule in decision.report.rules:
         counts = report.rules[rule.rule_id]
         counts["instances_checked"] += 1
         if rule.status == "ruled_out":
             counts["ruled_out"] += 1
-            if verdict != "no" or witnesses or rec["factor_pairs"]:
-                counts["violations"] += 1
-    if verdict == "yes" and not (rec["factor_pairs"] and witnesses):
-        messages.append(f"{where}: verdict yes without stored witnesses")
-    if verdict != "yes" and (rec["factor_pairs"] or witnesses):
-        messages.append(f"{where}: verdict {verdict} with stored witnesses")
-    if fresh.overall == "ruled_out" and verdict != "no":
-        messages.append(f"{where}: ruled_out class without verdict no")
+            # A stored line that claims a witness of a class the rule
+            # rules out makes the rule unsound, or the line forged.
+            counts["violations"] += claims_witness
+    for outcomes, observed in checks:
+        for outcome in outcomes:
+            if outcome.applied:
+                counts = report.assertions[outcome.assertion_id]
+                counts["instances_checked"] += 1
+                if outcome.violation is not None:
+                    counts["violations"] += 1
+        _add_counts(report.exploratory, observed)
+
+
+def _diff_record(
+    rec: dict, fresh: dict, g: Graph, where: str, report: TheoremReport, messages: list[str],
+) -> list:
+    """For a record whose line differs from the rebuilt one, fresh: name
+    in messages each stored witness that is not a witness of g (assertion
+    W0) and then each field whose stored JSON differs from fresh's, a
+    field missing on either side included, and return the checks of the
+    stored witnesses that are valid."""
     product = report.assertions[PRODUCT_ASSERTION]
+    stored = rec.get("witnesses")
     valid = []
-    for idx, w in enumerate(witnesses):
+    for idx, w in enumerate(stored if isinstance(stored, list) else ()):
         report.witnesses_checked += 1
         product["instances_checked"] += 1
         try:
@@ -739,18 +735,9 @@ def _check_record(rec: dict, report: TheoremReport) -> None:
             messages.append(f"{where}: witness {idx} targets a different graph")
             continue
         valid.append(f)
-    lam = rec["lambda_max"]
-    rebuilt, checks = _describe(
-        g, key, verdict, fresh, valid, lam if lambda_max_certified(g, lam) else None
-    )
-    for name, value in rebuilt.to_json().items():
-        if value != rec[name]:
+    encode = _CATALOG_ENCODER.encode
+    for name in {**fresh, **rec}:
+        # Compared as JSON text, so a 1 stored for 1.0 or for true differs.
+        if name not in rec or name not in fresh or encode(rec[name]) != encode(fresh[name]):
             messages.append(f"{where}: stored {name} mismatch")
-    for outcomes, observed in checks:
-        for outcome in outcomes:
-            if outcome.applied:
-                counts = report.assertions[outcome.assertion_id]
-                counts["instances_checked"] += 1
-                if outcome.violation is not None:
-                    counts["violations"] += 1
-        _add_counts(report.exploratory, observed)
+    return _witness_checks(valid)

@@ -1,5 +1,4 @@
-"""Exception types shared across the package, and the field check of the
-catalog's JSON objects."""
+"""Exception types shared across the package."""
 
 
 class GraphFactorError(Exception):
@@ -37,16 +36,3 @@ class PoolError(GraphFactorError, RuntimeError):
     """A census or verify worker process ended without sending a result,
     or with one it could not pickle."""
 
-
-def check_fields(obj, fields: tuple[str, ...], what: str) -> None:
-    """Raise ParameterError unless obj is a JSON object with exactly the
-    given fields: a catalog object holds every field the census writes and
-    no other."""
-    if not isinstance(obj, dict):
-        raise ParameterError(f"{what} is not a JSON object")
-    for name in fields:
-        if name not in obj:
-            raise ParameterError(f"{what} is missing field {name!r}")
-    for key in obj:
-        if key not in fields:
-            raise ParameterError(f"{what} has unknown field {key!r}")

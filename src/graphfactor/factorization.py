@@ -3,10 +3,10 @@
 A Factorization is three bitmask graphs whose product identity holds, and
 its to_json writes the witness as the catalog stores it, as bit-row
 strings.  A StoredWitness only reads that form back: from_json checks its
-shape (the schema check of a catalog line runs it on each witness), but
-the product is not trusted until to_factorization rebuilds the graphs, so
-catalog verification can report a broken witness instead of crashing at
-parse time.  The IntMatrix views a, b and c, the adjacency matrices as rows
+shape, but the product is not trusted until to_factorization rebuilds the
+graphs.  Catalog verification reads the stored witnesses only of a line
+that differs from the one it rebuilds, and so names a broken witness
+instead of only a differing witness list.  The IntMatrix views a, b and c, the adjacency matrices as rows
 of ints, are what the CLI prints.
 
 All three are NamedTuples, equal and hashable by their fields and tuples
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ParameterError, PreconditionError, check_fields
+from .errors import ParameterError, PreconditionError
 from .graphs import Graph, encode_graph6, is_edgeless
 
 _NOT_ADJACENCY = "factorization matrices must be adjacency matrices"
@@ -142,7 +142,14 @@ class StoredWitness(NamedTuple):
 
     @classmethod
     def from_json(cls, obj: dict) -> "StoredWitness":
-        check_fields(obj, cls._fields, "witness")
+        if not isinstance(obj, dict):
+            raise ParameterError("witness is not a JSON object")
+        for name in cls._fields:
+            if name not in obj:
+                raise ParameterError(f"witness is missing field {name!r}")
+        for key in obj:
+            if key not in cls._fields:
+                raise ParameterError(f"witness has unknown field {key!r}")
         a = _checked_bit_rows(obj["a"], "a")
         b = _checked_bit_rows(obj["b"], "b")
         c = _checked_bit_rows(obj["c"], "c")

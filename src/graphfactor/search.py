@@ -192,9 +192,10 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
     each keeps every witness's pairs, so None proves there is no witness.
     The count drops alone come first, once per degree sequence
     (_count_domains), so the first pass here runs only the neighbour drop;
-    the grid drop, the costliest, runs only on a pass after one that
-    dropped nothing.  The one greatest fixpoint makes the result the same
-    as running every drop from the V1 pairs.
+    the grid drop, the costliest, runs alone, on a pass after one that
+    dropped nothing, whose count and neighbour tests would pass again.
+    The one greatest fixpoint makes the result the same as running every
+    drop from the V1 pairs.
     """
     n = g.order
     rows = g.rows
@@ -230,6 +231,12 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
                 b, c = pair
                 hs = withc[c] & others
                 ks = withb[b] & others
+                if grid:
+                    # The pass before dropped nothing from these domains,
+                    # so their count and neighbour tests pass again.
+                    if _has_grid(rows, hs, ks, b, c):
+                        kept.append(pair)
+                    continue
                 if counts and (
                     hs.bit_count() < b or ks.bit_count() < c or (hs | ks).bit_count() < b + c
                 ):
@@ -245,8 +252,6 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
                     if not mid & others & ~(1 << j):
                         break
                 else:
-                    if grid and not _has_grid(rows, hs, ks, b, c):
-                        continue
                     kept.append(pair)
             if len(kept) < len(dom):
                 if not kept:
@@ -258,7 +263,7 @@ def _degree_pairs(g: Graph) -> list[list[tuple[int, int]]] | None:
         elif grid:
             return doms
         else:
-            counts = grid = True
+            grid = True
 
 
 def _has_grid(rows: tuple[int, ...], xs: int, ys: int, b: int, c: int) -> bool:

@@ -408,13 +408,12 @@ def test_catalog_schema_error_names_line_and_field(tmp_path):
     write_catalog(records, path)
     lines = path.read_text().splitlines()
     broken = json.loads(lines[2])
-    del broken["verdict"]
+    del broken["lambda_max"]
     lines[2] = json.dumps(broken)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CatalogSchemaError) as exc:
         read_catalog(path)
-    assert "line 3" in str(exc.value)
-    assert "verdict" in str(exc.value)
+    assert str(exc.value) == "line 3: record is missing field 'lambda_max'"
 
 
 def test_catalog_invalid_json_line(tmp_path):
@@ -671,8 +670,8 @@ def test_verify_names_a_broken_witness(order6_records, name):
     assert report.total_violations == 3
 
 
-# (the C6 record's first witness -> the witness stored instead, the schema
-# error it raises)
+# (the C6 record's first witness -> the witness stored instead, the error
+# StoredWitness.from_json raises, which verify names)
 MALFORMED_WITNESSES = {
     "non-bit character": (
         lambda w: {**w, "b": ["0002" + w["b"][0][4:], *w["b"][1:]]},
@@ -697,15 +696,21 @@ MALFORMED_WITNESSES = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_WITNESSES))
 def test_catalog_schema_error_names_a_malformed_witness(order6_records, tmp_path, name):
+    # The catalog reads; only the rebuild reads the witness, and verify
+    # names it as a W0 violation, as it names a broken one.
     edit, message = MALFORMED_WITNESSES[name]
     c6 = next(r for r in order6_records if r.canonical_key == canonical_key(cycle(6)))
     obj = c6.to_json()
     obj["witnesses"][0] = edit(obj["witnesses"][0])
     path = tmp_path / "malformed.jsonl"
     path.write_text(json.dumps(order6_records[0].to_json()) + "\n" + json.dumps(obj) + "\n")
-    with pytest.raises(CatalogSchemaError) as exc:
-        read_catalog(path)
-    assert str(exc.value) == f"line 2: {message}"
+    report = verify_catalog(read_catalog(path))
+    assert report.integrity == [
+        f"record 'EBj?': witness 0: {message}",
+        "record 'EBj?': stored witnesses mismatch",
+    ]
+    assert report.assertions["W0"]["violations"] == 1
+    assert report.total_violations == 3
 
 
 def _matrix_rows(m):
@@ -853,6 +858,15 @@ def test_verify_reports_a_flipped_verdict(order6_records):
     tampered = _forge(rec, lambda obj: obj.update(verdict="yes" if rec.verdict == "no" else "no"))
     report = verify_catalog([tampered])
     assert report.total_violations >= 1
+
+
+def test_verify_counts_a_rule_unsound_when_a_line_claims_what_it_rules_out(order6_records):
+    rec = next(r for r in order6_records if r.screen.overall == "ruled_out")
+    ruled_out = {rule.rule_id for rule in rec.screen.rules if rule.status == "ruled_out"}
+    report = verify_catalog([_forge(rec, lambda obj: obj.update(verdict="yes"))])
+    assert report.integrity == [f"record {rec.graph6!r}: stored verdict mismatch"]
+    assert {rid for rid, c in report.rules.items() if c["violations"]} == ruled_out
+    assert report.total_violations == 1 + len(ruled_out)
 
 
 def test_run_census_order_cap_respected():

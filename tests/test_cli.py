@@ -391,9 +391,9 @@ def test_verify_rejects_forged_screen_field(tmp_path, capsys, field_name, forged
     obj["screen"][field_name] = forged
     lines[0] = json.dumps(obj)
     out_path.write_text("\n".join(lines) + "\n")
-    code, _, err = run_cli(capsys, "verify", "--catalog", str(out_path))
+    code, out, _ = run_cli(capsys, "verify", "--catalog", str(out_path))
     assert code == 1
-    assert "line 1" in err and f"'{field_name}'" in err
+    assert f"  record {obj['graph6']!r}: stored screen mismatch\n" in out
 
 
 @pytest.mark.parametrize("lineno, graph6, forged", [(1, "A?", False), (2, "A_", True)])
@@ -566,9 +566,24 @@ def _edited(change, message):
     return edit
 
 
-def _unknown_field(what, pick):
+def _mismatched(change, *messages):
+    """A catalog edit off the record schema where the rebuild reads
+    nothing: the first record with a witness, after change(record), parses,
+    and verify names it after the class it lists twice.  Returns the line
+    and verify's integrity messages."""
+    def edit(objs):
+        obj = next(obj for obj in objs if obj["witnesses"])
+        where = f"record {obj['graph6']!r}"
+        change(obj)
+        return json.dumps(obj).encode() + b"\n", [
+            f"{where}: {m}" for m in ("class listed more than once", *messages)
+        ]
+    return edit
+
+
+def _unknown_field(pick, *messages):
     """A catalog edit that adds a field 'forged' to the object pick(record)."""
-    return _edited(lambda obj: pick(obj).update(forged=1), f"{what} has unknown field 'forged'")
+    return _mismatched(lambda obj: pick(obj).update(forged=1), *messages)
 
 
 def _violation(obj):
@@ -579,109 +594,129 @@ def _violation(obj):
     return obj["violations"]["items"][0]
 
 
+# Each bad line: bytes that raise a schema error, an _edited record that
+# raises the error it names, or a _mismatched record that verify reports.
+# Only a line that is not UTF-8 or not JSON, or a record that is not an
+# object or lacks a graph6 string or a numeric lambda_max, is a schema
+# error; a record off the schema elsewhere differs from its rebuilt line.
 @pytest.mark.parametrize("bad", [
     b'{"n": 6, "gr\xffph6": "E???"}\n',
     b'{"n": 6,\n',
     pytest.param(b"[" * 5000 + b"]" * 5000 + b"\n", id="nested-5000-deep"),
     pytest.param(b'{"n": 1' + b"0" * 4_400 + b"}\n", id="integer-past-the-digit-limit"),
-    pytest.param(_unknown_field("record", lambda obj: obj), id="unknown-record-field"),
-    pytest.param(_unknown_field("screen", lambda obj: obj["screen"]), id="unknown-screen-field"),
     pytest.param(
-        _unknown_field("screen rule", lambda obj: obj["screen"]["rules"][1]),
+        _unknown_field(lambda obj: obj, "stored forged mismatch"), id="unknown-record-field"
+    ),
+    pytest.param(
+        _unknown_field(lambda obj: obj["screen"], "stored screen mismatch"),
+        id="unknown-screen-field",
+    ),
+    pytest.param(
+        _unknown_field(lambda obj: obj["screen"]["rules"][1], "stored screen mismatch"),
         id="unknown-rule-field",
     ),
     pytest.param(
-        _unknown_field("witness", lambda obj: obj["witnesses"][0]), id="unknown-witness-field"
+        _unknown_field(
+            lambda obj: obj["witnesses"][0],
+            "witness 0: witness has unknown field 'forged'",
+            "stored witnesses mismatch",
+        ),
+        id="unknown-witness-field",
     ),
     pytest.param(
-        _unknown_field("violations", lambda obj: obj["violations"]),
+        _unknown_field(lambda obj: obj["violations"], "stored violations mismatch"),
         id="unknown-violations-field",
     ),
-    pytest.param(_unknown_field("violation", _violation), id="unknown-violation-field"),
     pytest.param(
-        _edited(lambda obj: obj.update(verdict="maybe"), "invalid verdict 'maybe'"),
+        _unknown_field(_violation, "stored violations mismatch"), id="unknown-violation-field"
+    ),
+    pytest.param(
+        _mismatched(lambda obj: obj.update(verdict="maybe"), "stored verdict mismatch"),
         id="invalid-verdict",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["screen"].update(overall="ruled_out"),
-            "screen field 'overall' is 'ruled_out' but its rules give 'inconclusive'",
+        _mismatched(
+            lambda obj: obj["screen"].update(overall="ruled_out"), "stored screen mismatch"
         ),
         id="overall-against-its-rules",
     ),
     pytest.param(
-        _edited(
+        _mismatched(
             lambda obj: obj.update(component_iso_evidence="yes"),
-            "field 'component_iso_evidence' must be bool or null",
+            "stored component_iso_evidence mismatch",
         ),
         id="non-boolean-iso-evidence",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["factor_pairs"][0].pop("k_graph6"),
-            "factor_pairs entries need h_graph6 and k_graph6",
+        _mismatched(
+            lambda obj: obj["factor_pairs"][0].pop("k_graph6"), "stored factor_pairs mismatch"
         ),
         id="half-a-factor-pair",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["screen"].update(trivial=1),
-            "screen field 'trivial' must be a boolean",
-        ),
+        _mismatched(lambda obj: obj["screen"].update(trivial=1), "stored screen mismatch"),
         id="non-boolean-screen-trivial",
     ),
     pytest.param(
-        _edited(lambda obj: obj.update(connected=1), "field 'connected' has the wrong type"),
+        _mismatched(lambda obj: obj.update(connected=1), "stored connected mismatch"),
         id="integer-connected",
     ),
     pytest.param(lambda objs: (b"5\n", "record is not a JSON object"), id="number-line"),
     pytest.param(lambda objs: (b"null\n", "record is not a JSON object"), id="null-line"),
     pytest.param(
-        _edited(lambda obj: obj.pop("n"), "record is missing field 'n'"), id="record-without-n"
+        _mismatched(lambda obj: obj.pop("n"), "stored n mismatch"), id="record-without-n"
     ),
     pytest.param(
-        _edited(lambda obj: obj["screen"].pop("graph_key"), "screen is missing field 'graph_key'"),
+        _mismatched(lambda obj: obj["screen"].pop("graph_key"), "stored screen mismatch"),
         id="screen-without-graph-key",
     ),
     pytest.param(
-        _edited(lambda obj: obj["screen"].update(rules=5), "screen field 'rules' must be a list"),
+        _mismatched(lambda obj: obj["screen"].update(rules=5), "stored screen mismatch"),
         id="rules-not-a-list",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["screen"]["rules"][1].pop("detail"),
-            "screen rule is missing field 'detail'",
-        ),
+        _mismatched(lambda obj: obj["screen"]["rules"][1].pop("detail"), "stored screen mismatch"),
         id="rule-without-detail",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["screen"]["rules"].__setitem__(1, "R2"),
-            "screen rule is not a JSON object",
+        _mismatched(
+            lambda obj: obj["screen"]["rules"].__setitem__(1, "R2"), "stored screen mismatch"
         ),
         id="rule-as-a-string",
     ),
     pytest.param(
-        _edited(lambda obj: obj["violations"].pop("items"), "violations is missing field 'items'"),
+        _mismatched(lambda obj: obj["violations"].pop("items"), "stored violations mismatch"),
         id="violations-without-items",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["violations"].update(items=5), "violations field 'items' must be a list"
-        ),
+        _mismatched(lambda obj: obj["violations"].update(items=5), "stored violations mismatch"),
         id="items-not-a-list",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["violations"]["items"].append("V1"), "violation is not a JSON object"
+        _mismatched(
+            lambda obj: obj["violations"]["items"].append("V1"), "stored violations mismatch"
         ),
         id="violation-as-a-string",
     ),
     pytest.param(
-        _edited(
-            lambda obj: obj["witnesses"].__setitem__(0, "abc"), "witness is not a JSON object"
+        _mismatched(
+            lambda obj: obj["witnesses"].__setitem__(0, "abc"),
+            "witness 0: witness is not a JSON object",
+            "stored witnesses mismatch",
         ),
         id="witness-as-a-string",
+    ),
+    pytest.param(
+        _edited(lambda obj: obj.pop("lambda_max"), "record is missing field 'lambda_max'"),
+        id="record-without-lambda-max",
+    ),
+    pytest.param(
+        _edited(lambda obj: obj.update(graph6=6), "field 'graph6' has the wrong type"),
+        id="integer-graph6",
+    ),
+    pytest.param(
+        _edited(lambda obj: obj.update(lambda_max="0"), "field 'lambda_max' has the wrong type"),
+        id="string-lambda-max",
     ),
 ])
 def test_verify_schema_error_is_the_same_at_any_jobs(
@@ -695,13 +730,19 @@ def test_verify_schema_error_is_the_same_at_any_jobs(
         bad, named = bad([rec.to_json() for rec in order6_records])
     lines[70:70] = [b"\n", b"  \n", bad]
     path.write_bytes(b"".join(lines))
+    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
+    assert pool_of_two == [2]
+    assert serial == parallel
+    if isinstance(named, list):
+        code, out, err = serial
+        assert (code, err) == (1, "")
+        assert json.loads(out)["integrity"] == named
+        return
     with pytest.raises(CatalogSchemaError, match="^line 73: ") as caught:
         read_catalog(path)
     if named is not None:
         assert str(caught.value) == f"line 73: {named}"
-    serial, parallel = verify_at_jobs_1_and_2(capsys, path)
-    assert pool_of_two == [2]
-    assert serial == parallel == (1, "", f"error: {caught.value}\n")
+    assert serial == (1, "", f"error: {caught.value}\n")
 
 
 def test_verify_lambda_max_beyond_a_float_is_a_schema_error_at_any_jobs(
